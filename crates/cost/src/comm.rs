@@ -59,7 +59,7 @@ impl CommMatrix {
                     .expect("problem networks are fully routable");
                 let mut bw_term = 0.0;
                 let mut fixed_term = 0.0;
-                for &l in &path.links {
+                for &l in path.links() {
                     let link = net.link(l);
                     bw_term += 1.0 / link.speed.value();
                     fixed_term += link.propagation.value();

@@ -133,7 +133,7 @@ fn affected_ops(batch: &[TimedEvent], problem: &Problem, mapping: &Mapping) -> O
                     let crossed = problem
                         .routing()
                         .path(from, to)
-                        .map(|p| p.links.contains(&link))
+                        .map(|p| p.links().contains(&link))
                         .unwrap_or(false);
                     if crossed {
                         ops.push(m.from);

@@ -2,7 +2,8 @@
 //!
 //! Five micro-benchmarks over one fixed-seed 200×20 star instance —
 //! the hot paths the flat-arena refactor (DESIGN.md §10) and the
-//! hierarchical solver care about:
+//! hierarchical solver care about — plus one network-layer row on a
+//! 150-server class-C bus:
 //!
 //! | bench | times |
 //! |---|---|
@@ -11,6 +12,7 @@
 //! | `delta_probe` | single-move [`DeltaEvaluator::probe`] calls |
 //! | `hier_stitch` | a budgeted `Hierarchical(FairLoad)` solve |
 //! | `sim_engine` | Monte-Carlo trials of the discrete-event simulator |
+//! | `route_build` | [`RoutingTable::new`] + [`CommMatrix::new`] (all-pairs routing) |
 //!
 //! Results are wall-clock by design and go to `BENCH_obs.json` —
 //! never into a deterministic experiment CSV. `compare` implements the
@@ -23,10 +25,13 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use wsflow_core::{DeploymentAlgorithm, FairLoad, Hierarchical, SolveCtx};
-use wsflow_cost::{texecute, time_penalty, DeltaEvaluator, Evaluator, Mapping, Problem};
-use wsflow_net::ServerId;
+use wsflow_cost::{
+    texecute, time_penalty, CommMatrix, DeltaEvaluator, Evaluator, Mapping, Problem,
+};
+use wsflow_model::MbitsPerSec;
+use wsflow_net::{RoutingTable, ServerId};
 use wsflow_sim::{monte_carlo, SimConfig};
-use wsflow_workload::scale_instance;
+use wsflow_workload::{bus_network, scale_instance, ExperimentClass};
 
 /// Schema tag of `BENCH_obs.json`.
 pub const SCHEMA: &str = "wsflow-bench/1";
@@ -95,10 +100,10 @@ fn time(reps: usize, units: usize, mut body: impl FnMut()) -> f64 {
 /// Run the pinned suite. `quick` shrinks the instance and repetition
 /// counts so smoke runs finish in well under a second.
 pub fn run(quick: bool) -> BenchDoc {
-    let (m, n, evals, trials, reps) = if quick {
-        (60usize, 6usize, 8usize, 50usize, 2usize)
+    let (m, n, evals, trials, reps, bus_servers) = if quick {
+        (60usize, 6usize, 8usize, 50usize, 2usize, 30usize)
     } else {
-        (200, 20, 32, 200, 3)
+        (200, 20, 32, 200, 3, 150)
     };
     let sc = scale_instance(m, n, SEED);
     let problem = Problem::new(sc.workflow, sc.network).expect("scale instances are valid");
@@ -187,6 +192,29 @@ pub fn run(quick: bool) -> BenchDoc {
     };
     benches.push(record("sim_engine", reps, ns));
 
+    let ns = {
+        let bus = bus_network(
+            bus_servers,
+            MbitsPerSec(100.0),
+            &ExperimentClass::class_c(),
+            SEED,
+        );
+        let mut acc = 0.0;
+        let ns = time(reps, 1, || {
+            let routing = RoutingTable::new(&bus);
+            acc += CommMatrix::new(&bus, &routing).mean_unit_transfer();
+        });
+        sink += acc;
+        ns
+    };
+    benches.push(BenchRecord {
+        name: "route_build".to_string(),
+        ops: 0,
+        servers: bus_servers,
+        reps,
+        ns_per_op: ns,
+    });
+
     assert!(sink.is_finite());
     BenchDoc {
         schema: SCHEMA.to_string(),
@@ -255,7 +283,8 @@ mod tests {
                 "eval_flat_batch",
                 "delta_probe",
                 "hier_stitch",
-                "sim_engine"
+                "sim_engine",
+                "route_build"
             ]
         );
         for b in &d.benches {

@@ -13,15 +13,38 @@
 //! pure function of the `(distance, hops)` labels, independent of the
 //! order links are declared or relaxations happen to run.
 //!
-//! The computation is two-phase. Phase 1 is textbook Dijkstra producing
-//! only the `(dist, hops)` labels. Phase 2 reconstructs predecessors
-//! from the labels: each node picks the smallest `(server, link)` among
-//! the neighbours that *exactly* achieve its label. An earlier version
+//! The computation is two-phase. Phase 1 is Dijkstra producing only the
+//! `(dist, hops)` labels. Phase 2 reconstructs predecessors from the
+//! labels: each node picks the smallest `(server, link)` among the
+//! neighbours that *exactly* achieve its label. An earlier version
 //! folded the tie-break into the relaxation itself (rewiring `via` when
 //! an equal-cost smaller predecessor appeared); that left settled
 //! downstream nodes attached through whichever candidate happened to
 //! relax first, so equal-cost routes could differ between runs of the
 //! same network expressed with a different link order.
+//!
+//! Link weights are computed once per table, and two pruning rules skip
+//! work that cannot change a route. Both are exact — the labels and the
+//! predecessors they leave are bit-identical to the unpruned search:
+//!
+//! - **Label bound (phase 1).** Once every server holds a label, a popped
+//!   node `u` with `d_u + w_min` greater than the largest label assigned
+//!   so far cannot lower or tie any label: every relaxation from it
+//!   yields `d_u + w ≥ d_u + w_min` (floating-point addition is monotone
+//!   in each operand), which is strictly above every current label.
+//!   Later pops carry distances `≥ d_u`, so the search stops there. On a
+//!   bus, where every pair is one hop, this ends each source's search
+//!   after its first pop.
+//! - **Hop-1 shortcut (phase 2).** A node one hop from the source can
+//!   only have the source as a qualifying predecessor (the source is the
+//!   only node at hop 0), so all hop-1 nodes are resolved from the
+//!   source's own incident list. Only nodes at two or more hops scan
+//!   their incident lists. On a bus each source then costs
+//!   `O(N log N)` instead of `O(N²)`; line, star and ring networks keep
+//!   their asymptotics.
+//!
+//! Routes are stored in one flat arena (see [`RoutingTable`]), so a
+//! table holds three vectors regardless of `N`.
 
 use std::collections::BinaryHeap;
 
@@ -30,18 +53,19 @@ use wsflow_model::units::{Mbits, Seconds};
 use crate::ids::{LinkId, ServerId};
 use crate::network::Network;
 
-/// A route between two servers: the links to traverse, in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Path {
-    /// Links traversed, in order from source to destination. Empty for a
-    /// path from a server to itself.
-    pub links: Vec<LinkId>,
+/// A route between two servers: a borrowed view of the links to
+/// traverse, in order, held in the [`RoutingTable`]'s arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Path<'a> {
+    links: &'a [LinkId],
 }
 
-impl Path {
-    /// The empty (same-server) path.
-    pub fn empty() -> Self {
-        Self { links: Vec::new() }
+impl<'a> Path<'a> {
+    /// Links traversed, in order from source to destination. Empty for a
+    /// path from a server to itself.
+    #[inline]
+    pub fn links(&self) -> &'a [LinkId] {
+        self.links
     }
 
     /// Number of hops.
@@ -74,7 +98,7 @@ impl Path {
         let mut servers = Vec::with_capacity(self.links.len() + 1);
         let mut cur = from;
         servers.push(cur);
-        for &l in &self.links {
+        for &l in self.links {
             let link = net.link(l);
             cur = if link.a == cur { link.b } else { link.a };
             servers.push(cur);
@@ -95,9 +119,10 @@ impl Path {
 
 /// Precomputed all-pairs routes for a network.
 ///
-/// `N` is small in this problem (the paper uses 3–5 servers), so the
-/// dense `N × N` table is the simplest correct structure. Unreachable
-/// pairs hold `None`.
+/// Every route lives in one flat arena: the ordered pair
+/// `i = from · N + to` owns `links[offsets[i]..offsets[i + 1]]`, and
+/// [`path`](Self::path) hands out borrowed [`Path`] views into it.
+/// Unreachable pairs own an empty range and are marked in `reachable`.
 ///
 /// # Examples
 ///
@@ -117,8 +142,12 @@ impl Path {
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     n: usize,
-    /// Row-major `[from][to]`.
-    paths: Vec<Option<Path>>,
+    /// Row-major `[from][to]` range starts into `links`, plus one end.
+    offsets: Vec<usize>,
+    /// Every route's links, concatenated in row-major pair order.
+    links: Vec<LinkId>,
+    /// Row-major `[from][to]`: `false` where no route exists.
+    reachable: Vec<bool>,
     /// Generation of the network these routes were computed from.
     generation: u64,
 }
@@ -127,21 +156,28 @@ impl RoutingTable {
     /// Compute routes for every ordered pair of servers.
     pub fn new(net: &Network) -> Self {
         let n = net.num_servers();
-        let mut paths: Vec<Option<Path>> = vec![None; n * n];
+        let weights: Vec<f64> = net
+            .links()
+            .iter()
+            .map(|link| (REFERENCE_SIZE / link.speed + link.propagation).value())
+            .collect();
+        let mut search = Search::new(n, &weights);
+        let mut offsets = Vec::with_capacity(n * n + 1);
+        let mut links = Vec::new();
+        let mut reachable = Vec::with_capacity(n * n);
+        offsets.push(0);
         for src in net.server_ids() {
-            let tree = dijkstra(net, src);
+            search.run(net, src);
             for dst in net.server_ids() {
-                let entry = &mut paths[src.index() * n + dst.index()];
-                if src == dst {
-                    *entry = Some(Path::empty());
-                } else if let Some(p) = extract_path(&tree, src, dst) {
-                    *entry = Some(p);
-                }
+                reachable.push(search.append_route(src, dst, &mut links));
+                offsets.push(links.len());
             }
         }
         Self {
             n,
-            paths,
+            offsets,
+            links,
+            reachable,
             generation: net.generation(),
         }
     }
@@ -155,13 +191,16 @@ impl RoutingTable {
 
     /// The route from `from` to `to`; `None` if unreachable.
     #[inline]
-    pub fn path(&self, from: ServerId, to: ServerId) -> Option<&Path> {
-        self.paths[from.index() * self.n + to.index()].as_ref()
+    pub fn path(&self, from: ServerId, to: ServerId) -> Option<Path<'_>> {
+        let i = from.index() * self.n + to.index();
+        self.reachable[i].then(|| Path {
+            links: &self.links[self.offsets[i]..self.offsets[i + 1]],
+        })
     }
 
     /// `true` if every ordered pair is routable.
     pub fn fully_connected(&self) -> bool {
-        self.paths.iter().all(Option::is_some)
+        self.reachable.iter().all(|&r| r)
     }
 
     /// Transfer time for a message of `size` from `from` to `to`;
@@ -267,103 +306,156 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-struct SpTree {
-    /// Per server: the link used to arrive there, or None for the source
-    /// / unreachable nodes.
-    via: Vec<Option<(ServerId, LinkId)>>,
-    dist: Vec<f64>,
-}
-
 const REFERENCE_SIZE: Mbits = Mbits(1.0);
 
-fn dijkstra(net: &Network, src: ServerId) -> SpTree {
-    let n = net.num_servers();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut hops = vec![usize::MAX; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0.0;
-    hops[src.index()] = 0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        hops: 0,
-        server: src,
-    });
-    // Phase 1: `(dist, hops)` labels only. Predecessors are deliberately
-    // not tracked here — picking them during relaxation makes the tree
-    // depend on relaxation order whenever costs tie.
-    while let Some(HeapEntry {
-        dist: d,
-        hops: h,
-        server: u,
-    }) = heap.pop()
-    {
-        if d > dist[u.index()] || (d == dist[u.index()] && h > hops[u.index()]) {
-            continue;
-        }
-        for &lid in net.incident(u) {
-            let link = net.link(lid);
-            let v = link.opposite(u).expect("incident link touches u");
-            let w = (REFERENCE_SIZE / link.speed + link.propagation).value();
-            let nd = d + w;
-            let nh = h + 1;
-            if nd < dist[v.index()] || (nd == dist[v.index()] && nh < hops[v.index()]) {
-                dist[v.index()] = nd;
-                hops[v.index()] = nh;
-                heap.push(HeapEntry {
-                    dist: nd,
-                    hops: nh,
-                    server: v,
-                });
-            }
-        }
-    }
-    // Phase 2: canonical predecessors from the labels. A neighbour
-    // qualifies iff it achieves the node's label exactly (same
-    // floating-point arithmetic as phase 1, so the comparison is exact);
-    // the smallest `(server, link)` among qualifiers wins. Qualifying
-    // predecessors always have a strictly smaller `(dist, hops)` label,
-    // so the reconstruction is a proper tree.
-    let mut via: Vec<Option<(ServerId, LinkId)>> = vec![None; n];
-    for v in net.server_ids() {
-        if v == src || dist[v.index()].is_infinite() {
-            continue;
-        }
-        let mut best: Option<(ServerId, LinkId)> = None;
-        for &lid in net.incident(v) {
-            let link = net.link(lid);
-            let u = link.opposite(v).expect("incident link touches v");
-            if dist[u.index()].is_infinite() {
-                continue;
-            }
-            let w = (REFERENCE_SIZE / link.speed + link.propagation).value();
-            let qualifies =
-                dist[u.index()] + w == dist[v.index()] && hops[u.index()] + 1 == hops[v.index()];
-            if qualifies && best.map(|b| (u, lid) < b).unwrap_or(true) {
-                best = Some((u, lid));
-            }
-        }
-        debug_assert!(
-            best.is_some(),
-            "reachable node has a qualifying predecessor"
-        );
-        via[v.index()] = best;
-    }
-    SpTree { via, dist }
+/// One single-source search, with buffers reused across sources.
+struct Search<'w> {
+    /// Per-link weight `1 Mbit / speed + propagation`.
+    weights: &'w [f64],
+    /// The smallest link weight (`∞` for a link-less network).
+    w_min: f64,
+    dist: Vec<f64>,
+    hops: Vec<usize>,
+    /// Per server: the `(predecessor, link)` used to arrive there, or
+    /// `None` for the source and unreachable nodes.
+    via: Vec<Option<(ServerId, LinkId)>>,
+    heap: BinaryHeap<HeapEntry>,
 }
 
-fn extract_path(tree: &SpTree, src: ServerId, dst: ServerId) -> Option<Path> {
-    if tree.dist[dst.index()].is_infinite() {
-        return None;
+impl<'w> Search<'w> {
+    fn new(n: usize, weights: &'w [f64]) -> Self {
+        Self {
+            weights,
+            w_min: weights.iter().copied().fold(f64::INFINITY, f64::min),
+            dist: vec![f64::INFINITY; n],
+            hops: vec![usize::MAX; n],
+            via: vec![None; n],
+            heap: BinaryHeap::new(),
+        }
     }
-    let mut links = Vec::new();
-    let mut cur = dst;
-    while cur != src {
-        let (prev, link) = tree.via[cur.index()]?;
-        links.push(link);
-        cur = prev;
+
+    /// Label every server from `src` and pick canonical predecessors.
+    fn run(&mut self, net: &Network, src: ServerId) {
+        let Self {
+            weights,
+            w_min,
+            dist,
+            hops,
+            via,
+            heap,
+        } = self;
+        let n = dist.len();
+        dist.fill(f64::INFINITY);
+        hops.fill(usize::MAX);
+        via.fill(None);
+        heap.clear();
+        dist[src.index()] = 0.0;
+        hops[src.index()] = 0;
+        heap.push(HeapEntry {
+            dist: 0.0,
+            hops: 0,
+            server: src,
+        });
+        // Phase 1: `(dist, hops)` labels only. Predecessors are
+        // deliberately not tracked here — picking them during relaxation
+        // makes the tree depend on relaxation order whenever costs tie.
+        let mut labelled = 1;
+        let mut max_label = 0.0f64;
+        while let Some(HeapEntry {
+            dist: d,
+            hops: h,
+            server: u,
+        }) = heap.pop()
+        {
+            if d > dist[u.index()] || (d == dist[u.index()] && h > hops[u.index()]) {
+                continue;
+            }
+            // Label bound (see the module docs): no relaxation from here
+            // or from any later pop can lower or tie a label.
+            if labelled == n && d + *w_min > max_label {
+                break;
+            }
+            for &lid in net.incident(u) {
+                let v = net.link(lid).opposite(u).expect("incident link touches u");
+                let nd = d + weights[lid.index()];
+                let nh = h + 1;
+                if nd < dist[v.index()] || (nd == dist[v.index()] && nh < hops[v.index()]) {
+                    if dist[v.index()].is_infinite() {
+                        labelled += 1;
+                    }
+                    max_label = max_label.max(nd);
+                    dist[v.index()] = nd;
+                    hops[v.index()] = nh;
+                    heap.push(HeapEntry {
+                        dist: nd,
+                        hops: nh,
+                        server: v,
+                    });
+                }
+            }
+        }
+        // Phase 2: canonical predecessors from the labels. A neighbour
+        // qualifies iff it achieves the node's label exactly (same
+        // floating-point arithmetic as phase 1, so the comparison is
+        // exact); the smallest `(server, link)` among qualifiers wins.
+        // Qualifying predecessors always have a strictly smaller
+        // `(dist, hops)` label, so the reconstruction is a proper tree.
+        //
+        // Hop-1 nodes: the source is the only possible qualifier, and
+        // links are never parallel, so one pass over its incident list
+        // resolves them all.
+        for &lid in net.incident(src) {
+            let v = net
+                .link(lid)
+                .opposite(src)
+                .expect("incident link touches src");
+            if hops[v.index()] == 1 && dist[src.index()] + weights[lid.index()] == dist[v.index()] {
+                via[v.index()] = Some((src, lid));
+            }
+        }
+        for v in net.server_ids() {
+            if hops[v.index()] < 2 || dist[v.index()].is_infinite() {
+                continue;
+            }
+            let mut best: Option<(ServerId, LinkId)> = None;
+            for &lid in net.incident(v) {
+                let u = net.link(lid).opposite(v).expect("incident link touches v");
+                if dist[u.index()].is_infinite() {
+                    continue;
+                }
+                let qualifies = dist[u.index()] + weights[lid.index()] == dist[v.index()]
+                    && hops[u.index()] + 1 == hops[v.index()];
+                if qualifies && best.map(|b| (u, lid) < b).unwrap_or(true) {
+                    best = Some((u, lid));
+                }
+            }
+            debug_assert!(
+                best.is_some(),
+                "reachable node has a qualifying predecessor"
+            );
+            via[v.index()] = best;
+        }
     }
-    links.reverse();
-    Some(Path { links })
+
+    /// Append the route `src → dst` of the last [`run`](Self::run) to
+    /// `links`; `false` (appending nothing) if `dst` is unreachable.
+    fn append_route(&self, src: ServerId, dst: ServerId, links: &mut Vec<LinkId>) -> bool {
+        if self.dist[dst.index()].is_infinite() {
+            return false;
+        }
+        let start = links.len();
+        let mut cur = dst;
+        while cur != src {
+            let Some((prev, link)) = self.via[cur.index()] else {
+                links.truncate(start);
+                return false;
+            };
+            links.push(link);
+            cur = prev;
+        }
+        links[start..].reverse();
+        true
+    }
 }
 
 #[cfg(test)]
@@ -465,10 +557,10 @@ mod tests {
     /// Resolve a path to the sequence of servers it visits, starting at
     /// `src`. Link ids are not comparable across differently-declared
     /// copies of the same network; node sequences are.
-    fn node_seq(net: &Network, src: ServerId, path: &Path) -> Vec<ServerId> {
+    fn node_seq(net: &Network, src: ServerId, path: Path<'_>) -> Vec<ServerId> {
         let mut seq = vec![src];
         let mut cur = src;
-        for &lid in &path.links {
+        for &lid in path.links() {
             cur = net.link(lid).opposite(cur).expect("path is connected");
             seq.push(cur);
         }
@@ -626,9 +718,9 @@ mod tests {
                 }
                 let seq = node_seq(&net, src, path);
                 let pen = seq[seq.len() - 2];
-                let prefix = &path.links[..path.links.len() - 1];
+                let prefix = &path.links()[..path.hops() - 1];
                 assert_eq!(
-                    rt.path(src, pen).unwrap().links,
+                    rt.path(src, pen).unwrap().links(),
                     prefix,
                     "route {src:?} → {dst:?} disagrees with route to predecessor {pen:?}"
                 );
@@ -770,6 +862,371 @@ mod tests {
         assert_eq!(
             stay.servers_from(&net, ServerId::new(1)),
             vec![ServerId::new(1)]
+        );
+    }
+
+    /// The two-phase Dijkstra without the label bound, the hop-1
+    /// shortcut, the per-table weights or the route arena: every
+    /// relaxation recomputes its weight, every incident list is scanned,
+    /// and each route is its own `Vec`. The differential tests hold the
+    /// table to it bit for bit.
+    fn oracle_routes(net: &Network) -> Vec<Option<Vec<LinkId>>> {
+        let weight = |lid: LinkId| {
+            let link = net.link(lid);
+            (REFERENCE_SIZE / link.speed + link.propagation).value()
+        };
+        let n = net.num_servers();
+        let mut routes = Vec::with_capacity(n * n);
+        for src in net.server_ids() {
+            let mut dist = vec![f64::INFINITY; n];
+            let mut hops = vec![usize::MAX; n];
+            let mut heap = BinaryHeap::new();
+            dist[src.index()] = 0.0;
+            hops[src.index()] = 0;
+            heap.push(HeapEntry {
+                dist: 0.0,
+                hops: 0,
+                server: src,
+            });
+            while let Some(HeapEntry {
+                dist: d,
+                hops: h,
+                server: u,
+            }) = heap.pop()
+            {
+                if d > dist[u.index()] || (d == dist[u.index()] && h > hops[u.index()]) {
+                    continue;
+                }
+                for &lid in net.incident(u) {
+                    let v = net.link(lid).opposite(u).unwrap();
+                    let nd = d + weight(lid);
+                    let nh = h + 1;
+                    if nd < dist[v.index()] || (nd == dist[v.index()] && nh < hops[v.index()]) {
+                        dist[v.index()] = nd;
+                        hops[v.index()] = nh;
+                        heap.push(HeapEntry {
+                            dist: nd,
+                            hops: nh,
+                            server: v,
+                        });
+                    }
+                }
+            }
+            let mut via: Vec<Option<(ServerId, LinkId)>> = vec![None; n];
+            for v in net.server_ids() {
+                if v == src || dist[v.index()].is_infinite() {
+                    continue;
+                }
+                let mut best: Option<(ServerId, LinkId)> = None;
+                for &lid in net.incident(v) {
+                    let u = net.link(lid).opposite(v).unwrap();
+                    if dist[u.index()].is_infinite() {
+                        continue;
+                    }
+                    let qualifies = dist[u.index()] + weight(lid) == dist[v.index()]
+                        && hops[u.index()] + 1 == hops[v.index()];
+                    if qualifies && best.map(|b| (u, lid) < b).unwrap_or(true) {
+                        best = Some((u, lid));
+                    }
+                }
+                via[v.index()] = best;
+            }
+            for dst in net.server_ids() {
+                let route = (!dist[dst.index()].is_infinite()).then(|| {
+                    let mut links = Vec::new();
+                    let mut cur = dst;
+                    while cur != src {
+                        let (prev, link) = via[cur.index()].unwrap();
+                        links.push(link);
+                        cur = prev;
+                    }
+                    links.reverse();
+                    links
+                });
+                routes.push(route);
+            }
+        }
+        routes
+    }
+
+    /// SplitMix64: a dependency-free seeded generator for test networks.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, k: usize) -> usize {
+            (self.next() % k as u64) as usize
+        }
+
+        fn chance(&mut self, p: f64) -> bool {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64 <= p
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len())]
+        }
+    }
+
+    /// Few distinct values, so equal-cost routes tie often.
+    const SPEEDS: [f64; 4] = [10.0, 20.0, 100.0, 1000.0];
+    const PROPAGATIONS: [f64; 3] = [0.0, 0.001, 0.002];
+
+    fn random_link(rng: &mut Rng, a: usize, b: usize) -> crate::link::Link {
+        crate::link::Link::new(
+            ServerId::from(a),
+            ServerId::from(b),
+            MbitsPerSec(rng.pick(&SPEEDS)),
+        )
+        .with_propagation(Seconds(rng.pick(&PROPAGATIONS)))
+    }
+
+    /// A random mesh over `n` servers whose links all stay inside one of
+    /// `parts` contiguous blocks, so `parts > 1` leaves the network
+    /// disconnected.
+    fn random_mesh(rng: &mut Rng, n: usize, density: f64, parts: usize) -> Network {
+        let block = n.div_ceil(parts);
+        let mut links = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                if a / block == b / block && rng.chance(density) {
+                    links.push(random_link(rng, a, b));
+                }
+            }
+        }
+        let servers = homogeneous_servers(n, 1.0);
+        Network::new("mesh", servers, links, crate::network::TopologyKind::Custom).unwrap()
+    }
+
+    /// A bus whose links were re-rated after construction, so some direct
+    /// hops lose to two-hop detours.
+    fn mutated_bus(rng: &mut Rng, n: usize) -> Network {
+        let mut net = bus("bus", homogeneous_servers(n, 1.0), MbitsPerSec(100.0)).unwrap();
+        for _ in 0..rng.below(n * 2) + 1 {
+            let l = LinkId::new(rng.below(net.num_links()) as u32);
+            net.set_link_speed(l, MbitsPerSec(rng.pick(&SPEEDS)))
+                .unwrap();
+        }
+        net
+    }
+
+    /// Servers spread over three regions with a symmetric surcharge
+    /// matrix, on a bus or a random mesh.
+    fn region_net(rng: &mut Rng, n: usize) -> Network {
+        use crate::ids::{RegionId, ZoneId};
+        use crate::server::Server;
+        let servers: Vec<Server> = (0..n)
+            .map(|i| {
+                Server::with_ghz(format!("s{i}"), 1.0)
+                    .in_region(RegionId::new(rng.below(3) as u32), ZoneId::new(0))
+            })
+            .collect();
+        let net = if rng.chance(0.5) {
+            bus("geo", servers, MbitsPerSec(rng.pick(&SPEEDS))).unwrap()
+        } else {
+            let mut links = Vec::new();
+            for a in 0..n {
+                for b in a + 1..n {
+                    if rng.chance(0.5) {
+                        links.push(random_link(rng, a, b));
+                    }
+                }
+            }
+            Network::new("geo", servers, links, crate::network::TopologyKind::Custom).unwrap()
+        };
+        let lat = [0.0, 0.01, 0.03, 0.07];
+        let rows = (0..3)
+            .map(|i| {
+                (0..3)
+                    .map(|j| Seconds(if i == j { 0.0 } else { lat[i + j] }))
+                    .collect()
+            })
+            .collect();
+        net.with_region_latency(rows).unwrap()
+    }
+
+    fn random_network(rng: &mut Rng, case: usize) -> Network {
+        let n = 2 + rng.below(13);
+        let speed = MbitsPerSec(rng.pick(&SPEEDS));
+        let parts = 2 + rng.below(2);
+        match case % 9 {
+            0 => random_mesh(rng, n, 0.25, 1),
+            1 => random_mesh(rng, n, 0.8, 1),
+            2 => random_mesh(rng, n, 0.6, parts),
+            3 => bus("b", homogeneous_servers(n, 1.0), speed).unwrap(),
+            4 => star("s", homogeneous_servers(n, 1.0), speed).unwrap(),
+            5 => ring("r", homogeneous_servers(n.max(3), 1.0), speed).unwrap(),
+            6 => line_uniform("l", homogeneous_servers(n, 1.0), speed).unwrap(),
+            7 => mutated_bus(rng, n),
+            _ => region_net(rng, n),
+        }
+    }
+
+    /// What `CommMatrix` folds out of one route: `Σ 1/speed`,
+    /// `Σ propagation` plus the region surcharge, and the 1-Mbit
+    /// transfer time its mean is taken over.
+    fn comm_terms(
+        net: &Network,
+        from: ServerId,
+        to: ServerId,
+        links: &[LinkId],
+        unit: Seconds,
+    ) -> [u64; 3] {
+        let mut bw_term = 0.0;
+        let mut fixed_term = 0.0;
+        for &l in links {
+            bw_term += 1.0 / net.link(l).speed.value();
+            fixed_term += net.link(l).propagation.value();
+        }
+        if from != to && net.has_region_latency() {
+            fixed_term += net.server_region_latency(from, to).value();
+        }
+        [
+            bw_term.to_bits(),
+            fixed_term.to_bits(),
+            unit.value().to_bits(),
+        ]
+    }
+
+    /// The oracle's transfer time, with the arithmetic the table used
+    /// when every route was its own `Vec`.
+    fn oracle_transfer(
+        net: &Network,
+        from: ServerId,
+        to: ServerId,
+        links: &[LinkId],
+        size: Mbits,
+    ) -> Seconds {
+        let base: Seconds = links
+            .iter()
+            .map(|&l| size / net.link(l).speed + net.link(l).propagation)
+            .sum();
+        if net.has_region_latency() && from != to {
+            base + net.server_region_latency(from, to)
+        } else {
+            base
+        }
+    }
+
+    /// Assert the table equals the oracle on `net`: every route, every
+    /// transfer time, and every term `CommMatrix` derives, bit for bit.
+    fn assert_matches_oracle(net: &Network, label: &str) {
+        let rt = RoutingTable::new(net);
+        let oracle = oracle_routes(net);
+        let n = net.num_servers();
+        let (mut total, mut count) = ([0.0f64; 2], 0usize);
+        for from in net.server_ids() {
+            for to in net.server_ids() {
+                let want = oracle[from.index() * n + to.index()].as_deref();
+                let got = rt.path(from, to).map(|p| p.links());
+                assert_eq!(got, want, "{label}: route {from:?} → {to:?}");
+                let Some(links) = want else {
+                    assert!(rt.transfer_time(net, from, to, Mbits(1.0)).is_none());
+                    continue;
+                };
+                for size in [Mbits(1.0), Mbits(0.37)] {
+                    let got = rt.transfer_time(net, from, to, size).unwrap();
+                    let want = oracle_transfer(net, from, to, links, size);
+                    assert_eq!(got.value().to_bits(), want.value().to_bits(), "{label}");
+                }
+                let unit = rt.transfer_time(net, from, to, Mbits(1.0)).unwrap();
+                let oracle_unit = oracle_transfer(net, from, to, links, Mbits(1.0));
+                assert_eq!(
+                    comm_terms(net, from, to, rt.path(from, to).unwrap().links(), unit),
+                    comm_terms(net, from, to, links, oracle_unit),
+                    "{label}: comm terms {from:?} → {to:?}"
+                );
+                if from != to {
+                    total[0] += unit.value();
+                    total[1] += oracle_unit.value();
+                    count += 1;
+                }
+            }
+        }
+        if count > 0 {
+            let mean = |t: f64| (t / count as f64).to_bits();
+            assert_eq!(
+                mean(total[0]),
+                mean(total[1]),
+                "{label}: mean unit transfer"
+            );
+        }
+        assert_eq!(rt.fully_connected(), oracle.iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn table_matches_the_unpruned_oracle_on_random_networks() {
+        let mut rng = Rng(0x5EED_2007);
+        for case in 0..900 {
+            let net = random_network(&mut rng, case);
+            assert_matches_oracle(&net, &format!("case {case} ({})", net.name()));
+        }
+    }
+
+    #[test]
+    fn table_matches_the_unpruned_oracle_on_larger_buses_and_meshes() {
+        let mut rng = Rng(150);
+        for n in [40, 64] {
+            let net = bus("b", homogeneous_servers(n, 1.0), MbitsPerSec(100.0)).unwrap();
+            assert_matches_oracle(&net, "uniform bus");
+            assert_matches_oracle(&mutated_bus(&mut rng, n), "mutated bus");
+            assert_matches_oracle(&random_mesh(&mut rng, n, 0.1, 1), "sparse mesh");
+            assert_matches_oracle(&region_net(&mut rng, n), "region net");
+        }
+    }
+
+    /// The label bound must stay strict. Here the chain 0-1-2-3-4-6
+    /// labels server 6 at cost 2 in five hops before server 5 (cost
+    /// 1.75, one hop) is popped; 5's link to 6 is the cheapest link
+    /// (0.25), so `d + w_min` *equals* the largest label. Scanning 5
+    /// still ties 6's cost in two hops, which must win.
+    #[test]
+    fn label_bound_still_scans_a_node_that_ties_the_largest_label() {
+        let servers = homogeneous_servers(7, 1.0);
+        let link = |a: u32, b: u32, speed: f64, prop: f64| {
+            crate::link::Link::new(ServerId::new(a), ServerId::new(b), MbitsPerSec(speed))
+                .with_propagation(Seconds(prop))
+        };
+        let links = vec![
+            link(0, 1, 4.0, 0.0),
+            link(1, 2, 4.0, 0.0),
+            link(2, 3, 4.0, 0.0),
+            link(3, 4, 4.0, 0.0),
+            link(4, 6, 1.0, 0.0),
+            link(0, 5, 1.0, 0.75),
+            link(5, 6, 4.0, 0.0),
+        ];
+        let net =
+            Network::new("tie", servers, links, crate::network::TopologyKind::Custom).unwrap();
+        let rt = RoutingTable::new(&net);
+        let p = rt.path(ServerId::new(0), ServerId::new(6)).unwrap();
+        assert_eq!(
+            p.servers_from(&net, ServerId::new(0)),
+            [0, 5, 6].map(ServerId::new)
+        );
+        assert_matches_oracle(&net, "bound tie");
+    }
+
+    #[test]
+    fn single_server_routes_to_itself() {
+        let net = Network::new(
+            "one",
+            homogeneous_servers(1, 1.0),
+            Vec::new(),
+            crate::network::TopologyKind::Custom,
+        )
+        .unwrap();
+        let rt = RoutingTable::new(&net);
+        assert!(rt.fully_connected());
+        assert_eq!(
+            rt.path(ServerId::new(0), ServerId::new(0)).unwrap().hops(),
+            0
         );
     }
 

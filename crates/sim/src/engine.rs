@@ -502,7 +502,7 @@ fn run(
                                     .path(from, to)
                                     .expect("problem networks are fully routable");
                                 let t: Seconds = path
-                                    .links
+                                    .links()
                                     .iter()
                                     .map(|&l| {
                                         let link = net.link(l);

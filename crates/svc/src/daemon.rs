@@ -71,6 +71,11 @@ impl DaemonHandle {
         self.scheduler.stats_snapshot()
     }
 
+    /// Jobs admitted but not yet picked up by a worker.
+    pub fn queue_depth(&self) -> usize {
+        self.scheduler.queue_depth()
+    }
+
     /// Stop accepting connections and join the accept loop and worker
     /// pool. In-flight connection threads finish on their own.
     pub fn shutdown(&mut self) {

@@ -42,19 +42,25 @@ fn request(tenant: &str, algo: &str, ops: u32, seed: u64, budget: Option<u64>) -
     }
 }
 
-/// Block until `pred` on the stats snapshot holds (or panic after 60 s).
-fn wait_stats(daemon: &DaemonHandle, what: &str, pred: impl Fn((u64, u64, u64, u64, u64)) -> bool) {
+/// Block until `pred` on the daemon holds (or panic after 60 s).
+fn wait_until(daemon: &DaemonHandle, what: &str, pred: impl Fn(&DaemonHandle) -> bool) {
     let deadline = Instant::now() + Duration::from_secs(60);
     while Instant::now() < deadline {
-        if pred(daemon.stats_snapshot()) {
+        if pred(daemon) {
             return;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
     panic!(
-        "timed out waiting for {what}; stats {:?}",
-        daemon.stats_snapshot()
+        "timed out waiting for {what}; stats {:?}, queue depth {}",
+        daemon.stats_snapshot(),
+        daemon.queue_depth()
     );
+}
+
+/// Block until `pred` on the stats snapshot holds (or panic after 60 s).
+fn wait_stats(daemon: &DaemonHandle, what: &str, pred: impl Fn((u64, u64, u64, u64, u64)) -> bool) {
+    wait_until(daemon, what, |d| pred(d.stats_snapshot()));
 }
 
 #[test]
@@ -87,38 +93,40 @@ fn concurrent_clients_stream_improving_incumbents_then_final() {
     assert_eq!((rejected, cancelled, failed), (0, 0, 0));
 }
 
-/// Start a blocking solve and wait until a worker is provably servicing
-/// it (its first incumbent frame arrived), so everything submitted
-/// afterwards sits in the queue behind it.
-fn occupy_worker(
-    addr: std::net::SocketAddr,
-    seed: u64,
-) -> (std::thread::JoinHandle<()>, std::sync::mpsc::Receiver<()>) {
-    let (started_tx, started_rx) = std::sync::mpsc::channel();
-    let blocker = std::thread::spawn(move || {
-        // SA on a 120-op workflow: ~20k delta probes of real work, far
-        // longer than any queueing race window.
-        let req = request("blocker", "sa", 120, seed, None);
-        let mut sent = false;
-        let _ = submit(addr, &req, |_, _| {
-            if !sent {
-                let _ = started_tx.send(());
-                sent = true;
-            }
-        })
-        .expect("blocker completes");
-    });
-    (blocker, started_rx)
+/// A client whose solve holds the daemon's only worker until the test
+/// releases it.
+struct Blocker(TcpStream);
+
+impl Blocker {
+    /// Submit an exhaustive scan of 10⁷ mappings (7 ops × 10 servers,
+    /// the enumeration limit) and wait until a worker has taken it off
+    /// the queue, so everything submitted afterwards queues behind it.
+    /// The scan takes over a second even in release builds; the test
+    /// ends it early with [`release`](Self::release).
+    fn hold(daemon: &DaemonHandle) -> Self {
+        let mut req = request("blocker", "exhaustive", 7, 0, None);
+        if let ProblemSpec::Generated { servers, .. } = &mut req.spec {
+            *servers = 10;
+        }
+        let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+        proto::write_frame(&mut stream, &req).unwrap();
+        wait_until(daemon, "the blocker to reach a worker", |d| {
+            d.stats_snapshot().0 == 1 && d.queue_depth() == 0
+        });
+        Self(stream)
+    }
+
+    /// Disconnect: the daemon cancels the scan and frees the worker.
+    fn release(self) {
+        drop(self.0);
+    }
 }
 
 #[test]
 fn disconnect_while_queued_cancels_the_server_side_solve() {
     let daemon = daemon_with(1, 16, 64);
     let addr = daemon.addr();
-    let (blocker, started) = occupy_worker(addr, 1);
-    started
-        .recv_timeout(Duration::from_secs(60))
-        .expect("blocker must start");
+    let blocker = Blocker::hold(&daemon);
 
     // Three victims: submit, then hang up without reading a byte. Their
     // monitor threads observe EOF and fire the cancel tokens while the
@@ -133,26 +141,24 @@ fn disconnect_while_queued_cancels_the_server_side_solve() {
         drop(stream);
     }
     wait_stats(&daemon, "victims admitted", |(admitted, ..)| admitted == 4);
+    // The blocker hangs up too, so its scan is the fourth cancellation.
+    blocker.release();
     wait_stats(&daemon, "all four serviced", |(_, _, completed, ..)| {
         completed == 4
     });
     let (_, _, _, cancelled, failed) = daemon.stats_snapshot();
     assert_eq!(
-        cancelled, 3,
+        cancelled, 4,
         "every disconnected client's solve must observe Cancelled"
     );
     assert_eq!(failed, 0);
-    blocker.join().unwrap();
 }
 
 #[test]
 fn saturated_queue_answers_with_typed_backpressure() {
     let daemon = daemon_with(1, 1, 3);
     let addr = daemon.addr();
-    let (blocker, started) = occupy_worker(addr, 2);
-    started
-        .recv_timeout(Duration::from_secs(60))
-        .expect("blocker must start");
+    let blocker = Blocker::hold(&daemon);
 
     // Submissions are sequenced against the admitted/rejected counters
     // so each admission is visible before the next request lands.
@@ -187,7 +193,8 @@ fn saturated_queue_answers_with_typed_backpressure() {
         RejectReason::ServiceQueueFull { cap: 3 }
     );
 
-    // The queued clients drain normally once the blocker finishes.
+    // The queued clients drain normally once the blocker lets go.
+    blocker.release();
     for mut stream in keep_alive {
         loop {
             match proto::read_message::<Reply>(&mut stream).unwrap() {
@@ -204,7 +211,6 @@ fn saturated_queue_answers_with_typed_backpressure() {
     assert_eq!((admitted, rejected), (4, 2));
     assert_eq!(completed, 4);
     assert_eq!(failed, 0);
-    blocker.join().unwrap();
 }
 
 #[test]

@@ -905,11 +905,15 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Write `content` to a fresh temp file. Every call gets its own
+    /// name, so tests running in parallel never overwrite or delete each
+    /// other's workflow.
     fn temp_workflow(content: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
             "wsflow-cli-test-{}-{}.wsf",
             std::process::id(),
-            content.len()
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         std::fs::write(&path, content).expect("temp dir writable");
         path
