@@ -1,24 +1,38 @@
 //! `wsflowd`: the TCP daemon serving the `wsflow-proto/1` protocol.
 //!
-//! One connection = one request. The accept loop hands each connection
-//! to a thread that decodes the [`Request`], materialises the problem,
-//! and submits it to the shared [`Scheduler`]; incumbents stream back
-//! as they are found, then the final frame, then the server closes.
+//! One connection = one request = one thread. The accept loop blocks in
+//! `accept` and hands each connection, with Nagle's algorithm off (the
+//! daemon writes several small frames per request), to a thread that
+//! decodes the [`Request`], materialises the problem, and submits it to
+//! the shared [`Scheduler`]; incumbents stream back as they are found,
+//! then the final frame, then the server closes.
 //!
-//! A second *monitor* thread per connection blocks reading the socket:
-//! the client never sends a second frame, so any read completion means
-//! the client went away — the monitor fires the job's
-//! [`CancelToken`](wsflow_core::CancelToken) and the solver returns its
-//! best incumbent early. Malformed frames get a best-effort
-//! [`Reply::ProtocolError`] before the connection closes; nothing a
-//! client sends can panic the daemon.
+//! [`DaemonHandle::shutdown`] sets a stop flag and then wakes the
+//! blocked `accept` by connecting to the daemon's own address; the loop
+//! drops that connection unserviced and exits. If the wake-up connect
+//! fails, the accept thread is detached rather than joined, so shutdown
+//! never hangs.
+//!
+//! There is no monitor thread. While its job is queued or solving, the
+//! connection thread waits on the job's event channel, and once every
+//! `PEER_CHECK_INTERVAL` (10 ms), whether or not events are arriving,
+//! it peeks the socket without blocking. The client never sends a
+//! second frame, so EOF, an error or any extra byte means it went away:
+//! the thread fires the job's [`CancelToken`] and the solver returns its
+//! best incumbent early. A disconnect thus cancels the solve within one
+//! interval, plus the solver's own cancel-poll latency. A failed reply
+//! write cancels too. At the same check the thread sees a daemon
+//! shutdown, cancels the solve and closes the connection. Malformed frames
+//! get a best-effort [`Reply::ProtocolError`] before the connection
+//! closes; nothing a client sends can panic the daemon.
 
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wsflow_core::CancelToken;
 
@@ -26,6 +40,14 @@ use crate::config::SvcConfig;
 use crate::proto::{self, ProblemSpec, Reply, Request};
 use crate::sched::{Job, JobEvent, SchedStats, Scheduler};
 use crate::{build_problem, resolve_algorithm};
+
+/// Longest a connection thread waits on its job before it checks the
+/// client and the stop flag again.
+const PEER_CHECK_INTERVAL: Duration = Duration::from_millis(10);
+
+/// How long [`DaemonHandle::shutdown`] tries to connect to its own
+/// listener to wake the blocked `accept`.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// How the daemon binds and schedules.
 #[derive(Debug, Clone)]
@@ -76,12 +98,16 @@ impl DaemonHandle {
         self.scheduler.queue_depth()
     }
 
-    /// Stop accepting connections and join the accept loop and worker
-    /// pool. In-flight connection threads finish on their own.
+    /// Stop accepting connections, cancel in-flight solves and close
+    /// their connections, and join the accept loop and worker pool.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
+            // Wake the blocked `accept` so the loop sees the flag. If the
+            // connect fails, dropping the handle detaches the thread.
+            if TcpStream::connect_timeout(&self.addr, WAKE_TIMEOUT).is_ok() {
+                let _ = handle.join();
+            }
         }
         self.scheduler.shutdown();
     }
@@ -96,8 +122,6 @@ impl Drop for DaemonHandle {
 /// Bind, start the scheduler, and spawn the accept loop.
 pub fn spawn(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
-    // Nonblocking accept so the loop can poll the stop flag.
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let scheduler = Arc::new(Scheduler::start(&cfg.svc));
     let stop = Arc::new(AtomicBool::new(false));
@@ -119,22 +143,44 @@ pub fn spawn(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
 }
 
 fn accept_loop(listener: TcpListener, scheduler: &Arc<Scheduler>, stop: &Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // The connection itself is serviced blocking.
-                let _ = stream.set_nonblocking(false);
+    loop {
+        let accepted = accept(&listener);
+        // `shutdown` sets the flag before its wake-up connect, so that
+        // connection (or any that raced it) is dropped unserviced.
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok(stream) => {
                 let scheduler = Arc::clone(scheduler);
+                let stop = Arc::clone(stop);
                 let _ = std::thread::Builder::new()
                     .name("wsflowd-conn".to_string())
-                    .spawn(move || handle_connection(stream, &scheduler));
+                    .spawn(move || handle_connection(stream, &scheduler, &stop));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // E.g. out of file descriptors: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
+}
+
+/// Accept one connection, ready to be serviced: blocking, and with
+/// Nagle's algorithm off so every reply frame leaves at once.
+fn accept(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (stream, _peer) = listener.accept()?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Whether the client is still connected, by a nonblocking 1-byte peek.
+/// The client sends nothing after its request, so EOF, an error or any
+/// extra byte all mean it is gone; only `WouldBlock` means it is there.
+fn peer_alive(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let alive = matches!(stream.peek(&mut [0u8; 1]), Err(e) if e.kind() == ErrorKind::WouldBlock);
+    stream.set_nonblocking(false).is_ok() && alive
 }
 
 /// Best-effort reply; the peer may already be gone.
@@ -143,7 +189,7 @@ fn try_reply(stream: &mut TcpStream, reply: &Reply) {
     let _ = stream.flush();
 }
 
-fn handle_connection(mut stream: TcpStream, scheduler: &Scheduler) {
+fn handle_connection(mut stream: TcpStream, scheduler: &Scheduler, stop: &AtomicBool) {
     // 1. Exactly one request frame.
     let request: Request = match proto::read_message(&mut stream) {
         Ok(Some(req)) => req,
@@ -186,24 +232,9 @@ fn handle_connection(mut stream: TcpStream, scheduler: &Scheduler) {
         }
     };
 
-    // 3. Monitor: the client sends nothing after the request, so any
-    //    read completion (EOF or error) means it disconnected — cancel
-    //    the solve. The monitor exits on its own once either side
-    //    closes the socket.
+    // 3. Submit and stream replies, checking between events that the
+    //    client is still there and the daemon still running.
     let cancel = CancelToken::new();
-    if let Ok(mut monitor_stream) = stream.try_clone() {
-        let token = cancel.clone();
-        let _ = std::thread::Builder::new()
-            .name("wsflowd-monitor".to_string())
-            .spawn(move || {
-                let mut buf = [0u8; 1];
-                use std::io::Read as _;
-                let _ = monitor_stream.read(&mut buf); // blocks until EOF/err
-                token.cancel();
-            });
-    }
-
-    // 4. Submit and stream replies.
     let (tx, rx) = std::sync::mpsc::channel();
     let job = Job::new(
         request.tenant,
@@ -218,8 +249,9 @@ fn handle_connection(mut stream: TcpStream, scheduler: &Scheduler) {
         try_reply(&mut stream, &Reply::Rejected(reason));
         return;
     }
+    let mut next_check = Instant::now() + PEER_CHECK_INTERVAL;
     loop {
-        match rx.recv() {
+        match rx.recv_timeout(next_check.saturating_duration_since(Instant::now())) {
             Ok(JobEvent::Incumbent { seq, cost }) => {
                 if proto::write_frame(&mut stream, &Reply::Incumbent { seq, cost }).is_err() {
                     // Client gone mid-stream: stop the solve, then keep
@@ -244,8 +276,21 @@ fn handle_connection(mut stream: TcpStream, scheduler: &Scheduler) {
                 try_reply(&mut stream, &Reply::Invalid { message });
                 return;
             }
+            Err(RecvTimeoutError::Timeout) => {}
             // Scheduler shut down with the job still queued.
-            Err(_) => return,
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
+        let now = Instant::now();
+        if now >= next_check {
+            next_check = now + PEER_CHECK_INTERVAL;
+            if stop.load(Ordering::SeqCst) {
+                // Daemon shutting down: free the worker and hang up.
+                cancel.cancel();
+                return;
+            }
+            if !peer_alive(&stream) {
+                cancel.cancel();
+            }
         }
     }
 }
@@ -296,5 +341,64 @@ pub fn run_from_args(args: &[String]) -> Result<(), String> {
     }
     loop {
         std::thread::park();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected `(client, server)` pair, the server end taken through
+    /// the daemon's accept path.
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let server = accept(&listener).unwrap();
+        (client, server)
+    }
+
+    /// Poll `peer_alive` until it reports `false` (or panic after 5 s).
+    fn wait_gone(server: &TcpStream) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while peer_alive(server) {
+            assert!(Instant::now() < deadline, "peer still reported alive");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn accepted_streams_have_nagle_off() {
+        let (_client, server) = pair();
+        assert!(server.nodelay().unwrap());
+    }
+
+    #[test]
+    fn peer_check_reports_an_open_idle_socket_alive() {
+        let (_client, server) = pair();
+        assert!(peer_alive(&server));
+        // The check leaves the stream blocking: a read with a timeout
+        // waits out the timeout instead of failing at once.
+        server
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let t0 = Instant::now();
+        assert!(std::io::Read::read(&mut &server, &mut [0u8; 1]).is_err());
+        assert!(t0.elapsed() >= Duration::from_millis(40));
+        assert!(peer_alive(&server), "a second check still sees the peer");
+    }
+
+    #[test]
+    fn peer_check_reports_gone_after_the_peer_hangs_up() {
+        let (client, server) = pair();
+        drop(client);
+        wait_gone(&server);
+    }
+
+    #[test]
+    fn peer_check_reports_gone_after_an_extra_byte() {
+        let (mut client, server) = pair();
+        client.write_all(&[0]).unwrap();
+        wait_gone(&server);
+        assert!(!peer_alive(&server), "the peeked byte stays unread");
     }
 }

@@ -353,6 +353,44 @@ mod tests {
         (job, rx)
     }
 
+    /// Occupy the scheduler's only worker until the returned token is
+    /// cancelled: tenant `blocker` submits an exhaustive scan of 10⁷
+    /// mappings (7 ops × 10 servers, the enumeration limit), which takes
+    /// hundreds of milliseconds even in release builds, and this returns
+    /// once a worker has taken it off the queue.
+    fn hold_worker(sched: &Scheduler) -> (CancelToken, mpsc::Receiver<JobEvent>) {
+        let (tx, rx) = mpsc::channel();
+        let token = CancelToken::new();
+        let problem = build_problem(&ProblemSpec::Generated {
+            shape: "line".into(),
+            ops: 7,
+            servers: 10,
+            bus_mbps: 100.0,
+            seed: 0,
+        })
+        .unwrap();
+        let algo = resolve_algorithm("exhaustive", 0).unwrap();
+        let job = Job::new("blocker", algo, problem, None, None, token.clone(), tx);
+        sched.submit(job).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while sched.queue_depth() != 0 {
+            assert!(Instant::now() < deadline, "no worker took the blocker");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        (token, rx)
+    }
+
+    /// The job's final report, skipping streamed incumbents.
+    fn wait_done(rx: &mpsc::Receiver<JobEvent>) -> JobReport {
+        loop {
+            match rx.recv_timeout(Duration::from_secs(60)).unwrap() {
+                JobEvent::Done(report) => return report,
+                JobEvent::Incumbent { .. } => {}
+                JobEvent::Failed(e) => panic!("unexpected failure: {e}"),
+            }
+        }
+    }
+
     #[test]
     fn jobs_complete_and_stream_improving_incumbents() {
         let cfg = SvcConfig::default().with_workers(2);
@@ -381,38 +419,26 @@ mod tests {
 
     #[test]
     fn cancelled_job_reports_cancelled_termination() {
-        // One worker; a long job occupies it while the victim queues.
+        // One worker; the blocker occupies it while the victim queues.
         let cfg = SvcConfig::default().with_workers(1);
         let sched = Scheduler::start(&cfg);
-        let (blocker, blocker_rx) = job_for("a", "sa", Some(5_000_000), 1);
+        let (blocker_token, blocker_rx) = hold_worker(&sched);
         let (victim, victim_rx) = job_for("b", "sa", Some(5_000_000), 2);
         let victim_token = victim.cancel.clone();
-        sched.submit(blocker).unwrap();
         sched.submit(victim).unwrap();
         // Cancel the victim while it is still queued: the worker must
         // still produce a complete mapping, terminated `cancelled`.
         victim_token.cancel();
+        blocker_token.cancel();
 
-        let mut done = 0;
         for rx in [&blocker_rx, &victim_rx] {
-            loop {
-                match rx.recv_timeout(Duration::from_secs(60)).unwrap() {
-                    JobEvent::Done(r) => {
-                        if done == 1 {
-                            assert_eq!(r.termination, Termination::Cancelled);
-                            assert!(!r.mapping.is_empty());
-                        }
-                        done += 1;
-                        break;
-                    }
-                    JobEvent::Incumbent { .. } => {}
-                    JobEvent::Failed(e) => panic!("unexpected failure: {e}"),
-                }
-            }
+            let report = wait_done(rx);
+            assert_eq!(report.termination, Termination::Cancelled);
+            assert!(!report.mapping.is_empty());
         }
         let (_, _, completed, cancelled, _) = sched.stats_snapshot();
         assert_eq!(completed, 2);
-        assert_eq!(cancelled, 1);
+        assert_eq!(cancelled, 2);
         sched.shutdown();
     }
 
@@ -421,9 +447,7 @@ mod tests {
         let cfg = SvcConfig::default().with_workers(1).with_queue_caps(1, 2);
         let sched = Scheduler::start(&cfg);
         // Occupy the worker so pushes stay queued.
-        let (blocker, _blocker_rx) = job_for("a", "sa", Some(5_000_000), 1);
-        sched.submit(blocker).unwrap();
-        std::thread::sleep(Duration::from_millis(50)); // worker picks it up
+        let (blocker_token, _blocker_rx) = hold_worker(&sched);
         let (j1, _r1) = job_for("a", "fairload", None, 2);
         sched.submit(j1).unwrap();
         let (j2, _r2) = job_for("a", "fairload", None, 3);
@@ -434,7 +458,8 @@ mod tests {
         let (j4, _r4) = job_for("c", "fairload", None, 5);
         let err = sched.submit(j4).unwrap_err();
         assert_eq!(err, RejectReason::ServiceQueueFull { cap: 2 });
-        assert!(sched.stats_snapshot().1 >= 2);
+        assert_eq!(sched.stats_snapshot().1, 2);
+        blocker_token.cancel();
         sched.shutdown();
     }
 }

@@ -6,7 +6,8 @@
 //! client that disconnects while queued cancels its server-side solve
 //! (observed as a `cancelled` termination in the scheduler stats); a
 //! saturated queue answers with typed backpressure; malformed frames
-//! get a `protocol_error` reply, never a crash.
+//! get a `protocol_error` reply, never a crash; shutdown is prompt and
+//! hangs up on in-flight clients.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -93,23 +94,28 @@ fn concurrent_clients_stream_improving_incumbents_then_final() {
     assert_eq!((rejected, cancelled, failed), (0, 0, 0));
 }
 
+/// An exhaustive scan of 10⁷ mappings (7 ops × 10 servers, the
+/// enumeration limit): hundreds of milliseconds of solving even in
+/// release builds.
+fn scan_request(tenant: &str) -> Request {
+    let mut req = request(tenant, "exhaustive", 7, 0, None);
+    if let ProblemSpec::Generated { servers, .. } = &mut req.spec {
+        *servers = 10;
+    }
+    req
+}
+
 /// A client whose solve holds the daemon's only worker until the test
 /// releases it.
 struct Blocker(TcpStream);
 
 impl Blocker {
-    /// Submit an exhaustive scan of 10⁷ mappings (7 ops × 10 servers,
-    /// the enumeration limit) and wait until a worker has taken it off
-    /// the queue, so everything submitted afterwards queues behind it.
-    /// The scan takes over a second even in release builds; the test
-    /// ends it early with [`release`](Self::release).
+    /// Submit a [`scan_request`] and wait until a worker has taken it
+    /// off the queue, so everything submitted afterwards queues behind
+    /// it. The test ends the scan early with [`release`](Self::release).
     fn hold(daemon: &DaemonHandle) -> Self {
-        let mut req = request("blocker", "exhaustive", 7, 0, None);
-        if let ProblemSpec::Generated { servers, .. } = &mut req.spec {
-            *servers = 10;
-        }
         let mut stream = TcpStream::connect(daemon.addr()).unwrap();
-        proto::write_frame(&mut stream, &req).unwrap();
+        proto::write_frame(&mut stream, &scan_request("blocker")).unwrap();
         wait_until(daemon, "the blocker to reach a worker", |d| {
             d.stats_snapshot().0 == 1 && d.queue_depth() == 0
         });
@@ -129,15 +135,13 @@ fn disconnect_while_queued_cancels_the_server_side_solve() {
     let blocker = Blocker::hold(&daemon);
 
     // Three victims: submit, then hang up without reading a byte. Their
-    // monitor threads observe EOF and fire the cancel tokens while the
-    // jobs are still queued behind the blocker.
-    for seed in 0..3 {
+    // connection threads' peer checks observe EOF and fire the cancel
+    // tokens, usually while the jobs are still queued behind the
+    // blocker. A check runs once per 10 ms, so a victim may start before
+    // its check; its scan outlasts that by far and is cancelled anyway.
+    for _ in 0..3 {
         let mut stream = TcpStream::connect(addr).unwrap();
-        proto::write_frame(
-            &mut stream,
-            &request("impatient", "portfolio", 10, seed, None),
-        )
-        .unwrap();
+        proto::write_frame(&mut stream, &scan_request("impatient")).unwrap();
         drop(stream);
     }
     wait_stats(&daemon, "victims admitted", |(admitted, ..)| admitted == 4);
@@ -254,4 +258,60 @@ fn malformed_frames_get_a_protocol_error_reply_and_close() {
     // The daemon still serves real work afterwards.
     let out = submit(addr, &request("t", "portfolio", 8, 1, None), |_, _| {}).unwrap();
     assert_eq!(out.mapping.len(), 8);
+}
+
+/// Run `f` on a thread of its own and return its result, or panic if
+/// it takes longer than `limit`: a hang fails the test instead of
+/// stalling the suite.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("did not return within {limit:?}"))
+}
+
+#[test]
+fn shutdown_with_no_client_is_prompt_and_admits_nothing_after() {
+    let mut daemon = daemon_with(1, 4, 8);
+    let addr = daemon.addr();
+    let daemon = within(Duration::from_secs(1), move || {
+        daemon.shutdown();
+        daemon
+    });
+    // The listener is gone: a request either cannot connect or is
+    // closed unanswered.
+    if let Ok(mut stream) = TcpStream::connect(addr) {
+        let _ = proto::write_frame(&mut stream, &request("late", "fairload", 8, 1, None));
+        assert!(!matches!(
+            proto::read_message::<Reply>(&mut stream),
+            Ok(Some(_))
+        ));
+    }
+    assert_eq!(daemon.stats_snapshot(), (0, 0, 0, 0, 0));
+
+    // Dropping an idle daemon is just as prompt.
+    let daemon = daemon_with(1, 4, 8);
+    within(Duration::from_secs(1), move || drop(daemon));
+}
+
+#[test]
+fn dropping_the_daemon_mid_solve_hangs_up_on_the_client() {
+    let daemon = daemon_with(1, 4, 8);
+    let Blocker(mut stream) = Blocker::hold(&daemon);
+    // Dropping the daemon cancels the scan rather than waiting it out.
+    within(Duration::from_secs(5), move || drop(daemon));
+    // The client sees the connection close, never a final frame and
+    // never a hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    loop {
+        match proto::read_message::<Reply>(&mut stream) {
+            Ok(Some(Reply::Incumbent { .. })) => {}
+            Ok(None) => break,
+            other => panic!("expected incumbents then a close, got {other:?}"),
+        }
+    }
 }
