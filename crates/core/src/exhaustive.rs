@@ -331,23 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_counters_and_span_flush_when_enabled() {
-        let p = small_problem(4, 2); // 16 mappings
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(true);
-        wsflow_obs::reset();
-        Exhaustive::new().deploy(&p).unwrap();
-        let snap = wsflow_obs::snapshot();
-        let spans = wsflow_obs::registry::spans();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
-
-        assert_eq!(snap.counter("exhaustive.runs"), Some(1));
-        assert_eq!(snap.counter("exhaustive.nodes_expanded"), Some(16));
-        assert!(spans.iter().any(|s| s.name == "exhaustive.scan"));
-    }
-
-    #[test]
     fn respects_limit() {
         let p = small_problem(10, 4); // 4^10 ≈ 1.05M
         let err = Exhaustive::with_limit(1_000).deploy(&p).unwrap_err();

@@ -407,6 +407,66 @@ mod tests {
         );
     }
 
+    /// The pre-delta hill climber: the same first-improvement trajectory
+    /// as [`hill_climb_ctx`], but every probe pays a full-mapping
+    /// `Evaluator` pass.
+    fn hill_climb_full_eval(
+        problem: &Problem,
+        start: Mapping,
+        max_sweeps: usize,
+    ) -> (Mapping, f64) {
+        let mut ev = Evaluator::new(problem);
+        let mut mapping = start;
+        let mut cost = ev.combined(&mapping).value();
+        let n = problem.num_servers() as u32;
+        for _ in 0..max_sweeps {
+            let mut improved = false;
+            for op_idx in 0..problem.num_ops() {
+                let op = OpId::from(op_idx);
+                let original = mapping.server_of(op);
+                for s in 0..n {
+                    let server = ServerId::new(s);
+                    if server == original {
+                        continue;
+                    }
+                    mapping.assign(op, server);
+                    let c = ev.combined(&mapping).value();
+                    if c < cost {
+                        cost = c;
+                        improved = true;
+                        break;
+                    }
+                    mapping.assign(op, original);
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        (mapping, cost)
+    }
+
+    /// Delta-evaluated probes are bit-identical to full evaluation, so
+    /// the delta climber follows the full-evaluation trajectory to the
+    /// same local optimum and the same cost bits.
+    #[test]
+    fn delta_hill_climb_matches_full_evaluation_trajectory() {
+        use wsflow_workload::{generate, Configuration, ExperimentClass, GraphClass};
+        let s = generate(
+            Configuration::GraphBus(GraphClass::Hybrid, MbitsPerSec(10.0)),
+            60,
+            4,
+            &ExperimentClass::class_c(),
+            7,
+        );
+        let p = Problem::new(s.workflow, s.network).unwrap();
+        let start = crate::baselines::RoundRobin.deploy(&p).unwrap();
+        let (m_delta, c_delta) = hill_climb_from(&p, start.clone(), 50);
+        let (m_full, c_full) = hill_climb_full_eval(&p, start, 50);
+        assert_eq!(m_delta, m_full);
+        assert_eq!(c_delta.to_bits(), c_full.to_bits());
+    }
+
     #[test]
     fn swap_refine_never_worse_and_preserves_counts() {
         let p = problem();

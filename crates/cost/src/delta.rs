@@ -682,30 +682,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drop_flushes_delta_metrics_when_obs_enabled() {
-        let p = branchy_problem(3);
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(true);
-        wsflow_obs::reset();
-        {
-            let mut delta = DeltaEvaluator::new(&p, Mapping::all_on(p.num_ops(), ServerId::new(0)))
-                .with_staleness_threshold(2);
-            delta.probe(OpId::new(1), ServerId::new(1));
-            delta.probe(OpId::new(2), ServerId::new(2));
-            delta.apply(OpId::new(1), ServerId::new(1));
-            delta.apply(OpId::new(2), ServerId::new(2)); // hits the staleness resync
-        }
-        let snap = wsflow_obs::snapshot();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
-
-        assert_eq!(snap.counter("delta.probes"), Some(2));
-        assert_eq!(snap.counter("delta.applies"), Some(2));
-        assert_eq!(snap.counter("delta.resyncs"), Some(1));
-        assert_eq!(snap.histogram("delta.undo_depth").unwrap().count, 2);
-    }
-
     fn priced_branchy_problem(n_servers: usize) -> Problem {
         use wsflow_model::DollarsPerHour;
         let p = branchy_problem(n_servers);

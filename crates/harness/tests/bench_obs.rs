@@ -16,6 +16,8 @@ fn committed_bench_obs_json_parses_and_covers_the_suite() {
         "eval_legacy",
         "eval_flat_batch",
         "delta_probe",
+        "deploy_fairload",
+        "deploy_portfolio",
         "hier_stitch",
         "sim_engine",
         "route_build",

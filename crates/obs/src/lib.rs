@@ -17,8 +17,9 @@
 //! additionally batch into plain local integers ([`LocalHistogram`],
 //! algorithm-local counters) and flush **once** per run, so the
 //! per-event cost with observability disabled is at most one integer
-//! add. The `cost_eval` benchmark path is entirely uninstrumented and
-//! serves as CI's overhead smoke check.
+//! add. The flat evaluator is entirely uninstrumented, so the
+//! `eval_flat_batch` row of `wsflow bench`, gated by CI's `bench-gate`
+//! job, serves as the overhead smoke check.
 //!
 //! ## Naming convention
 //!

@@ -970,25 +970,6 @@ mod tests {
         assert!(rendered.contains("busy"), "{rendered}");
     }
 
-    #[test]
-    fn sim_flushes_metrics_when_obs_enabled() {
-        let (p, m) = contended_problem_and_mapping();
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(true);
-        wsflow_obs::reset();
-        simulate(&p, &m, SimConfig::contended(), &mut rng(0));
-        let snap = wsflow_obs::snapshot();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
-
-        assert_eq!(snap.counter("sim.runs"), Some(1));
-        assert!(snap.counter("sim.events").unwrap() > 0);
-        assert!(snap.histogram("sim.queue_depth").unwrap().count > 0);
-        assert!(snap.histogram("sim.queue_wait_secs").unwrap().count > 0);
-        assert!(snap.histogram("sim.link_busy_secs").unwrap().count > 0);
-        assert!(snap.histogram("sim.server_utilization").unwrap().count > 0);
-    }
-
     use wsflow_model::units::Seconds as Secs;
     use wsflow_net::dynamics::TimedEvent;
 

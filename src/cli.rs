@@ -627,11 +627,10 @@ pub fn cmd_report(path: &str) -> Result<String, CliError> {
 /// Without `--compare`, writes the results (default `BENCH_obs.json`).
 /// With `--compare`, checks every baseline bench against the fresh run:
 /// any bench slower than `baseline × (1 + tolerance)` — or missing —
-/// fails the gate with a non-zero exit. `WSFLOW_BENCH_QUICK=1` is
-/// honoured like `--quick`. Results are wall-clock; nothing here feeds
-/// the deterministic experiment CSVs.
+/// fails the gate with a non-zero exit. Results are wall-clock; nothing
+/// here feeds the deterministic experiment CSVs.
 pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
-    let mut quick = std::env::var_os("WSFLOW_BENCH_QUICK").is_some();
+    let mut quick = false;
     let mut out_file: Option<String> = None;
     let mut baseline_path: Option<String> = None;
     let mut tolerance = 1.0f64;
