@@ -2,8 +2,8 @@
 //!
 //! Seven micro-benchmarks over one fixed-seed 200×20 star instance —
 //! the cost-model hot paths, the constructive greedies the service
-//! serves, and the hierarchical solver — plus one network-layer row on
-//! a 150-server class-C bus:
+//! serves, and the hierarchical solver — plus two network-layer rows on
+//! a 150-server class-C bus, the pool `wsflowd` builds per request:
 //!
 //! | bench | times |
 //! |---|---|
@@ -14,6 +14,7 @@
 //! | `deploy_portfolio` | one [`Portfolio`] deploy: best of the paper's five greedies |
 //! | `hier_stitch` | a budgeted `Hierarchical(FairLoad)` solve |
 //! | `sim_engine` | Monte-Carlo trials of the discrete-event simulator |
+//! | `net_build` | one [`topology::bus`] build (links + validation + adjacency) |
 //! | `route_build` | [`RoutingTable::new`] + [`CommMatrix::new`] (all-pairs routing) |
 //!
 //! Results are wall-clock by design and go to `BENCH_obs.json` —
@@ -33,7 +34,7 @@ use wsflow_cost::{
     texecute, time_penalty, CommMatrix, DeltaEvaluator, Evaluator, Mapping, Problem,
 };
 use wsflow_model::MbitsPerSec;
-use wsflow_net::{RoutingTable, ServerId};
+use wsflow_net::{topology, RoutingTable, ServerId};
 use wsflow_sim::{monte_carlo, SimConfig};
 use wsflow_workload::{bus_network, scale_instance, ExperimentClass};
 
@@ -211,13 +212,30 @@ pub fn run(quick: bool) -> BenchDoc {
     };
     benches.push(record("sim_engine", reps, ns));
 
+    let bus = bus_network(
+        bus_servers,
+        MbitsPerSec(100.0),
+        &ExperimentClass::class_c(),
+        SEED,
+    );
+    let bus_record = |name: &str, ns: f64| BenchRecord {
+        name: name.to_string(),
+        ops: 0,
+        servers: bus_servers,
+        reps,
+        ns_per_op: ns,
+    };
+
+    // One build takes ~0.2 ms: time `evals` of them per rep.
+    let ns = time(reps, evals, || {
+        for _ in 0..evals {
+            let servers = bus.servers().to_vec();
+            black_box(topology::bus("bus", servers, MbitsPerSec(100.0)).expect("valid bus"));
+        }
+    });
+    benches.push(bus_record("net_build", ns));
+
     let ns = {
-        let bus = bus_network(
-            bus_servers,
-            MbitsPerSec(100.0),
-            &ExperimentClass::class_c(),
-            SEED,
-        );
         let mut acc = 0.0;
         let ns = time(reps, 1, || {
             let routing = RoutingTable::new(&bus);
@@ -226,13 +244,7 @@ pub fn run(quick: bool) -> BenchDoc {
         sink += acc;
         ns
     };
-    benches.push(BenchRecord {
-        name: "route_build".to_string(),
-        ops: 0,
-        servers: bus_servers,
-        reps,
-        ns_per_op: ns,
-    });
+    benches.push(bus_record("route_build", ns));
 
     assert!(sink.is_finite());
     BenchDoc {
@@ -305,6 +317,7 @@ mod tests {
                 "deploy_portfolio",
                 "hier_stitch",
                 "sim_engine",
+                "net_build",
                 "route_build"
             ]
         );

@@ -20,6 +20,7 @@ fn committed_bench_obs_json_parses_and_covers_the_suite() {
         "deploy_portfolio",
         "hier_stitch",
         "sim_engine",
+        "net_build",
         "route_build",
     ] {
         assert!(names.contains(&required), "baseline misses {required}");
@@ -34,8 +35,8 @@ fn committed_bench_obs_json_parses_and_covers_the_suite() {
         assert!(b.reps > 0, "{}", b.name);
         // The baseline must come from the full suite, not a --quick run:
         // the pinned 200x20 instance, or the 150-server bus for the
-        // routing row (which has no operations).
-        let full = if b.name == "route_build" {
+        // network rows (which have no operations).
+        let full = if b.name == "net_build" || b.name == "route_build" {
             (0, 150)
         } else {
             (200, 20)

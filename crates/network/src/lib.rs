@@ -22,6 +22,8 @@ pub mod link;
 pub mod network;
 pub mod routing;
 pub mod server;
+#[cfg(test)]
+mod test_rng;
 pub mod topology;
 
 pub use dynamics::{EnvEvent, EnvState, TimedEvent, Timeline, CRASHED_POWER};

@@ -118,30 +118,7 @@ impl Network {
                 });
             }
         }
-        let n = servers.len();
-        let mut seen = std::collections::HashSet::with_capacity(links.len());
-        for l in &links {
-            if l.a.index() >= n {
-                return Err(NetError::UnknownServer(l.a));
-            }
-            if l.b.index() >= n {
-                return Err(NetError::UnknownServer(l.b));
-            }
-            if l.a == l.b {
-                return Err(NetError::SelfLink(l.a));
-            }
-            if !seen.insert(l.canonical()) {
-                let (a, b) = l.canonical();
-                return Err(NetError::DuplicateLink(a, b));
-            }
-            if l.speed.value() <= 0.0 || l.speed.value().is_nan() {
-                return Err(NetError::BadSpeed {
-                    a: l.a,
-                    b: l.b,
-                    speed: l.speed.value(),
-                });
-            }
-        }
+        check_links(servers.len(), &links)?;
         for (i, s) in servers.iter().enumerate() {
             if !s.price.is_finite() || s.price.value() < 0.0 {
                 return Err(NetError::BadPrice {
@@ -480,6 +457,74 @@ impl Network {
     }
 }
 
+/// Validate `links` over `n` servers and return the first faulty link's
+/// error, in link order: an unknown endpoint, a self-link, a duplicate
+/// of an earlier link (either orientation), or a non-positive speed —
+/// checked in that order within each link.
+///
+/// Duplicates are found without hashing. A stable counting sort groups
+/// the links by their smaller endpoint, keeping link order inside each
+/// group; within a group, a larger endpoint already stamped with the
+/// group's id marks a duplicate. The smallest such link index is the
+/// first duplicate in link order. Links with an unknown endpoint or a
+/// self-link are left out of the groups: the ordered pass stops at the
+/// first of them, so no later duplicate can be reported past it. Memory
+/// is `O(N + L)`.
+fn check_links(n: usize, links: &[Link]) -> Result<(), NetError> {
+    let grouped = |l: &Link| l.a.index() < n && l.b.index() < n && l.a != l.b;
+    let mut off = vec![0u32; n + 1];
+    for l in links.iter().filter(|l| grouped(l)) {
+        off[l.canonical().0.index() + 1] += 1;
+    }
+    for i in 0..n {
+        off[i + 1] += off[i];
+    }
+    let mut order = vec![0u32; off[n] as usize];
+    for (i, l) in links.iter().enumerate().filter(|(_, l)| grouped(l)) {
+        let c = &mut off[l.canonical().0.index()];
+        order[*c as usize] = i as u32;
+        *c += 1;
+    }
+    // The fill advanced each group's start to its end, which is the
+    // next group's start: group `lo` now spans `off[lo - 1]..off[lo]`.
+    let mut stamp = vec![0u32; n];
+    let mut first_dup = links.len();
+    let mut start = 0;
+    for (lo, &end) in off[..n].iter().enumerate() {
+        for &i in &order[start as usize..end as usize] {
+            let hi = links[i as usize].canonical().1.index();
+            if stamp[hi] == lo as u32 + 1 {
+                first_dup = first_dup.min(i as usize);
+            }
+            stamp[hi] = lo as u32 + 1;
+        }
+        start = end;
+    }
+    for (i, l) in links.iter().enumerate() {
+        if l.a.index() >= n {
+            return Err(NetError::UnknownServer(l.a));
+        }
+        if l.b.index() >= n {
+            return Err(NetError::UnknownServer(l.b));
+        }
+        if l.a == l.b {
+            return Err(NetError::SelfLink(l.a));
+        }
+        if i == first_dup {
+            let (a, b) = l.canonical();
+            return Err(NetError::DuplicateLink(a, b));
+        }
+        if l.speed.value() <= 0.0 || l.speed.value().is_nan() {
+            return Err(NetError::BadSpeed {
+                a: l.a,
+                b: l.b,
+                speed: l.speed.value(),
+            });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -791,6 +836,149 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NetError::BadPrice { .. }));
+    }
+
+    /// The hashing duplicate check [`check_links`] replaced: one
+    /// `HashSet` of canonical endpoint pairs, filled in link order.
+    fn oracle_check_links(n: usize, links: &[Link]) -> Result<(), NetError> {
+        let mut seen = std::collections::HashSet::with_capacity(links.len());
+        for l in links {
+            if l.a.index() >= n {
+                return Err(NetError::UnknownServer(l.a));
+            }
+            if l.b.index() >= n {
+                return Err(NetError::UnknownServer(l.b));
+            }
+            if l.a == l.b {
+                return Err(NetError::SelfLink(l.a));
+            }
+            if !seen.insert(l.canonical()) {
+                let (a, b) = l.canonical();
+                return Err(NetError::DuplicateLink(a, b));
+            }
+            if l.speed.value() <= 0.0 || l.speed.value().is_nan() {
+                return Err(NetError::BadSpeed {
+                    a: l.a,
+                    b: l.b,
+                    speed: l.speed.value(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// A seeded link list over `n` servers: random distinct pairs, then
+    /// (at random positions) duplicates in either orientation, self-links,
+    /// unknown endpoints and bad speeds. Faults stack, so one list often
+    /// holds several and only the first in link order may be reported.
+    fn faulty_links(rng: &mut crate::test_rng::Rng, n: usize) -> Vec<Link> {
+        let sid = |i: usize| ServerId::from(i);
+        let mut links: Vec<Link> = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                if rng.chance(0.4) {
+                    let (x, y) = if rng.chance(0.5) { (a, b) } else { (b, a) };
+                    links.push(Link::new(sid(x), sid(y), MbitsPerSec(10.0)));
+                }
+            }
+        }
+        for _ in 0..rng.below(4) {
+            let at = rng.below(links.len() + 1);
+            let fault = match rng.below(4) {
+                0 if !links.is_empty() => {
+                    let l = &links[rng.below(links.len())];
+                    let (a, b) = if rng.chance(0.5) {
+                        (l.a, l.b)
+                    } else {
+                        (l.b, l.a)
+                    };
+                    Link::new(a, b, MbitsPerSec(rng.pick(&[20.0, 0.0])))
+                }
+                1 => {
+                    let s = sid(rng.below(n));
+                    Link::new(s, s, MbitsPerSec(10.0))
+                }
+                2 => Link::new(sid(rng.below(n)), sid(n + rng.below(3)), MbitsPerSec(10.0)),
+                _ => {
+                    let (a, b) = (rng.below(n), rng.below(n));
+                    Link::new(
+                        sid(a),
+                        sid(b),
+                        MbitsPerSec(rng.pick(&[0.0, -1.0, f64::NAN])),
+                    )
+                }
+            };
+            links.insert(at, fault);
+        }
+        links
+    }
+
+    /// `check_links` must return exactly what the hashing check did —
+    /// `Ok`, or the first faulty link's error with the same variant and
+    /// payload — and `Network::new` must surface it unchanged.
+    #[test]
+    fn link_check_matches_the_hashing_oracle() {
+        let mut rng = crate::test_rng::Rng(0xD0_B1E);
+        let mut variants = std::collections::BTreeMap::new();
+        for case in 0..3_000 {
+            let n = 1 + rng.below(12);
+            let links = faulty_links(&mut rng, n);
+            // Debug strings compare a NaN speed as equal to itself.
+            let want = format!("{:?}", oracle_check_links(n, &links));
+            assert_eq!(
+                format!("{:?}", check_links(n, &links)),
+                want,
+                "case {case}: {links:?}"
+            );
+            let built = Network::new(
+                "n",
+                crate::topology::homogeneous_servers(n, 1.0),
+                links,
+                TopologyKind::Custom,
+            );
+            assert_eq!(format!("{:?}", built.map(|_| ())), want, "case {case}");
+            let variant = want.strip_prefix("Err(").unwrap_or("Ok");
+            let variant = variant.split(['(', ' ']).next().unwrap_or_default();
+            *variants.entry(variant.to_string()).or_insert(0) += 1;
+        }
+        for v in [
+            "Ok",
+            "UnknownServer",
+            "SelfLink",
+            "DuplicateLink",
+            "BadSpeed",
+        ] {
+            assert!(variants.get(v).copied().unwrap_or(0) > 50, "{variants:?}");
+        }
+        // A full 150-server bus, clean and with one duplicate appended.
+        let bus = |n: usize| {
+            let mut links = Vec::new();
+            for a in 0..n {
+                for b in a + 1..n {
+                    links.push(Link::new(
+                        ServerId::from(a),
+                        ServerId::from(b),
+                        MbitsPerSec(100.0),
+                    ));
+                }
+            }
+            links
+        };
+        let mut links = bus(150);
+        assert_eq!(check_links(150, &links), Ok(()));
+        links.push(Link::new(
+            ServerId::new(149),
+            ServerId::new(3),
+            MbitsPerSec(100.0),
+        ));
+        assert_eq!(
+            check_links(150, &links),
+            Err(NetError::DuplicateLink(
+                ServerId::new(3),
+                ServerId::new(149)
+            ))
+        );
+        assert_eq!(check_links(150, &links), oracle_check_links(150, &links));
     }
 
     #[test]

@@ -27,24 +27,32 @@
 //! work that cannot change a route. Both are exact — the labels and the
 //! predecessors they leave are bit-identical to the unpruned search:
 //!
-//! - **Label bound (phase 1).** Once every server holds a label, a popped
-//!   node `u` with `d_u + w_min` greater than the largest label assigned
-//!   so far cannot lower or tie any label: every relaxation from it
-//!   yields `d_u + w ≥ d_u + w_min` (floating-point addition is monotone
-//!   in each operand), which is strictly above every current label.
-//!   Later pops carry distances `≥ d_u`, so the search stops there. On a
-//!   bus, where every pair is one hop, this ends each source's search
-//!   after its first pop.
+//! - **Label bound (phase 1).** Once every server holds a label, the
+//!   largest label assigned so far is frozen (a relaxation can only
+//!   lower a label), and a node `u` with `d_u + w_min` greater than it
+//!   cannot lower or tie any label: every relaxation from it yields
+//!   `d_u + w ≥ d_u + w_min` (floating-point addition is monotone in
+//!   each operand), which is strictly above every current label. Such an
+//!   entry has a strictly larger distance than any entry within the
+//!   bound, so it pops after all of them and can only end the search.
+//!   The search therefore stops at the first such pop, and never pushes
+//!   an entry that is already past the bound: a node's pushes wait until
+//!   its scan is done, so the test sees the labels the scan left. On a
+//!   uniform bus, where every pair is one hop, the source's scan labels
+//!   every server and pushes nothing, so each search is a single scan.
 //! - **Hop-1 shortcut (phase 2).** A node one hop from the source can
 //!   only have the source as a qualifying predecessor (the source is the
 //!   only node at hop 0), so all hop-1 nodes are resolved from the
 //!   source's own incident list. Only nodes at two or more hops scan
-//!   their incident lists. On a bus each source then costs
-//!   `O(N log N)` instead of `O(N²)`; line, star and ring networks keep
-//!   their asymptotics.
+//!   their incident lists. With both rules a uniform bus costs `O(N)`
+//!   per source instead of `O(N²)` (`O(N log N)` when unequal link
+//!   weights leave entries within the bound); line, star and ring
+//!   networks keep their asymptotics.
 //!
 //! Routes are stored in one flat arena (see [`RoutingTable`]), so a
-//! table holds three vectors regardless of `N`.
+//! table holds two vectors regardless of `N`: `u32` range offsets and
+//! the concatenated links. Reachability is not stored separately — a
+//! pair is routable iff it is a self-pair or its range is non-empty.
 
 use std::collections::BinaryHeap;
 
@@ -121,8 +129,11 @@ impl<'a> Path<'a> {
 ///
 /// Every route lives in one flat arena: the ordered pair
 /// `i = from · N + to` owns `links[offsets[i]..offsets[i + 1]]`, and
-/// [`path`](Self::path) hands out borrowed [`Path`] views into it.
-/// Unreachable pairs own an empty range and are marked in `reachable`.
+/// [`path`](Self::path) hands out borrowed [`Path`] views into it. The
+/// offsets are `u32` (built with a checked conversion), half the bytes
+/// of `usize` ones. A self-pair owns an empty range and routes to
+/// itself; any other pair with an empty range is unreachable, since a
+/// route between distinct servers has at least one hop.
 ///
 /// # Examples
 ///
@@ -143,11 +154,9 @@ impl<'a> Path<'a> {
 pub struct RoutingTable {
     n: usize,
     /// Row-major `[from][to]` range starts into `links`, plus one end.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// Every route's links, concatenated in row-major pair order.
     links: Vec<LinkId>,
-    /// Row-major `[from][to]`: `false` where no route exists.
-    reachable: Vec<bool>,
     /// Generation of the network these routes were computed from.
     generation: u64,
 }
@@ -163,21 +172,20 @@ impl RoutingTable {
             .collect();
         let mut search = Search::new(n, &weights);
         let mut offsets = Vec::with_capacity(n * n + 1);
-        let mut links = Vec::new();
-        let mut reachable = Vec::with_capacity(n * n);
+        // Every distinct pair of a connected network has a route of at
+        // least one hop, so `N·(N − 1)` links is exact for a bus and a
+        // lower bound for any other connected network (a disconnected
+        // one leaves part of the reservation untouched).
+        let mut links = Vec::with_capacity(n * n.saturating_sub(1));
         offsets.push(0);
         for src in net.server_ids() {
             search.run(net, src);
-            for dst in net.server_ids() {
-                reachable.push(search.append_route(src, dst, &mut links));
-                offsets.push(links.len());
-            }
+            search.append_routes(src, &mut links, &mut offsets);
         }
         Self {
             n,
             offsets,
             links,
-            reachable,
             generation: net.generation(),
         }
     }
@@ -193,14 +201,18 @@ impl RoutingTable {
     #[inline]
     pub fn path(&self, from: ServerId, to: ServerId) -> Option<Path<'_>> {
         let i = from.index() * self.n + to.index();
-        self.reachable[i].then(|| Path {
-            links: &self.links[self.offsets[i]..self.offsets[i + 1]],
+        let (start, end) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+        (from == to || start < end).then(|| Path {
+            links: &self.links[start..end],
         })
     }
 
     /// `true` if every ordered pair is routable.
     pub fn fully_connected(&self) -> bool {
-        self.reachable.iter().all(|&r| r)
+        // The `N` self-pairs always own empty ranges; any other empty
+        // range is an unreachable pair.
+        let empty = self.offsets.windows(2).filter(|w| w[0] == w[1]).count();
+        empty == self.n
     }
 
     /// Transfer time for a message of `size` from `from` to `to`;
@@ -320,6 +332,8 @@ struct Search<'w> {
     /// `None` for the source and unreachable nodes.
     via: Vec<Option<(ServerId, LinkId)>>,
     heap: BinaryHeap<HeapEntry>,
+    /// Servers whose label the current pop lowered, awaiting a push.
+    pending: Vec<ServerId>,
 }
 
 impl<'w> Search<'w> {
@@ -331,6 +345,7 @@ impl<'w> Search<'w> {
             hops: vec![usize::MAX; n],
             via: vec![None; n],
             heap: BinaryHeap::new(),
+            pending: Vec::with_capacity(n),
         }
     }
 
@@ -343,6 +358,7 @@ impl<'w> Search<'w> {
             hops,
             via,
             heap,
+            pending,
         } = self;
         let n = dist.len();
         dist.fill(f64::INFINITY);
@@ -361,6 +377,9 @@ impl<'w> Search<'w> {
         // makes the tree depend on relaxation order whenever costs tie.
         let mut labelled = 1;
         let mut max_label = 0.0f64;
+        // The label bound (see the module docs), shared by pops and
+        // pushes so both apply the same floating-point test.
+        let spent = |d: f64, max_label: f64| d + *w_min > max_label;
         while let Some(HeapEntry {
             dist: d,
             hops: h,
@@ -372,7 +391,7 @@ impl<'w> Search<'w> {
             }
             // Label bound (see the module docs): no relaxation from here
             // or from any later pop can lower or tie a label.
-            if labelled == n && d + *w_min > max_label {
+            if labelled == n && spent(d, max_label) {
                 break;
             }
             for &lid in net.incident(u) {
@@ -386,9 +405,18 @@ impl<'w> Search<'w> {
                     max_label = max_label.max(nd);
                     dist[v.index()] = nd;
                     hops[v.index()] = nh;
+                    pending.push(v);
+                }
+            }
+            // Pushes wait until `u`'s scan is done, so the bound can use
+            // its final state (see the module docs). Each neighbour is
+            // relaxed at most once per scan, so its label is its entry.
+            for v in pending.drain(..) {
+                let d = dist[v.index()];
+                if labelled < n || !spent(d, max_label) {
                     heap.push(HeapEntry {
-                        dist: nd,
-                        hops: nh,
+                        dist: d,
+                        hops: hops[v.index()],
                         server: v,
                     });
                 }
@@ -437,30 +465,40 @@ impl<'w> Search<'w> {
         }
     }
 
-    /// Append the route `src → dst` of the last [`run`](Self::run) to
-    /// `links`; `false` (appending nothing) if `dst` is unreachable.
-    fn append_route(&self, src: ServerId, dst: ServerId, links: &mut Vec<LinkId>) -> bool {
-        if self.dist[dst.index()].is_infinite() {
-            return false;
+    /// Append the routes `src → dst` of the last [`run`](Self::run),
+    /// for every `dst` in id order, to `links`, and each route's end to
+    /// `offsets`. The self-route and unreachable servers append nothing.
+    fn append_routes(&self, src: ServerId, links: &mut Vec<LinkId>, offsets: &mut Vec<u32>) {
+        for (dst, &h) in self.hops.iter().enumerate() {
+            match (h, self.via[dst]) {
+                // The source, unreachable servers, and (defensively) a
+                // server phase 2 left without a predecessor.
+                (0 | usize::MAX, _) | (_, None) => {}
+                // One-hop routes (every route on a bus) skip the walk.
+                (1, Some((_, link))) => links.push(link),
+                _ => {
+                    let start = links.len();
+                    let mut cur = ServerId::from(dst);
+                    while cur != src {
+                        let Some((prev, link)) = self.via[cur.index()] else {
+                            links.truncate(start);
+                            break;
+                        };
+                        links.push(link);
+                        cur = prev;
+                    }
+                    links[start..].reverse();
+                }
+            }
+            offsets.push(u32::try_from(links.len()).expect("route arena fits u32 offsets"));
         }
-        let start = links.len();
-        let mut cur = dst;
-        while cur != src {
-            let Some((prev, link)) = self.via[cur.index()] else {
-                links.truncate(start);
-                return false;
-            };
-            links.push(link);
-            cur = prev;
-        }
-        links[start..].reverse();
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Rng;
     use crate::topology::{bus, homogeneous_servers, line_uniform, ring, star};
     use wsflow_model::units::MbitsPerSec;
 
@@ -947,31 +985,6 @@ mod tests {
             }
         }
         routes
-    }
-
-    /// SplitMix64: a dependency-free seeded generator for test networks.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, k: usize) -> usize {
-            (self.next() % k as u64) as usize
-        }
-
-        fn chance(&mut self, p: f64) -> bool {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64 <= p
-        }
-
-        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
-            xs[self.below(xs.len())]
-        }
     }
 
     /// Few distinct values, so equal-cost routes tie often.

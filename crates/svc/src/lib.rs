@@ -134,8 +134,11 @@ pub fn build_problem(spec: &ProblemSpec) -> Result<Problem, String> {
             server_ghz,
             bus_mbps,
         } => {
-            if server_ghz.is_empty() {
-                return Err("server_ghz must name at least one server".to_string());
+            if server_ghz.is_empty() || server_ghz.len() > 1_000 {
+                return Err(format!(
+                    "server_ghz must name 1..=1000 servers, got {}",
+                    server_ghz.len()
+                ));
             }
             if server_ghz.iter().any(|g| !g.is_finite() || *g <= 0.0) {
                 return Err("server_ghz ratings must all be positive".to_string());
@@ -231,6 +234,13 @@ mod tests {
             ProblemSpec::Inline {
                 workflow: "workflow w\nnode A op 1\n".into(),
                 server_ghz: vec![],
+                bus_mbps: 10.0,
+            },
+            // The bus build grows as N², so inline pools are capped like
+            // generated ones.
+            ProblemSpec::Inline {
+                workflow: "workflow w\nnode A op 1\n".into(),
+                server_ghz: vec![1.0; 1_001],
                 bus_mbps: 10.0,
             },
         ];

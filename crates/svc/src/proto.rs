@@ -120,7 +120,8 @@ pub enum ProblemSpec {
     Inline {
         /// Workflow in `wsflow_model::dsl` text format.
         workflow: String,
-        /// Per-server GHz ratings.
+        /// Per-server GHz ratings: 1 to 1 000 of them, the bound
+        /// `Generated` specs have too (the bus build grows as N²).
         server_ghz: Vec<f64>,
         /// Bus speed in Mbps.
         bus_mbps: f64,

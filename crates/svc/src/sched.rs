@@ -211,7 +211,19 @@ impl Scheduler {
     /// jobs that no worker picked up are dropped; their event channels
     /// close, which submitters observe as a disconnect.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Set the flag under the queue lock: a worker checks it under
+        // that lock before waiting, so it either sees the flag or is
+        // already waiting when the notification comes. Set without the
+        // lock, the flag can land between the check and the wait, and
+        // the worker sleeps through the only wake-up.
+        {
+            let _queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.available.notify_all();
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut self.workers.lock().unwrap());
         for handle in handles {

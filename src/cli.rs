@@ -624,11 +624,12 @@ pub fn cmd_report(path: &str) -> Result<String, CliError> {
 /// [--tolerance T]`: run the pinned perf suite and optionally gate
 /// against a committed baseline.
 ///
-/// Without `--compare`, writes the results (default `BENCH_obs.json`).
-/// With `--compare`, checks every baseline bench against the fresh run:
-/// any bench slower than `baseline × (1 + tolerance)` — or missing —
-/// fails the gate with a non-zero exit. Results are wall-clock; nothing
-/// here feeds the deterministic experiment CSVs.
+/// Prints one line per bench and writes the results only to the
+/// `--out` file, so no run can overwrite the committed baseline by
+/// default. With `--compare`, checks every baseline bench against the
+/// fresh run: any bench slower than `baseline × (1 + tolerance)` — or
+/// missing — fails the gate with a non-zero exit. Results are
+/// wall-clock; nothing here feeds the deterministic experiment CSVs.
 pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     let mut quick = false;
     let mut out_file: Option<String> = None;
@@ -703,10 +704,7 @@ pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
             tolerance * 100.0
         ));
     }
-    // Write results unless this is a pure gate run (writing would
-    // clobber the committed baseline with machine-local numbers).
-    if baseline_path.is_none() || out_file.is_some() {
-        let path = out_file.unwrap_or_else(|| "BENCH_obs.json".to_string());
+    if let Some(path) = out_file {
         std::fs::write(&path, doc.to_json())
             .map_err(|e| CliError::Invalid(format!("cannot write {path}: {e}")))?;
         out.push_str(&format!("wrote {path}\n"));
@@ -1263,6 +1261,24 @@ mod tests {
             CliError::Input(_)
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Without `--out` nothing is written: a quick run from the repo
+    /// root must leave the committed baseline's bytes alone.
+    #[test]
+    fn bench_without_out_writes_no_file() {
+        // Cargo runs unit tests from the package root, where the
+        // baseline lives and where a default write would land.
+        let path = "BENCH_obs.json";
+        let before = std::fs::read(path).unwrap();
+        let out = cmd_bench(&strs(&["--quick"])).unwrap();
+        let after = std::fs::read(path).unwrap();
+        if after != before {
+            std::fs::write(path, &before).unwrap();
+        }
+        assert!(after == before, "a run without --out rewrote {path}");
+        assert!(!out.contains("wrote"), "{out}");
+        assert!(out.contains("route_build"), "{out}");
     }
 
     #[test]
