@@ -24,7 +24,7 @@
 //!    token — so an incumbent exists (the PR 5 guarantee).
 //! 2. **Improvement generations** — every live improver proposes from
 //!    the *same* board snapshot, in parallel, each on its own budget
-//!    share and its own child [`CancelToken`]. Proposals merge in
+//!    share and its own child [`CancelToken`](crate::CancelToken). Proposals merge in
 //!    canonical order; strictly better ones advance the board. An
 //!    improver that completes a generation without beating the board
 //!    earns a strike; at [`Blackboard::dominated_after`] strikes it is

@@ -7,12 +7,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::MCycles;
 
 /// The three decision-node flavours of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecisionKind {
     /// All outgoing paths execute; the complement waits for all of them.
     And,
@@ -45,7 +43,7 @@ impl fmt::Display for DecisionKind {
 }
 
 /// The role an operation plays in the workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A regular WSDL operation performing work for the workflow.
     Operational,
@@ -111,7 +109,7 @@ impl fmt::Display for OpKind {
 }
 
 /// An operation: a node of the workflow graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Operation {
     /// Human-readable name (unique within a workflow; enforced by the
     /// builder).

@@ -4,8 +4,6 @@
 //! dense indices so downstream code can use flat vectors keyed by
 //! [`OpId`]/[`MsgId`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 use crate::ids::{MsgId, OpId};
 use crate::message::Message;
@@ -21,13 +19,12 @@ use crate::units::{MCycles, Mbits};
 /// API. *Well-formedness* in the paper's sense (matched decision blocks)
 /// is a separate, stronger property checked by
 /// [`validate`](crate::validate::validate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workflow {
     name: String,
     ops: Vec<Operation>,
     msgs: Vec<Message>,
-    /// Derived CSR adjacency (flat arena), rebuilt by [`Workflow::reindex`].
-    #[serde(skip)]
+    /// Derived CSR adjacency (flat arena).
     csr: WorkflowCsr,
 }
 
@@ -133,12 +130,6 @@ impl Workflow {
             msgs,
             csr,
         })
-    }
-
-    /// Rebuild the CSR adjacency index. Needed after deserialisation,
-    /// where the derived `csr` field is skipped.
-    pub fn reindex(&mut self) {
-        self.csr = WorkflowCsr::build(self.ops.len(), &self.msgs);
     }
 
     /// The workflow's name.
@@ -515,15 +506,5 @@ mod tests {
         assert_eq!(total, w.num_messages());
         let total: usize = w.op_ids().map(|o| w.in_degree(o)).sum();
         assert_eq!(total, w.num_messages());
-    }
-
-    #[test]
-    fn serde_round_trip_with_reindex() {
-        let w = line3();
-        let json = serde_json::to_string(&w).unwrap();
-        let mut back: Workflow = serde_json::from_str(&json).unwrap();
-        back.reindex();
-        assert_eq!(back, w);
-        assert_eq!(back.out_degree(OpId::new(0)), 1);
     }
 }

@@ -19,8 +19,8 @@ pub enum NetError {
     DuplicateName(String),
     /// The network has no servers.
     Empty,
-    /// A link has non-positive speed — transmission time would be
-    /// infinite or negative.
+    /// A link's speed is not finite and positive — transmission time
+    /// would be infinite, zero or negative.
     BadSpeed {
         /// One endpoint of the offending link.
         a: ServerId,
@@ -29,7 +29,7 @@ pub enum NetError {
         /// The offending speed value in Mbps.
         speed: f64,
     },
-    /// A server has non-positive computational power.
+    /// A server's computational power is not finite and positive.
     BadPower {
         /// The offending server.
         server: ServerId,
@@ -43,6 +43,15 @@ pub enum NetError {
         needed: usize,
         /// Servers actually provided.
         got: usize,
+    },
+    /// A link has a negative or non-finite propagation delay.
+    BadPropagation {
+        /// One endpoint of the offending link.
+        a: ServerId,
+        /// The other endpoint.
+        b: ServerId,
+        /// The offending delay in seconds.
+        propagation: f64,
     },
     /// A server has a negative or non-finite hourly price.
     BadPrice {
@@ -66,10 +75,22 @@ impl fmt::Display for NetError {
             NetError::DuplicateName(n) => write!(f, "duplicate server name {n:?}"),
             NetError::Empty => f.write_str("network has no servers"),
             NetError::BadSpeed { a, b, speed } => {
-                write!(f, "link {a} -- {b} has non-positive speed {speed} Mbps")
+                write!(
+                    f,
+                    "link {a} -- {b} has non-finite or non-positive speed {speed} Mbps"
+                )
             }
             NetError::BadPower { server, power } => {
-                write!(f, "server {server} has non-positive power {power} MHz")
+                write!(
+                    f,
+                    "server {server} has non-finite or non-positive power {power} MHz"
+                )
+            }
+            NetError::BadPropagation { a, b, propagation } => {
+                write!(
+                    f,
+                    "link {a} -- {b} has invalid propagation delay {propagation} s"
+                )
             }
             NetError::TooFewServers { needed, got } => {
                 write!(f, "topology needs at least {needed} servers, got {got}")
@@ -98,6 +119,12 @@ mod tests {
             speed: 0.0,
         };
         assert!(e.to_string().contains("non-positive speed"));
+        let e = NetError::BadPropagation {
+            a: ServerId::new(0),
+            b: ServerId::new(1),
+            propagation: f64::INFINITY,
+        };
+        assert!(e.to_string().contains("invalid propagation delay inf s"));
         assert!(NetError::Empty.to_string().contains("no servers"));
     }
 }

@@ -85,8 +85,7 @@ impl From<usize> for LinkId {
 ///
 /// Region ids are dense (`0..network.num_regions()`); servers default to
 /// region 0, so single-region networks never mention regions at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(pub u32);
 
 impl RegionId {
@@ -125,8 +124,7 @@ impl From<usize> for RegionId {
 ///
 /// Zones are informational in the cost model (latency is modelled at
 /// region granularity) but let constraints express anti-affinity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ZoneId(pub u32);
 
 impl ZoneId {

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsflow_model::units::{MbitsPerSec, Seconds};
 
 use crate::ids::ServerId;
@@ -11,7 +10,7 @@ use crate::ids::ServerId;
 ///
 /// Carries the paper's `Line_Speed(s, s')` (throughput) and
 /// `Tprop(s, s')` (propagation delay) from Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// One endpoint.
     pub a: ServerId,

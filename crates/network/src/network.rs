@@ -1,6 +1,5 @@
 //! The server network `N(S, L)`.
 
-use serde::{Deserialize, Serialize};
 use wsflow_model::units::{DollarsPerHour, MbitsPerSec, MegaHertz, Seconds};
 
 use crate::error::NetError;
@@ -14,7 +13,7 @@ use crate::server::Server;
 /// paper: Line–Line, Line–Bus, Graph–Bus), and the simulator uses the
 /// hint to decide whether links contend individually (line) or share a
 /// single medium (bus).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
     /// Servers chained `S₁ — S₂ — … — S_N`.
     Line,
@@ -47,7 +46,7 @@ impl std::fmt::Display for TopologyKind {
 
 /// A network of servers: nodes with computational power, undirected links
 /// with throughput and propagation delay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Network {
     name: String,
     servers: Vec<Server>,
@@ -68,14 +67,11 @@ pub struct Network {
     /// = links incident to server `s`, in ascending link id. Two flat
     /// arrays instead of per-server `Vec`s keep the routing and
     /// evaluation loops cache-linear.
-    #[serde(skip)]
     adj_off: Vec<u32>,
-    #[serde(skip)]
     adj_links: Vec<LinkId>,
     /// Mutation counter: bumped by every server/link mutation, so caches
     /// derived from the network (notably routing tables) can detect
     /// staleness. Not part of the network's identity.
-    #[serde(skip)]
     generation: u64,
 }
 
@@ -95,8 +91,9 @@ impl PartialEq for Network {
 
 impl Network {
     /// Build a network from parts, verifying sanity: unique names,
-    /// positive powers and speeds, valid endpoints, no self-links or
-    /// duplicate links.
+    /// finite positive powers and speeds, finite non-negative
+    /// propagation delays, valid endpoints, no self-links or duplicate
+    /// links.
     pub fn new(
         name: impl Into<String>,
         servers: Vec<Server>,
@@ -111,7 +108,7 @@ impl Network {
             if !names.insert(s.name.as_str()) {
                 return Err(NetError::DuplicateName(s.name.clone()));
             }
-            if s.power.value() <= 0.0 || s.power.value().is_nan() {
+            if !finite_positive(s.power.value()) {
                 return Err(NetError::BadPower {
                     server: ServerId::from(i),
                     power: s.power.value(),
@@ -206,7 +203,7 @@ impl Network {
 
     /// Change a server's computational power. Bumps the generation.
     pub fn set_server_power(&mut self, s: ServerId, power: MegaHertz) -> Result<(), NetError> {
-        if power.value() <= 0.0 || power.value().is_nan() {
+        if !finite_positive(power.value()) {
             return Err(NetError::BadPower {
                 server: s,
                 power: power.value(),
@@ -225,7 +222,7 @@ impl Network {
         let Some(link) = self.links.get_mut(l.index()) else {
             return Err(NetError::UnknownLink(l));
         };
-        if speed.value() <= 0.0 || speed.value().is_nan() {
+        if !finite_positive(speed.value()) {
             return Err(NetError::BadSpeed {
                 a: link.a,
                 b: link.b,
@@ -254,10 +251,10 @@ impl Network {
         Ok(())
     }
 
-    /// Rebuild the CSR adjacency index (needed after deserialisation).
-    /// Counting sort over the link arena; each server's slice lists its
-    /// incident links in ascending link id (the insertion order).
-    pub fn reindex(&mut self) {
+    /// Build the CSR adjacency index. Counting sort over the link arena;
+    /// each server's slice lists its incident links in ascending link id
+    /// (the insertion order).
+    fn reindex(&mut self) {
         let n = self.servers.len();
         let mut off = vec![0u32; n + 1];
         for l in &self.links {
@@ -459,7 +456,8 @@ impl Network {
 
 /// Validate `links` over `n` servers and return the first faulty link's
 /// error, in link order: an unknown endpoint, a self-link, a duplicate
-/// of an earlier link (either orientation), or a non-positive speed —
+/// of an earlier link (either orientation), a speed that is not finite
+/// and positive, or a negative or non-finite propagation delay —
 /// checked in that order within each link.
 ///
 /// Duplicates are found without hashing. A stable counting sort groups
@@ -514,15 +512,28 @@ fn check_links(n: usize, links: &[Link]) -> Result<(), NetError> {
             let (a, b) = l.canonical();
             return Err(NetError::DuplicateLink(a, b));
         }
-        if l.speed.value() <= 0.0 || l.speed.value().is_nan() {
+        if !finite_positive(l.speed.value()) {
             return Err(NetError::BadSpeed {
                 a: l.a,
                 b: l.b,
                 speed: l.speed.value(),
             });
         }
+        if !(l.propagation.is_finite() && l.propagation.value() >= 0.0) {
+            return Err(NetError::BadPropagation {
+                a: l.a,
+                b: l.b,
+                propagation: l.propagation.value(),
+            });
+        }
     }
     Ok(())
+}
+
+/// The validity rule for server powers and link speeds: finite and
+/// strictly positive (so NaN and `inf` both fail).
+fn finite_positive(x: f64) -> bool {
+    x.is_finite() && x > 0.0
 }
 
 #[cfg(test)]
@@ -573,14 +584,16 @@ mod tests {
 
     #[test]
     fn rejects_bad_power() {
-        let err = Network::new(
-            "n",
-            vec![Server::new("s", MegaHertz(0.0))],
-            vec![],
-            TopologyKind::Custom,
-        )
-        .unwrap_err();
-        assert!(matches!(err, NetError::BadPower { .. }));
+        for power in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = Network::new(
+                "n",
+                vec![Server::new("s", MegaHertz(power))],
+                vec![],
+                TopologyKind::Custom,
+            )
+            .unwrap_err();
+            assert!(matches!(err, NetError::BadPower { .. }), "{power}");
+        }
     }
 
     #[test]
@@ -700,13 +713,18 @@ mod tests {
         assert_eq!(net.server(ServerId::new(0)).power, MegaHertz(500.0));
         assert_eq!(net.link(LinkId::new(0)).speed, MbitsPerSec(10.0));
 
-        // Rejected mutations leave the generation alone.
-        assert!(net
-            .set_server_power(ServerId::new(0), MegaHertz(0.0))
-            .is_err());
-        assert!(net
-            .set_link_speed(LinkId::new(0), MbitsPerSec(-1.0))
-            .is_err());
+        // Rejected mutations leave the generation alone. The setters
+        // share the constructor's rule: finite and positive.
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                net.set_server_power(ServerId::new(0), MegaHertz(bad)),
+                Err(NetError::BadPower { .. })
+            ));
+            assert!(matches!(
+                net.set_link_speed(LinkId::new(0), MbitsPerSec(bad)),
+                Err(NetError::BadSpeed { .. })
+            ));
+        }
         assert_eq!(
             net.set_link_speed(LinkId::new(9), MbitsPerSec(1.0)),
             Err(NetError::UnknownLink(LinkId::new(9)))
@@ -856,11 +874,19 @@ mod tests {
                 let (a, b) = l.canonical();
                 return Err(NetError::DuplicateLink(a, b));
             }
-            if l.speed.value() <= 0.0 || l.speed.value().is_nan() {
+            if l.speed.value() <= 0.0 || l.speed.value().is_nan() || l.speed.value().is_infinite() {
                 return Err(NetError::BadSpeed {
                     a: l.a,
                     b: l.b,
                     speed: l.speed.value(),
+                });
+            }
+            let p = l.propagation.value();
+            if p < 0.0 || p.is_nan() || p.is_infinite() {
+                return Err(NetError::BadPropagation {
+                    a: l.a,
+                    b: l.b,
+                    propagation: p,
                 });
             }
         }
@@ -869,7 +895,7 @@ mod tests {
 
     /// A seeded link list over `n` servers: random distinct pairs, then
     /// (at random positions) duplicates in either orientation, self-links,
-    /// unknown endpoints and bad speeds. Faults stack, so one list often
+    /// unknown endpoints, bad speeds and bad propagation delays. Faults stack, so one list often
     /// holds several and only the first in link order may be reported.
     fn faulty_links(rng: &mut crate::test_rng::Rng, n: usize) -> Vec<Link> {
         let sid = |i: usize| ServerId::from(i);
@@ -884,7 +910,7 @@ mod tests {
         }
         for _ in 0..rng.below(4) {
             let at = rng.below(links.len() + 1);
-            let fault = match rng.below(4) {
+            let fault = match rng.below(5) {
                 0 if !links.is_empty() => {
                     let l = &links[rng.below(links.len())];
                     let (a, b) = if rng.chance(0.5) {
@@ -899,13 +925,19 @@ mod tests {
                     Link::new(s, s, MbitsPerSec(10.0))
                 }
                 2 => Link::new(sid(rng.below(n)), sid(n + rng.below(3)), MbitsPerSec(10.0)),
-                _ => {
+                3 => {
                     let (a, b) = (rng.below(n), rng.below(n));
                     Link::new(
                         sid(a),
                         sid(b),
-                        MbitsPerSec(rng.pick(&[0.0, -1.0, f64::NAN])),
+                        MbitsPerSec(rng.pick(&[0.0, -1.0, f64::NAN, f64::INFINITY])),
                     )
+                }
+                _ => {
+                    let (a, b) = (rng.below(n), rng.below(n));
+                    Link::new(sid(a), sid(b), MbitsPerSec(10.0)).with_propagation(Seconds(
+                        rng.pick(&[-0.001, f64::NAN, f64::INFINITY, 0.0, 0.002]),
+                    ))
                 }
             };
             links.insert(at, fault);
@@ -947,6 +979,7 @@ mod tests {
             "SelfLink",
             "DuplicateLink",
             "BadSpeed",
+            "BadPropagation",
         ] {
             assert!(variants.get(v).copied().unwrap_or(0) > 50, "{variants:?}");
         }
@@ -979,24 +1012,5 @@ mod tests {
             ))
         );
         assert_eq!(check_links(150, &links), oracle_check_links(150, &links));
-    }
-
-    #[test]
-    fn serde_round_trip_with_reindex() {
-        let net = Network::new(
-            "n",
-            two_servers(),
-            vec![
-                Link::new(ServerId::new(0), ServerId::new(1), MbitsPerSec(100.0))
-                    .with_propagation(Seconds(0.001)),
-            ],
-            TopologyKind::Line,
-        )
-        .unwrap();
-        let json = serde_json::to_string(&net).unwrap();
-        let mut back: Network = serde_json::from_str(&json).unwrap();
-        back.reindex();
-        assert_eq!(back, net);
-        assert_eq!(back.degree(ServerId::new(1)), 1);
     }
 }

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsflow_model::units::{DollarsPerHour, MegaHertz};
 
 use crate::ids::{RegionId, ZoneId};
@@ -15,7 +14,7 @@ use crate::ids::{RegionId, ZoneId};
 /// hourly leasing price — all defaulting to the paper's "one free
 /// datacentre" (region 0, zone 0, $0/h), so classic networks are
 /// unchanged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Server {
     /// Human-readable name (unique within a network; enforced at
     /// construction).

@@ -1,11 +1,21 @@
-//! The discrete-event engine: one simulated execution of a deployed
+//! The discrete-event engine: simulated executions of a deployed
 //! workflow.
 //!
 //! Where the analytic model (`wsflow-cost`) computes *expected* values,
-//! the engine plays out a single run: XOR branches are sampled, OR
-//! branches genuinely race, and (optionally) operations queue FIFO on
-//! their server and inter-server messages serialise on the shared bus —
-//! two contention effects the paper's cost model abstracts away.
+//! the engine plays out runs: XOR branches are sampled, OR branches
+//! genuinely race, and (optionally) operations queue FIFO on their
+//! server and inter-server messages serialise on the shared bus — two
+//! contention effects the paper's cost model abstracts away. A message
+//! crossing regions of a geo network also pays the inter-region
+//! surcharge the analytic model charges; it delays the arrival but
+//! never occupies the bus.
+//!
+//! The engine is driven by a stream of workflow-instance arrivals, all
+//! sharing the servers and the bus. The `simulate*` entry points are a
+//! stream of one instance at `t = 0`; [`crate::open_loop()`] feeds it a
+//! Poisson stream. Per-instance state is flat, indexed
+//! `instance · n_ops + op`, and events are ordered by time, then by
+//! insertion: timeline events first, then one arrival per instance.
 //!
 //! # Dynamic runs
 //!
@@ -88,16 +98,25 @@ pub struct SimOutcome {
     pub ops_executed: usize,
 }
 
+/// One operation of one workflow instance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Job {
+    inst: u32,
+    op: OpId,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Action {
-    /// The operation's join condition is satisfied; it may enter service.
-    Ready(OpId),
-    /// The operation finishes processing. `epoch` pins the service
-    /// attempt: a crash aborts the attempt by bumping the operation's
-    /// epoch, turning the in-flight finish into a stale no-op.
-    Finish { op: OpId, epoch: u32 },
-    /// The message reaches its destination server.
-    Arrive(MsgId),
+    /// The instance arrives: its source becomes ready.
+    Inject(u32),
+    /// The job's join condition is satisfied; it may enter service.
+    Ready(Job),
+    /// The job finishes processing. `epoch` pins the service attempt: a
+    /// crash aborts the attempt by bumping the job's epoch, turning the
+    /// in-flight finish into a stale no-op.
+    Finish { job: Job, epoch: u32 },
+    /// The instance's message reaches its destination server.
+    Arrive(u32, MsgId),
     /// Environment event `timeline.events()[i]` fires.
     Env(u32),
 }
@@ -131,8 +150,26 @@ impl PartialOrd for Event {
     }
 }
 
+/// The pending events, ordered by time and then insertion order.
+#[derive(Default)]
+struct Events {
+    heap: BinaryHeap<Event>,
+    seq: u64,
+}
+
+impl Events {
+    fn push(&mut self, time: f64, action: Action) {
+        self.heap.push(Event {
+            time,
+            seq: self.seq,
+            action,
+        });
+        self.seq += 1;
+    }
+}
+
 struct ServerState {
-    queue: VecDeque<OpId>,
+    queue: VecDeque<Job>,
     busy: bool,
 }
 
@@ -170,7 +207,16 @@ pub fn simulate(
     config: SimConfig,
     rng: &mut impl Rng,
 ) -> SimOutcome {
-    run(problem, mapping, config, &Timeline::EMPTY, rng, None)
+    run(
+        problem,
+        mapping,
+        config,
+        &Timeline::EMPTY,
+        &[0.0],
+        rng,
+        None,
+    )
+    .0
 }
 
 /// Like [`simulate`], additionally recording a full event trace.
@@ -181,11 +227,12 @@ pub fn simulate_traced(
     rng: &mut impl Rng,
 ) -> (SimOutcome, ExecutionTrace) {
     let mut trace = ExecutionTrace::new();
-    let outcome = run(
+    let (outcome, _) = run(
         problem,
         mapping,
         config,
         &Timeline::EMPTY,
+        &[0.0],
         rng,
         Some(&mut trace),
     );
@@ -204,7 +251,7 @@ pub fn simulate_dynamic(
     timeline: &Timeline,
     rng: &mut impl Rng,
 ) -> SimOutcome {
-    run(problem, mapping, config, timeline, rng, None)
+    run(problem, mapping, config, timeline, &[0.0], rng, None).0
 }
 
 /// Like [`simulate_dynamic`], additionally recording a full event trace
@@ -217,66 +264,78 @@ pub fn simulate_dynamic_traced(
     rng: &mut impl Rng,
 ) -> (SimOutcome, ExecutionTrace) {
     let mut trace = ExecutionTrace::new();
-    let outcome = run(problem, mapping, config, timeline, rng, Some(&mut trace));
+    let (outcome, _) = run(
+        problem,
+        mapping,
+        config,
+        timeline,
+        &[0.0],
+        rng,
+        Some(&mut trace),
+    );
     (outcome, trace)
 }
 
-/// Enter `op` into service on `s`: commit its service duration, trace
-/// the start, and schedule the finish under the op's current epoch.
+/// Enter `job` into service on `s`: commit its service duration, trace
+/// the start, and schedule the finish under the job's current epoch.
 #[allow(clippy::too_many_arguments)]
 fn begin_service(
-    heap: &mut BinaryHeap<Event>,
-    seq: &mut u64,
+    events: &mut Events,
     trace: &mut Option<&mut ExecutionTrace>,
     service_dur: &mut [f64],
     finish_epoch: &[u32],
-    op: OpId,
+    job: Job,
+    slot: usize,
     s: ServerId,
     time: f64,
     dur: f64,
 ) {
-    service_dur[op.index()] = dur;
+    service_dur[slot] = dur;
     if let Some(t) = trace.as_deref_mut() {
-        t.record(time, TraceKind::OpStarted { op, server: s });
+        t.record(
+            time,
+            TraceKind::OpStarted {
+                op: job.op,
+                server: s,
+            },
+        );
     }
-    heap.push(Event {
-        time: time + dur,
-        seq: *seq,
-        action: Action::Finish {
-            op,
-            epoch: finish_epoch[op.index()],
+    events.push(
+        time + dur,
+        Action::Finish {
+            job,
+            epoch: finish_epoch[slot],
         },
-    });
-    *seq += 1;
+    );
 }
 
-fn run(
+/// Play out one instance of the workflow per entry of `arrivals` (its
+/// arrival time), all sharing the servers and the bus, while replaying
+/// `timeline`. Returns the outcome — whose `completion` is the last
+/// instance's — and each instance's sink-completion time (`+∞` if it
+/// stalled forever).
+pub(crate) fn run(
     problem: &Problem,
     mapping: &Mapping,
     config: SimConfig,
     timeline: &Timeline,
+    arrivals: &[f64],
     rng: &mut impl Rng,
     mut trace: Option<&mut ExecutionTrace>,
-) -> SimOutcome {
+) -> (SimOutcome, Vec<f64>) {
     let w = problem.workflow();
     let net = problem.network();
     let n_ops = w.num_ops();
     let n_servers = net.num_servers();
-    let mut heap: BinaryHeap<Event> = BinaryHeap::new();
-    let mut seq = 0u64;
-    fn push(heap: &mut BinaryHeap<Event>, seq: &mut u64, time: f64, action: Action) {
-        heap.push(Event {
-            time,
-            seq: *seq,
-            action,
-        });
-        *seq += 1;
-    }
+    let mut events = Events::default();
 
-    let mut arrived = vec![0usize; n_ops];
-    let mut fired = vec![false; n_ops];
-    let mut finished = vec![false; n_ops];
-    let mut finish_time = vec![0.0f64; n_ops];
+    // Per-job state, flattened: slot = instance * n_ops + op.
+    let n_jobs = arrivals.len() * n_ops;
+    let slot = |job: Job| job.inst as usize * n_ops + job.op.index();
+    let mut arrived = vec![0usize; n_jobs];
+    let mut fired = vec![false; n_jobs];
+    let mut finished = vec![false; n_jobs];
+    let mut finish_time = vec![0.0f64; n_jobs];
     let mut servers: Vec<ServerState> = (0..n_servers)
         .map(|_| ServerState {
             queue: VecDeque::new(),
@@ -289,8 +348,8 @@ fn run(
     let mut bytes_sent = 0.0f64;
     let mut xor_choices = Vec::new();
     let mut ops_executed = 0usize;
-    // When an op became ready, for FIFO queue-wait accounting.
-    let mut ready_time = vec![0.0f64; n_ops];
+    // When a job became ready, for FIFO queue-wait accounting.
+    let mut ready_time = vec![0.0f64; n_jobs];
 
     // Dynamic-environment state. For a static run (empty timeline) every
     // factor stays exactly 1.0 and every server stays up, so each use
@@ -302,15 +361,15 @@ fn run(
     let mut surge = 1.0f64;
     // The service attempt each scheduled finish belongs to; crashes bump
     // the epoch to cancel in-flight finishes.
-    let mut finish_epoch = vec![0u32; n_ops];
+    let mut finish_epoch = vec![0u32; n_jobs];
     // Committed service duration of the current attempt, charged to the
     // server when (and only when) the attempt completes.
-    let mut service_dur = vec![0.0f64; n_ops];
-    // FIFO: the op in service per server. Non-FIFO: all in-service ops
-    // per server, in start order; plus ops stalled on a downed server.
-    let mut running_fifo: Vec<Option<OpId>> = vec![None; n_servers];
-    let mut running: Vec<Vec<OpId>> = vec![Vec::new(); n_servers];
-    let mut stalled: Vec<Vec<OpId>> = vec![Vec::new(); n_servers];
+    let mut service_dur = vec![0.0f64; n_jobs];
+    // FIFO: the job in service per server. Non-FIFO: all in-service jobs
+    // per server, in start order; plus jobs stalled on a downed server.
+    let mut running_fifo: Vec<Option<Job>> = vec![None; n_servers];
+    let mut running: Vec<Vec<Job>> = vec![Vec::new(); n_servers];
+    let mut stalled: Vec<Vec<Job>> = vec![Vec::new(); n_servers];
     let mut faults_applied = 0u64;
 
     // Observability: batch into run-locals, flush once after the loop.
@@ -330,25 +389,30 @@ fn run(
     assert_eq!(sinks.len(), 1, "problems guarantee a single sink");
     let sink = sinks[0];
 
-    // Schedule the whole timeline up front. At equal times environment
-    // events fire before workflow events (lower seq); an empty timeline
-    // pushes nothing, leaving every seq identical to a static run.
+    // Schedule the whole timeline up front, then one arrival per
+    // instance. At equal times environment events fire before workflow
+    // events (lower seq); an empty timeline pushes nothing.
     for (i, te) in timeline.events().iter().enumerate() {
-        push(&mut heap, &mut seq, te.at.value(), Action::Env(i as u32));
+        events.push(te.at.value(), Action::Env(i as u32));
+    }
+    for (inst, &at) in arrivals.iter().enumerate() {
+        events.push(at, Action::Inject(inst as u32));
     }
 
-    fired[source.index()] = true;
-    push(&mut heap, &mut seq, 0.0, Action::Ready(source));
-
-    while let Some(Event { time, action, .. }) = heap.pop() {
+    while let Some(Event { time, action, .. }) = events.heap.pop() {
         events_processed += 1;
         match action {
-            Action::Ready(op) => {
-                let s = mapping.server_of(op);
+            Action::Inject(inst) => {
+                let job = Job { inst, op: source };
+                fired[slot(job)] = true;
+                events.push(time, Action::Ready(job));
+            }
+            Action::Ready(job) => {
+                let s = mapping.server_of(job.op);
                 if config.server_fifo {
                     let state = &mut servers[s.index()];
-                    ready_time[op.index()] = time;
-                    state.queue.push_back(op);
+                    ready_time[slot(job)] = time;
+                    state.queue.push_back(job);
                     if obs {
                         queue_depth_hist.record(state.queue.len() as f64);
                     }
@@ -356,45 +420,47 @@ fn run(
                         let next = state.queue.pop_front().expect("just pushed");
                         state.busy = true;
                         running_fifo[s.index()] = Some(next);
-                        let dur = tproc(next) * (slow[s.index()] * surge);
+                        let dur = tproc(next.op) * (slow[s.index()] * surge);
                         begin_service(
-                            &mut heap,
-                            &mut seq,
+                            &mut events,
                             &mut trace,
                             &mut service_dur,
                             &finish_epoch,
                             next,
+                            slot(next),
                             s,
                             time,
                             dur,
                         );
                     }
                 } else if up[s.index()] {
-                    running[s.index()].push(op);
-                    let dur = tproc(op) * (slow[s.index()] * surge);
+                    running[s.index()].push(job);
+                    let dur = tproc(job.op) * (slow[s.index()] * surge);
                     begin_service(
-                        &mut heap,
-                        &mut seq,
+                        &mut events,
                         &mut trace,
                         &mut service_dur,
                         &finish_epoch,
-                        op,
+                        job,
+                        slot(job),
                         s,
                         time,
                         dur,
                     );
                 } else {
-                    stalled[s.index()].push(op);
+                    stalled[s.index()].push(job);
                 }
             }
-            Action::Finish { op, epoch } => {
-                if epoch != finish_epoch[op.index()] {
+            Action::Finish { job, epoch } => {
+                let i = slot(job);
+                if epoch != finish_epoch[i] {
                     continue; // attempt aborted by a crash
                 }
+                let op = job.op;
                 let s = mapping.server_of(op);
-                finished[op.index()] = true;
-                finish_time[op.index()] = time;
-                server_busy[s.index()] += service_dur[op.index()];
+                finished[i] = true;
+                finish_time[i] = time;
+                server_busy[s.index()] += service_dur[i];
                 ops_executed += 1;
                 if let Some(t) = trace.as_deref_mut() {
                     t.record(time, TraceKind::OpFinished { op, server: s });
@@ -405,7 +471,7 @@ fn run(
                     if let Some(next) = state.queue.pop_front() {
                         // Popped at a finish event, so `next` sat queued
                         // the whole time since it became ready.
-                        let waited = time - ready_time[next.index()];
+                        let waited = time - ready_time[slot(next)];
                         if waited > 0.0 {
                             if obs {
                                 queue_wait_hist.record(waited);
@@ -414,7 +480,7 @@ fn run(
                                 t.record(
                                     time,
                                     TraceKind::QueueWait {
-                                        op: next,
+                                        op: next.op,
                                         server: s,
                                         waited: Seconds(waited),
                                     },
@@ -422,14 +488,14 @@ fn run(
                             }
                         }
                         running_fifo[s.index()] = Some(next);
-                        let dur = tproc(next) * (slow[s.index()] * surge);
+                        let dur = tproc(next.op) * (slow[s.index()] * surge);
                         begin_service(
-                            &mut heap,
-                            &mut seq,
+                            &mut events,
                             &mut trace,
                             &mut service_dur,
                             &finish_epoch,
                             next,
+                            slot(next),
                             s,
                             time,
                             dur,
@@ -437,7 +503,7 @@ fn run(
                     } else {
                         state.busy = false;
                     }
-                } else if let Some(pos) = running[s.index()].iter().position(|&o| o == op) {
+                } else if let Some(pos) = running[s.index()].iter().position(|&r| r == job) {
                     running[s.index()].remove(pos);
                 }
                 // Dispatch outgoing messages.
@@ -445,14 +511,16 @@ fn run(
                 if out.is_empty() {
                     continue;
                 }
-                let chosen: Vec<MsgId> = if w.op(op).kind == OpKind::Open(DecisionKind::Xor) {
+                let picked;
+                let chosen: &[MsgId] = if w.op(op).kind == OpKind::Open(DecisionKind::Xor) {
                     let mid = sample_branch(w, op, rng);
                     xor_choices.push((op, mid));
-                    vec![mid]
+                    picked = [mid];
+                    &picked
                 } else {
-                    out.to_vec()
+                    out
                 };
-                for mid in chosen {
+                for &mid in chosen {
                     let msg = w.message(mid);
                     let from = mapping.server_of(msg.from);
                     let to = mapping.server_of(msg.to);
@@ -464,6 +532,11 @@ fn run(
                         if let Some(t) = trace.as_deref_mut() {
                             t.record(time, TraceKind::MsgSent { msg: mid, from, to });
                         }
+                        // The geo extension's inter-region surcharge
+                        // (zero without a latency matrix, an exact
+                        // identity) is pure delay: it never occupies
+                        // the bus.
+                        let region = net.server_region_latency(from, to);
                         match (config.bus_serial, net.bus_speed()) {
                             (true, Some(speed)) => {
                                 let start = time.max(bus_free);
@@ -490,13 +563,13 @@ fn run(
                                     .map(|l| link_f[l.index()])
                                     .unwrap_or(1.0);
                                 bus_free = start + (msg.size / speed).value() * degrade;
-                                bus_free
+                                bus_free + region.value()
                             }
                             _ => {
-                                // The static fold of `Path::transfer_time`
-                                // with each link's transmission term
-                                // stretched by its current degradation
-                                // factor (×1.0 when nominal — exact).
+                                // `RoutingTable::transfer_time` with each
+                                // link's transmission term stretched by
+                                // its current degradation factor (×1.0
+                                // when nominal — exact).
                                 let path = problem
                                     .routing()
                                     .path(from, to)
@@ -510,33 +583,35 @@ fn run(
                                             + link.propagation
                                     })
                                     .sum();
-                                time + t.value()
+                                time + (t + region).value()
                             }
                         }
                     };
-                    push(&mut heap, &mut seq, arrival, Action::Arrive(mid));
+                    events.push(arrival, Action::Arrive(job.inst, mid));
                 }
             }
-            Action::Arrive(mid) => {
+            Action::Arrive(inst, mid) => {
                 if let Some(t) = trace.as_deref_mut() {
                     t.record(time, TraceKind::MsgArrived { msg: mid });
                 }
-                let target = w.message(mid).to;
-                if fired[target.index()] {
+                let target = Job {
+                    inst,
+                    op: w.message(mid).to,
+                };
+                let i = slot(target);
+                if fired[i] {
                     continue; // late OR arrival
                 }
-                arrived[target.index()] += 1;
-                let fire = match w.op(target).kind {
-                    OpKind::Close(DecisionKind::And) => {
-                        arrived[target.index()] == w.in_degree(target)
-                    }
+                arrived[i] += 1;
+                let fire = match w.op(target.op).kind {
+                    OpKind::Close(DecisionKind::And) => arrived[i] == w.in_degree(target.op),
                     // /OR fires on the first arrival; /XOR receives
                     // exactly one; everything else has in-degree 1.
                     _ => true,
                 };
                 if fire {
-                    fired[target.index()] = true;
-                    push(&mut heap, &mut seq, time, Action::Ready(target));
+                    fired[i] = true;
+                    events.push(time, Action::Ready(target));
                 }
             }
             Action::Env(idx) => {
@@ -549,18 +624,18 @@ fn run(
                     EnvEvent::ServerCrash { server } if server.index() < n_servers => {
                         up[server.index()] = false;
                         if config.server_fifo {
-                            // The in-service op loses its partial work and
+                            // The in-service job loses its partial work and
                             // goes back to the head of the queue.
                             if let Some(r) = running_fifo[server.index()].take() {
-                                finish_epoch[r.index()] += 1;
-                                ready_time[r.index()] = time;
+                                finish_epoch[slot(r)] += 1;
+                                ready_time[slot(r)] = time;
                                 let state = &mut servers[server.index()];
                                 state.queue.push_front(r);
                                 state.busy = false;
                             }
                         } else {
                             for r in std::mem::take(&mut running[server.index()]) {
-                                finish_epoch[r.index()] += 1;
+                                finish_epoch[slot(r)] += 1;
                                 stalled[server.index()].push(r);
                             }
                         }
@@ -571,7 +646,7 @@ fn run(
                             let state = &mut servers[server.index()];
                             if !state.busy {
                                 if let Some(next) = state.queue.pop_front() {
-                                    let waited = time - ready_time[next.index()];
+                                    let waited = time - ready_time[slot(next)];
                                     if waited > 0.0 {
                                         if obs {
                                             queue_wait_hist.record(waited);
@@ -580,7 +655,7 @@ fn run(
                                             t.record(
                                                 time,
                                                 TraceKind::QueueWait {
-                                                    op: next,
+                                                    op: next.op,
                                                     server,
                                                     waited: Seconds(waited),
                                                 },
@@ -589,14 +664,14 @@ fn run(
                                     }
                                     state.busy = true;
                                     running_fifo[server.index()] = Some(next);
-                                    let dur = tproc(next) * (slow[server.index()] * surge);
+                                    let dur = tproc(next.op) * (slow[server.index()] * surge);
                                     begin_service(
-                                        &mut heap,
-                                        &mut seq,
+                                        &mut events,
                                         &mut trace,
                                         &mut service_dur,
                                         &finish_epoch,
                                         next,
+                                        slot(next),
                                         server,
                                         time,
                                         dur,
@@ -604,16 +679,16 @@ fn run(
                                 }
                             }
                         } else {
-                            for op in std::mem::take(&mut stalled[server.index()]) {
-                                running[server.index()].push(op);
-                                let dur = tproc(op) * (slow[server.index()] * surge);
+                            for job in std::mem::take(&mut stalled[server.index()]) {
+                                running[server.index()].push(job);
+                                let dur = tproc(job.op) * (slow[server.index()] * surge);
                                 begin_service(
-                                    &mut heap,
-                                    &mut seq,
+                                    &mut events,
                                     &mut trace,
                                     &mut service_dur,
                                     &finish_epoch,
-                                    op,
+                                    job,
+                                    slot(job),
                                     server,
                                     time,
                                     dur,
@@ -639,17 +714,23 @@ fn run(
         }
     }
 
-    // Statically the sink always completes; dynamically a crash with no
+    // Statically every sink completes; dynamically a crash with no
     // recovery legitimately stalls it forever, reported as +∞.
+    let completions: Vec<f64> = (0..arrivals.len() as u32)
+        .map(|inst| {
+            let i = slot(Job { inst, op: sink });
+            if finished[i] {
+                finish_time[i]
+            } else {
+                f64::INFINITY
+            }
+        })
+        .collect();
+    let completion = completions.iter().copied().fold(0.0, f64::max);
     assert!(
-        finished[sink.index()] || !timeline.is_empty(),
+        completion.is_finite() || !timeline.is_empty(),
         "sink never completed — ill-formed workflow slipped through validation"
     );
-    let completion = if finished[sink.index()] {
-        finish_time[sink.index()]
-    } else {
-        f64::INFINITY
-    };
     if obs {
         wsflow_obs::counter_add("sim.runs", 1);
         wsflow_obs::counter_add("sim.events", events_processed);
@@ -668,14 +749,15 @@ fn run(
             wsflow_obs::merge_histogram("sim.server_utilization", &util);
         }
     }
-    SimOutcome {
+    let outcome = SimOutcome {
         completion: Seconds(completion),
         server_busy: server_busy.into_iter().map(Seconds).collect(),
         messages_sent,
         bytes_sent: Mbits(bytes_sent),
         xor_choices,
         ops_executed,
-    }
+    };
+    (outcome, completions)
 }
 
 fn sample_branch(w: &wsflow_model::Workflow, op: OpId, rng: &mut impl Rng) -> MsgId {
@@ -1207,5 +1289,39 @@ mod tests {
         let a = simulate(&p, &m, SimConfig::contended(), &mut rng(9));
         let b = simulate(&p, &m, SimConfig::contended(), &mut rng(9));
         assert_eq!(a, b);
+    }
+
+    /// The inter-region surcharge delays a message's arrival but never
+    /// holds the bus: two back-to-back sends across a 0.5 s region gap
+    /// finish exactly 0.5 s per crossing later than without the gap.
+    #[test]
+    fn region_latency_delays_arrival_not_the_bus() {
+        use wsflow_net::{RegionId, Server, ZoneId};
+        let (plain, m) = contended_problem_and_mapping();
+        let servers = vec![
+            Server::with_ghz("s0", 1.0).in_region(RegionId::new(0), ZoneId::new(0)),
+            Server::with_ghz("s1", 1.0).in_region(RegionId::new(1), ZoneId::new(0)),
+        ];
+        let net = bus("n", servers, MbitsPerSec(100.0))
+            .unwrap()
+            .with_region_latency(vec![
+                vec![Seconds::ZERO, Seconds(0.5)],
+                vec![Seconds(0.5), Seconds::ZERO],
+            ])
+            .unwrap();
+        let geo = Problem::new(plain.workflow().clone(), net).unwrap();
+        let config = SimConfig {
+            server_fifo: false,
+            bus_serial: true,
+        };
+        for config in [SimConfig::ideal(), config, SimConfig::contended()] {
+            let base = simulate(&plain, &m, config, &mut rng(0)).completion;
+            let far = simulate(&geo, &m, config, &mut rng(0)).completion;
+            // Out to `p`/`q` and back to the closer: two crossings.
+            assert!(
+                (far.value() - base.value() - 1.0).abs() < 1e-9,
+                "{config:?}: {far} vs {base}"
+            );
+        }
     }
 }

@@ -17,7 +17,15 @@
 //!   ([`BranchEstimates`]), the paper's §3.4 deployment input,
 //! * replay environment fault timelines mid-run ([`simulate_dynamic`]):
 //!   crashed servers stall their operations, degraded links stretch
-//!   transfers — the substrate of the `wsflow-dyn` control loop.
+//!   transfers — the substrate of the `wsflow-dyn` control loop,
+//! * measure load scale-up under a Poisson stream of workflow instances
+//!   sharing the servers ([`open_loop()`]).
+//!
+//! There is one discrete-event engine ([`engine`]). A single execution
+//! is a stream of one instance arriving at `t = 0`; an open-loop run is
+//! the same engine fed one arrival per instance, with FIFO servers.
+//! Message transfers charge the geo extension's inter-region surcharge
+//! exactly as the analytic model does.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -9,14 +9,17 @@
 //! throughput, and per-server utilisation. Fair deployments should
 //! degrade gracefully as the arrival rate grows; deployments that pile
 //! work on one server should hit its capacity wall early.
-
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+//!
+//! An open-loop run is the discrete-event engine of [`crate::engine`]
+//! fed one arrival per instance, with FIFO servers. This module draws
+//! the arrivals and folds the per-instance completions into the result.
 
 use rand::Rng;
 use wsflow_cost::{Mapping, Problem};
-use wsflow_model::{DecisionKind, MsgId, OpId, OpKind, Seconds};
+use wsflow_model::Seconds;
+use wsflow_net::dynamics::Timeline;
 
+use crate::engine::{self, SimConfig};
 use crate::monte_carlo::SampleStats;
 
 /// Configuration of an open-loop run.
@@ -67,46 +70,6 @@ pub struct OpenLoopResult {
     pub makespan: Seconds,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Action {
-    /// Instance `usize` is injected (its source becomes ready).
-    Inject(usize),
-    /// `(instance, op)` may enter service.
-    Ready(usize, OpId),
-    /// `(instance, op)` finishes processing.
-    Finish(usize, OpId),
-    /// `(instance, msg)` arrives at its destination.
-    Arrive(usize, MsgId),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    time: f64,
-    seq: u64,
-    action: Action,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times are finite")
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Run an open-loop simulation of `config.instances` arrivals.
 ///
 /// # Examples
@@ -136,137 +99,38 @@ pub fn open_loop(
     config: OpenLoopConfig,
     rng: &mut impl Rng,
 ) -> OpenLoopResult {
-    let w = problem.workflow();
-    let net = problem.network();
-    let n_ops = w.num_ops();
     let k = config.instances;
-    let source = w.sources()[0];
-    let sink = w.sinks()[0];
-
-    let mut heap: BinaryHeap<Event> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut push = |heap: &mut BinaryHeap<Event>, time: f64, action: Action| {
-        heap.push(Event { time, seq, action });
-        seq += 1;
-    };
-
-    // Poisson arrivals.
+    // Poisson arrivals: the first instance arrives at t = 0, the rest
+    // after exponential gaps.
     let mut arrivals = Vec::with_capacity(k);
     let mut t = 0.0f64;
     for i in 0..k {
-        // First instance arrives at t = 0; subsequent ones after
-        // exponential gaps.
         if i > 0 {
             let u: f64 = rng.gen::<f64>().max(1e-300);
             t += -u.ln() / config.arrival_rate_hz;
         }
         arrivals.push(t);
-        push(&mut heap, t, Action::Inject(i));
     }
-
-    // Per-instance state, flattened: index = instance * n_ops + op.
-    let mut arrived = vec![0usize; k * n_ops];
-    let mut fired = vec![false; k * n_ops];
-    let mut completion = vec![f64::NAN; k];
-    // Per-server FIFO across instances.
-    let mut queues: Vec<VecDeque<(usize, OpId)>> =
-        (0..net.num_servers()).map(|_| VecDeque::new()).collect();
-    let mut busy = vec![false; net.num_servers()];
-    let mut server_busy_time = vec![0.0f64; net.num_servers()];
-    let mut bus_free = 0.0f64;
-    let mut last_completion = 0.0f64;
-
-    let tproc =
-        |op: OpId| -> f64 { (w.op(op).cost / net.server(mapping.server_of(op)).power).value() };
-
-    while let Some(Event { time, action, .. }) = heap.pop() {
-        match action {
-            Action::Inject(inst) => {
-                fired[inst * n_ops + source.index()] = true;
-                push(&mut heap, time, Action::Ready(inst, source));
-            }
-            Action::Ready(inst, op) => {
-                let s = mapping.server_of(op);
-                queues[s.index()].push_back((inst, op));
-                if !busy[s.index()] {
-                    let (ni, no) = queues[s.index()].pop_front().expect("just pushed");
-                    busy[s.index()] = true;
-                    push(&mut heap, time + tproc(no), Action::Finish(ni, no));
-                }
-            }
-            Action::Finish(inst, op) => {
-                let s = mapping.server_of(op);
-                server_busy_time[s.index()] += tproc(op);
-                if op == sink {
-                    completion[inst] = time;
-                    last_completion = last_completion.max(time);
-                }
-                // Next queued operation on this server.
-                if let Some((ni, no)) = queues[s.index()].pop_front() {
-                    push(&mut heap, time + tproc(no), Action::Finish(ni, no));
-                } else {
-                    busy[s.index()] = false;
-                }
-                // Dispatch messages.
-                let out = w.out_msgs(op);
-                let chosen: Vec<MsgId> = if w.op(op).kind == OpKind::Open(DecisionKind::Xor) {
-                    vec![sample_branch(w, op, rng)]
-                } else {
-                    out.to_vec()
-                };
-                for mid in chosen {
-                    let msg = w.message(mid);
-                    let from = mapping.server_of(msg.from);
-                    let to = mapping.server_of(msg.to);
-                    let arrival = if from == to {
-                        time
-                    } else {
-                        match (config.bus_serial, net.bus_speed()) {
-                            (true, Some(speed)) => {
-                                let start = time.max(bus_free);
-                                bus_free = start + (msg.size / speed).value();
-                                bus_free
-                            }
-                            _ => {
-                                time + problem
-                                    .routing()
-                                    .transfer_time(net, from, to, msg.size)
-                                    .expect("fully routable")
-                                    .value()
-                            }
-                        }
-                    };
-                    push(&mut heap, arrival, Action::Arrive(inst, mid));
-                }
-            }
-            Action::Arrive(inst, mid) => {
-                let target = w.message(mid).to;
-                let idx = inst * n_ops + target.index();
-                if fired[idx] {
-                    continue;
-                }
-                arrived[idx] += 1;
-                let fire = match w.op(target).kind {
-                    OpKind::Close(DecisionKind::And) => arrived[idx] == w.in_degree(target),
-                    _ => true,
-                };
-                if fire {
-                    fired[idx] = true;
-                    push(&mut heap, time, Action::Ready(inst, target));
-                }
-            }
-        }
-    }
-
-    let sojourns: Vec<f64> = completion
+    let sim = SimConfig {
+        server_fifo: true,
+        bus_serial: config.bus_serial,
+    };
+    let (outcome, completions) = engine::run(
+        problem,
+        mapping,
+        sim,
+        &Timeline::EMPTY,
+        &arrivals,
+        rng,
+        None,
+    );
+    let sojourns: Vec<f64> = completions
         .iter()
         .zip(&arrivals)
-        .map(|(&c, &a)| {
-            assert!(!c.is_nan(), "every instance must complete");
-            c - a
-        })
+        .map(|(&c, &a)| c - a)
         .collect();
-    let makespan = last_completion; // first arrival is at t = 0
+    // The last completion; the first arrival is at t = 0.
+    let makespan = outcome.completion.value();
     OpenLoopResult {
         sojourn: SampleStats::from_values(&sojourns),
         throughput_hz: if makespan > 0.0 {
@@ -274,34 +138,25 @@ pub fn open_loop(
         } else {
             f64::INFINITY
         },
-        utilization: server_busy_time
+        utilization: outcome
+            .server_busy
             .iter()
-            .map(|&b| if makespan > 0.0 { b / makespan } else { 0.0 })
+            .map(|&b| {
+                if makespan > 0.0 {
+                    b.value() / makespan
+                } else {
+                    0.0
+                }
+            })
             .collect(),
         makespan: Seconds(makespan),
     }
 }
 
-fn sample_branch(w: &wsflow_model::Workflow, op: OpId, rng: &mut impl Rng) -> MsgId {
-    let out = w.out_msgs(op);
-    let total: f64 = out
-        .iter()
-        .map(|&m| w.message(m).branch_probability.value())
-        .sum();
-    let mut x = rng.gen::<f64>() * total;
-    for &m in out {
-        x -= w.message(m).branch_probability.value();
-        if x <= 0.0 {
-            return m;
-        }
-    }
-    *out.last().expect("XOR openers have outgoing edges")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, SimConfig};
+    use crate::engine::simulate;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use wsflow_model::{MCycles, Mbits, MbitsPerSec, WorkflowBuilder};

@@ -140,12 +140,6 @@ pub fn build_problem(spec: &ProblemSpec) -> Result<Problem, String> {
                     server_ghz.len()
                 ));
             }
-            if server_ghz.iter().any(|g| !g.is_finite() || *g <= 0.0) {
-                return Err("server_ghz ratings must all be positive".to_string());
-            }
-            if !bus_mbps.is_finite() || *bus_mbps <= 0.0 {
-                return Err(format!("bus_mbps must be positive, got {bus_mbps}"));
-            }
             let wf = wsflow_model::dsl::parse(workflow).map_err(|e| e.to_string())?;
             let servers = server_ghz
                 .iter()
@@ -235,6 +229,23 @@ mod tests {
                 workflow: "workflow w\nnode A op 1\n".into(),
                 server_ghz: vec![],
                 bus_mbps: 10.0,
+            },
+            // Ratings and bus speeds are checked by the network
+            // constructor: finite and positive.
+            ProblemSpec::Inline {
+                workflow: "workflow w\nnode A op 1\n".into(),
+                server_ghz: vec![f64::INFINITY, 1.0],
+                bus_mbps: 10.0,
+            },
+            ProblemSpec::Inline {
+                workflow: "workflow w\nnode A op 1\n".into(),
+                server_ghz: vec![1.0, -2.0],
+                bus_mbps: 10.0,
+            },
+            ProblemSpec::Inline {
+                workflow: "workflow w\nnode A op 1\n".into(),
+                server_ghz: vec![1.0, 1.0],
+                bus_mbps: f64::NAN,
             },
             // The bus build grows as N², so inline pools are capped like
             // generated ones.

@@ -17,7 +17,7 @@
 //! cancelled (its token is fired before dispatch), mirroring a TCP
 //! client that disconnects while queued. Per the anytime-solver
 //! guarantee the solve still returns a complete mapping, terminated
-//! [`Termination::Cancelled`](wsflow_core::Termination::Cancelled).
+//! [`wsflow_core::Termination::Cancelled`].
 
 use wsflow_core::{CancelToken, SolveCtx, Termination};
 

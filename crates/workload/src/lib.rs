@@ -13,7 +13,6 @@ pub mod classes;
 pub mod distributions;
 pub mod generator;
 pub mod geo;
-pub mod io;
 pub mod scale;
 pub mod scenario;
 pub mod soap;

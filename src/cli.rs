@@ -992,6 +992,24 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Non-finite ratings used to slip through and deploy onto an
+    /// infinitely fast server; the network constructor now rejects them.
+    #[test]
+    fn deploy_rejects_non_finite_pool() {
+        let path = temp_workflow(DEMO);
+        for flags in [
+            &["--servers", "inf,1"][..],
+            &["--servers", "1,1", "--bus", "inf"],
+        ] {
+            let err = cmd_deploy(path.to_str().unwrap(), &strs(flags)).unwrap_err();
+            assert!(
+                err.to_string().contains("invalid server pool"),
+                "{flags:?}: {err}"
+            );
+        }
+        std::fs::remove_file(path).ok();
+    }
+
     #[test]
     fn simulate_reports_stats() {
         let path = temp_workflow(DEMO);

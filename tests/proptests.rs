@@ -300,35 +300,66 @@ fn open_loop_light_load_equals_single_run() {
         let class = ExperimentClass::class_c();
         let m = rng.gen_range(3usize..8);
         let seed = rng.gen_range(0u64..200);
-        let s = generate(
-            Configuration::LineBus(MbitsPerSec(100.0)),
-            m,
-            2,
-            &class,
-            seed,
-        );
+        // Extra inputs: an XOR-bearing random graph instead of a line,
+        // and a serialised bus.
+        let config = if rng.gen_bool(0.5) {
+            Configuration::GraphBus(GraphClass::Bushy, MbitsPerSec(100.0))
+        } else {
+            Configuration::LineBus(MbitsPerSec(100.0))
+        };
+        let bus_serial = rng.gen_bool(0.5);
+        let s = generate(config, m, 2, &class, seed);
         let problem = Problem::new(s.workflow, s.network).expect("valid");
         let mapping = FairLoad.deploy(&problem).expect("ok");
-        // Single instance under FIFO servers.
-        let mut sim_rng = rand::rngs::mock::StepRng::new(0, 1);
+        let fifo = SimConfig {
+            server_fifo: true,
+            bus_serial,
+        };
+        let open = |k: usize| {
+            let cfg = OpenLoopConfig::new(k, 0.001);
+            if bus_serial {
+                cfg.with_bus_serial()
+            } else {
+                cfg
+            }
+        };
+
+        // One instance is one FIFO run on the same engine: bit for bit,
+        // XOR draws included.
         let single = simulate(
             &problem,
             &mapping,
-            SimConfig {
-                server_fifo: true,
-                bus_serial: false,
-            },
-            &mut sim_rng,
+            fifo,
+            &mut ChaCha8Rng::seed_from_u64(seed),
         );
-        // Arrivals 1000 s apart: no interference.
-        let mut sim_rng = rand::rngs::mock::StepRng::new(0, 1);
         let r = open_loop(
             &problem,
             &mapping,
-            OpenLoopConfig::new(5, 0.001),
-            &mut sim_rng,
+            open(1),
+            &mut ChaCha8Rng::seed_from_u64(seed),
         );
-        assert!((r.sojourn.mean.value() - single.completion.value()).abs() < 1e-9);
+        let bits = single.completion.value().to_bits();
+        assert_eq!(r.sojourn.mean.value().to_bits(), bits, "{config}");
+        assert_eq!(r.makespan.value().to_bits(), bits, "{config}");
+
+        // Arrivals 1000 s apart: no interference, so every instance's
+        // sojourn is the single run's. Later instances run at absolute
+        // times near their arrival, so `completion - arrival` carries
+        // rounding of that magnitude (a few ulps per event on the
+        // critical path) and cannot be bit-exact. The step RNG draws
+        // 0.0, so every XOR opener takes its first branch in both runs.
+        let mut sim_rng = rand::rngs::mock::StepRng::new(0, 1);
+        let single = simulate(&problem, &mapping, fifo, &mut sim_rng);
+        let mut sim_rng = rand::rngs::mock::StepRng::new(0, 1);
+        let r = open_loop(&problem, &mapping, open(5), &mut sim_rng);
+        let ulps = 4.0 * problem.num_ops() as f64 * f64::EPSILON * r.makespan.value();
+        for got in [r.sojourn.min, r.sojourn.max] {
+            assert!(
+                (got.value() - single.completion.value()).abs() <= ulps,
+                "{config}: {got} vs {}",
+                single.completion
+            );
+        }
     });
 }
 
