@@ -178,7 +178,7 @@ impl DeploymentAlgorithm for AllOnFastest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsflow_cost::time_penalty;
+    use wsflow_cost::reference::time_penalty;
     use wsflow_model::{MCycles, Mbits, MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::bus;
     use wsflow_net::Server;

@@ -7,7 +7,7 @@
 //! single-operation moves, minimising first the total violation and
 //! then the combined cost among feasible mappings.
 
-use wsflow_cost::{max_load, CostBreakdown, Evaluator, Mapping, Problem, UserConstraints};
+use wsflow_cost::{CostBreakdown, Evaluator, Mapping, Problem, UserConstraints};
 use wsflow_model::{OpId, Seconds};
 use wsflow_net::ServerId;
 
@@ -94,7 +94,11 @@ impl<A: DeploymentAlgorithm> ConstrainedDeploy<A> {
         let mut ev = Evaluator::new(problem);
         let score = |ev: &mut Evaluator<'_>, m: &Mapping| -> (Seconds, Seconds) {
             let cost = ev.evaluate(m);
-            let load = max_load(ev.problem(), m);
+            let load = ev
+                .compute_loads(m)
+                .iter()
+                .copied()
+                .fold(Seconds::ZERO, Seconds::max);
             (violation(&constraints, &cost, load), cost.combined)
         };
         let mut current = start;
@@ -197,7 +201,7 @@ impl<A: DeploymentAlgorithm> DeploymentAlgorithm for ConstrainedDeploy<A> {
 mod tests {
     use super::*;
     use crate::holm::HeavyOpsLargeMsgs;
-    use wsflow_cost::{texecute, time_penalty};
+    use wsflow_cost::reference::{texecute, time_penalty};
     use wsflow_model::{MCycles, Mbits, MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::{bus, homogeneous_servers};
 

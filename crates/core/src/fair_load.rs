@@ -50,7 +50,7 @@ pub(crate) fn neediest_server(remaining: &[MCycles]) -> ServerId {
 ///
 /// ```
 /// use wsflow_core::{DeploymentAlgorithm, FairLoad};
-/// use wsflow_cost::{time_penalty, Problem};
+/// use wsflow_cost::{Evaluator, Problem};
 /// use wsflow_model::{MCycles, Mbits, MbitsPerSec, WorkflowBuilder};
 /// use wsflow_net::topology::{bus, homogeneous_servers};
 ///
@@ -61,7 +61,7 @@ pub(crate) fn neediest_server(remaining: &[MCycles]) -> ServerId {
 ///
 /// let mapping = FairLoad.deploy(&problem).unwrap();
 /// // Six equal operations over three equal servers: perfectly fair.
-/// assert!(time_penalty(&problem, &mapping).value() < 1e-12);
+/// assert!(Evaluator::new(&problem).penalty(&mapping).value() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FairLoad;
@@ -103,7 +103,8 @@ impl DeploymentAlgorithm for FairLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsflow_cost::{loads, time_penalty, Evaluator};
+    use wsflow_cost::reference::{loads, time_penalty};
+    use wsflow_cost::Evaluator;
     use wsflow_model::{Mbits, MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::{bus, homogeneous_servers};
     use wsflow_net::Server;

@@ -137,7 +137,8 @@ impl DeploymentAlgorithm for FairLoadMergeMessages {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsflow_cost::{network_traffic, texecute};
+    use wsflow_cost::network_traffic;
+    use wsflow_cost::reference::texecute;
     use wsflow_model::{MCycles, MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::{bus, homogeneous_servers};
 

@@ -19,8 +19,8 @@
 //!    evaluate it with the flat-arena [`DeltaEvaluator`].
 //! 4. **Repair the boundaries**: the sub-solves never saw the messages
 //!    cut between clusters, so ops with cross-cluster edges are re-probed
-//!    against the servers of their remote neighbours (a batched
-//!    best-improvement pass over [`DeltaEvaluator::probe_batch`]),
+//!    against the servers of their remote neighbours (a
+//!    best-improvement pass over [`DeltaEvaluator::probe`]),
 //!    charging one step per probe.
 //!
 //! Under an **unlimited** budget the solver additionally runs the inner
@@ -175,7 +175,6 @@ impl<A: DeploymentAlgorithm + Sync> Hierarchical<A> {
         boundary.sort_unstable();
         boundary.dedup();
         let mut cost = delta.cost().combined.value();
-        let mut moves: Vec<(OpId, ServerId)> = Vec::new();
         for _ in 0..self.repair_sweeps {
             let mut improved = false;
             for &op in &boundary {
@@ -202,17 +201,13 @@ impl<A: DeploymentAlgorithm + Sync> Hierarchical<A> {
                 if !ctx.try_charge(candidates.len() as u64) {
                     return false;
                 }
-                moves.clear();
-                moves.extend(candidates.iter().map(|&s| (op, s)));
-                let costs = delta.probe_batch(&moves);
-                let best = costs
+                let best = candidates
                     .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.combined.value().total_cmp(&b.1.combined.value()))
-                    .map(|(i, c)| (i, c.combined.value()));
-                if let Some((i, c)) = best {
+                    .map(|&s| (s, delta.probe(op, s).combined.value()))
+                    .min_by(|a, b| a.1.total_cmp(&b.1));
+                if let Some((s, c)) = best {
                     if c < cost {
-                        delta.apply(op, moves[i].1);
+                        delta.apply(op, s);
                         cost = c;
                         improved = true;
                         ctx.offer(delta.mapping(), cost);

@@ -221,7 +221,8 @@ fn merge(groups: &mut [Group], group_of: &mut [usize], ga: usize, gb: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsflow_cost::{network_traffic, texecute, time_penalty, Evaluator};
+    use wsflow_cost::reference::{texecute, time_penalty};
+    use wsflow_cost::{network_traffic, Evaluator};
     use wsflow_model::{Mbits, MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::{bus, homogeneous_servers};
 

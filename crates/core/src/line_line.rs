@@ -345,7 +345,8 @@ fn percentile_value(sorted: &[f64], fraction: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsflow_cost::{network_traffic, time_penalty};
+    use wsflow_cost::network_traffic;
+    use wsflow_cost::reference::time_penalty;
     use wsflow_model::{MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::{homogeneous_servers, line, line_uniform};
 

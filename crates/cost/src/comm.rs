@@ -7,13 +7,29 @@
 //! O(1) instead of chasing the routed path per query.
 //!
 //! The matrix depends only on the network and its routing table, never
-//! on the workflow — so a [`Problem`](crate::problem::Problem) computes
+//! on the workflow — so a [`Problem`] computes
 //! it once and shares it (via `Arc`) with every evaluator and with every
 //! sub-problem the hierarchical solver derives. Preparing an evaluator
 //! drops from `O(N² · path length)` to `O(M · N)`, which is what makes
 //! per-cluster sub-solves affordable at 10³ servers.
+//!
+//! What agrees with the routed path bit for bit, and what does not:
+//! [`RoutingTable::transfer_time`] computes `size / speed` per link,
+//! while [`CommMatrix::comm_secs`] computes `size · (Σ 1/speed)`, which
+//! rounds once more. The two can differ in the last bit. On one-hop
+//! routes and the class-C message sizes they agree at 10 and 100 Mbps
+//! but not at 1000 Mbps (0.00666 and 0.057838 Mbit); multi-hop routes
+//! add one more rounding per hop. [`CommMatrix::mean_unit_transfer`] is
+//! a 1-Mbit transfer, where `1 · (1/speed)` is exact, so it does match
+//! the routed fold bit for bit.
+//!
+//! [`network_traffic`] lives here too: the expected Mbits a mapping puts
+//! on the network, the quantity the greedy heuristics try to shrink.
 
 use wsflow_net::{Network, RoutingTable, ServerId};
+
+use crate::mapping::Mapping;
+use crate::problem::Problem;
 
 /// Per-(from, to) affine communication coefficients:
 /// `t = size · bw_term + fixed_term`.
@@ -45,7 +61,7 @@ impl CommMatrix {
     ///
     /// Panics if some ordered pair has no route — callers must check
     /// [`RoutingTable::fully_connected`] first (as
-    /// [`Problem`](crate::problem::Problem) construction does).
+    /// [`Problem`] construction does).
     pub fn new(net: &Network, routing: &RoutingTable) -> Self {
         let n = net.num_servers();
         let regions = net.has_region_latency();
@@ -115,7 +131,8 @@ impl CommMatrix {
         self.pair[from.index() * self.n + to.index()]
     }
 
-    /// Transfer seconds for `size_mbits` from `from` to `to`.
+    /// Transfer seconds for `size_mbits` from `from` to `to`: equal to
+    /// the routed transfer time up to rounding (see the module docs).
     #[inline]
     pub fn comm_secs(&self, from: ServerId, to: ServerId, size_mbits: f64) -> f64 {
         let c = self.pair[from.index() * self.n + to.index()];
@@ -127,6 +144,23 @@ impl CommMatrix {
     pub fn mean_unit_transfer(&self) -> f64 {
         self.mean_unit_transfer
     }
+}
+
+/// Total expected bytes put on the network by a mapping (probability-
+/// weighted sizes of inter-server messages). Not part of the paper's
+/// objective but the quantity its heuristics try to shrink.
+pub fn network_traffic(problem: &Problem, mapping: &Mapping) -> wsflow_model::Mbits {
+    let w = problem.workflow();
+    let total: wsflow_model::Mbits = w
+        .msg_ids()
+        .filter(|&m| {
+            let msg = w.message(m);
+            mapping.server_of(msg.from) != mapping.server_of(msg.to)
+        })
+        .map(|m| problem.probabilities().of_msg(m) * w.message(m).size)
+        .sum();
+    // An empty f64 sum is -0.0; traffic is non-negative by construction.
+    wsflow_model::Mbits(total.value().max(0.0))
 }
 
 #[cfg(test)]

@@ -358,18 +358,6 @@ impl<'p> DeltaEvaluator<'p> {
         probed
     }
 
-    /// Probe a batch of candidate moves, returning one cost per move.
-    ///
-    /// Semantically identical to calling [`Self::probe`] per move (each
-    /// result is bit-for-bit what `apply` would return, and the state is
-    /// untouched afterwards), but the batch keeps the undo log, the
-    /// scratch loads, and the flat evaluator arenas hot across probes —
-    /// this is the cache-linear candidate sweep the hierarchical
-    /// boundary-repair pass runs.
-    pub fn probe_batch(&mut self, moves: &[(OpId, ServerId)]) -> Vec<CostBreakdown> {
-        moves.iter().map(|&(op, s)| self.probe(op, s)).collect()
-    }
-
     /// Probe `op → server` and package the result as a [`MoveProposal`]
     /// — the currency knowledge sources post on the blackboard.
     ///
@@ -429,14 +417,11 @@ impl<'p> DeltaEvaluator<'p> {
         for (op, server) in self.mapping.iter() {
             self.ops_on[server.index()].push(op.0);
         }
-        for pos in 0..self.ev.order.len() {
-            let u = self.ev.order[pos];
-            let f = self.ev.finish_of(u, &self.mapping, &self.finish);
-            self.finish[u.index()] = f;
-        }
-        for s in 0..self.loads.len() {
-            self.loads[s] = self.fold_server_load(ServerId::new(s as u32));
-        }
+        self.ev.forward(&self.mapping, &mut self.finish);
+        // `compute_loads` folds each server in ascending op order — the
+        // order `fold_server_load` keeps — so the bits agree.
+        self.loads
+            .copy_from_slice(self.ev.compute_loads(&self.mapping));
         self.cost = self.make_cost(
             self.ev.completion_of(&self.finish),
             time_penalty_of_loads(&self.loads),

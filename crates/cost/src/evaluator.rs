@@ -9,7 +9,7 @@
 //! buffers across calls.
 
 use wsflow_model::traversal::topo_sort;
-use wsflow_model::{DecisionKind, OpId, OpKind, Seconds};
+use wsflow_model::{DecisionKind, MsgId, OpId, OpKind, Seconds};
 use wsflow_net::ServerId;
 
 use crate::load::time_penalty_of_loads;
@@ -19,8 +19,13 @@ use crate::objective::CostBreakdown;
 use crate::problem::Problem;
 
 /// Prepared evaluator; create once per [`Problem`], call
-/// [`Evaluator::evaluate`] per mapping (or
-/// [`Evaluator::evaluate_batch`] for many candidates at once).
+/// [`Evaluator::evaluate`] per mapping.
+///
+/// This is the one production kernel of Table 1: every cost the
+/// solvers, the harness and the CLI report comes from it (or from the
+/// [`DeltaEvaluator`](crate::delta::DeltaEvaluator) built on it). The
+/// [`reference`](crate::reference) module keeps an independent
+/// implementation for tests to check it against.
 ///
 /// Everything mapping-independent lives in flat arenas indexed by dense
 /// ids: per-op processing seconds are one row-major `M × N` array, the
@@ -59,7 +64,7 @@ pub struct Evaluator<'p> {
     /// Scratch: finish time per op.
     finish: Vec<f64>,
     /// Scratch: load per server.
-    pub(crate) loads: Vec<Seconds>,
+    loads: Vec<Seconds>,
     /// Scratch: resident-op counts per server for the billing fold.
     occupancy: Vec<u32>,
 }
@@ -128,59 +133,87 @@ impl<'p> Evaluator<'p> {
         self.problem.comm().comm_secs(from, to, size_mbits)
     }
 
+    /// Transfer seconds of inbound message `m` to an op placed on `to`.
+    #[inline]
+    pub(crate) fn comm_of(&self, m: MsgId, to: ServerId, mapping: &Mapping) -> f64 {
+        // Every inbound message targets the op on `to`, so only the
+        // sender side varies: read the flat sender/size columns, never
+        // the `Message` structs.
+        let i = m.index();
+        let from = OpId(self.msg_from[i]);
+        self.comm_secs(mapping.server_of(from), to, self.msg_size[i])
+    }
+
+    /// When inbound message `m` reaches an op placed on `to`: its
+    /// sender's finish time plus the transfer.
+    #[inline]
+    pub(crate) fn arrival(&self, m: MsgId, to: ServerId, mapping: &Mapping, finish: &[f64]) -> f64 {
+        let t = self.comm_of(m, to, mapping);
+        finish[self.msg_from[m.index()] as usize] + t
+    }
+
+    /// When `u` may start, given the finish times of its predecessors:
+    /// the AND/OR/XOR combination of its arrivals (Table 1's
+    /// `Texecute` recurrence).
+    #[inline]
+    pub(crate) fn ready_of(&self, u: OpId, mapping: &Mapping, finish: &[f64]) -> f64 {
+        let in_msgs = self.problem.workflow().in_msgs(u);
+        if in_msgs.is_empty() {
+            return 0.0;
+        }
+        let to = mapping.server_of(u);
+        let arrival = |m: MsgId| self.arrival(m, to, mapping, finish);
+        match self.kind[u.index()] {
+            OpKind::Close(DecisionKind::And) => {
+                in_msgs.iter().map(|&m| arrival(m)).fold(0.0f64, f64::max)
+            }
+            OpKind::Close(DecisionKind::Or) => in_msgs
+                .iter()
+                .map(|&m| arrival(m))
+                .fold(f64::INFINITY, f64::min),
+            OpKind::Close(DecisionKind::Xor) => {
+                let total: f64 = in_msgs.iter().map(|&m| self.prob_msg[m.index()]).sum();
+                if total <= 0.0 {
+                    // Degenerate: every inflow has probability 0 (e.g.
+                    // the enclosing branch is impossible); fall back to
+                    // the max arrival.
+                    in_msgs.iter().map(|&m| arrival(m)).fold(0.0f64, f64::max)
+                } else {
+                    // Weight each inflow as `arrival · (p / total)`: the
+                    // weights sum to the block's own execution
+                    // probability.
+                    in_msgs
+                        .iter()
+                        .map(|&m| arrival(m) * (self.prob_msg[m.index()] / total))
+                        .sum()
+                }
+            }
+            // Operational nodes and openers have a single predecessor in
+            // a well-formed workflow.
+            _ => in_msgs.iter().map(|&m| arrival(m)).fold(0.0f64, f64::max),
+        }
+    }
+
     /// Finish time of `u` given the finish times of its predecessors.
     ///
     /// This is the single source of truth for the per-op recurrence: the
-    /// full forward pass below and the incremental re-relaxation in
-    /// [`DeltaEvaluator`](crate::delta::DeltaEvaluator) both call it, so
-    /// their results are bit-for-bit identical by construction.
+    /// full forward pass, the incremental re-relaxation in
+    /// [`DeltaEvaluator`](crate::delta::DeltaEvaluator) and the critical
+    /// path all go through it, so their results are bit-for-bit
+    /// identical by construction.
     #[inline]
     pub(crate) fn finish_of(&self, u: OpId, mapping: &Mapping, finish: &[f64]) -> f64 {
-        let w = self.problem.workflow();
-        let in_msgs = w.in_msgs(u);
-        let to_server = mapping.server_of(u);
-        let ready = if in_msgs.is_empty() {
-            0.0
-        } else {
-            // Every inbound message targets `u`, so only the sender side
-            // varies: walk the flat sender/size columns, never the
-            // `Message` structs.
-            let arrival = |mid: wsflow_model::MsgId| -> f64 {
-                let i = mid.index();
-                let from = OpId(self.msg_from[i]);
-                let t = self.comm_secs(mapping.server_of(from), to_server, self.msg_size[i]);
-                finish[self.msg_from[i] as usize] + t
-            };
-            match self.kind[u.index()] {
-                OpKind::Close(DecisionKind::And) => {
-                    in_msgs.iter().map(|&m| arrival(m)).fold(0.0f64, f64::max)
-                }
-                OpKind::Close(DecisionKind::Or) => in_msgs
-                    .iter()
-                    .map(|&m| arrival(m))
-                    .fold(f64::INFINITY, f64::min),
-                OpKind::Close(DecisionKind::Xor) => {
-                    let total: f64 = in_msgs.iter().map(|&m| self.prob_msg[m.index()]).sum();
-                    if total <= 0.0 {
-                        // Degenerate: every inflow has probability 0
-                        // (e.g. the enclosing branch is impossible).
-                        // texecute falls back to the max arrival;
-                        // mirror it exactly.
-                        in_msgs.iter().map(|&m| arrival(m)).fold(0.0f64, f64::max)
-                    } else {
-                        // Weight as `arrival · (p / total)` — the same
-                        // floating-point association `texecute` uses —
-                        // so both paths agree bit for bit.
-                        in_msgs
-                            .iter()
-                            .map(|&m| arrival(m) * (self.prob_msg[m.index()] / total))
-                            .sum()
-                    }
-                }
-                _ => in_msgs.iter().map(|&m| arrival(m)).fold(0.0f64, f64::max),
-            }
-        };
-        ready + self.proc_secs[u.index() * self.n_servers + to_server.index()]
+        self.ready_of(u, mapping, finish) + self.proc_sec(u.index(), mapping.server_of(u).index())
+    }
+
+    /// One forward pass over the topological order: fills `finish[u]`
+    /// for every op of `mapping`.
+    #[inline]
+    pub(crate) fn forward(&self, mapping: &Mapping, finish: &mut [f64]) {
+        for &u in &self.order {
+            let f = self.finish_of(u, mapping, finish);
+            finish[u.index()] = f;
+        }
     }
 
     /// Workflow completion time given a fully relaxed `finish` array.
@@ -194,15 +227,11 @@ impl<'p> Evaluator<'p> {
         )
     }
 
-    /// Expected execution time of `mapping` (same value as
-    /// [`texecute`](crate::texecute::texecute)).
+    /// Expected execution time of `mapping` (Table 1's `Texecute`).
     pub fn execution_time(&mut self, mapping: &Mapping) -> Seconds {
         // Split borrows: read-only tables vs the finish scratch buffer.
         let mut finish = std::mem::take(&mut self.finish);
-        for &u in &self.order {
-            let f = self.finish_of(u, mapping, &finish);
-            finish[u.index()] = f;
-        }
+        self.forward(mapping, &mut finish);
         let result = self.completion_of(&finish);
         self.finish = finish;
         result
@@ -249,26 +278,12 @@ impl<'p> Evaluator<'p> {
     pub fn combined(&mut self, mapping: &Mapping) -> Seconds {
         self.evaluate(mapping).combined
     }
-
-    /// Evaluate a batch of candidate mappings in one pass.
-    ///
-    /// Each candidate runs the identical forward relaxation and load fold
-    /// as [`Evaluator::evaluate`] (bit-for-bit identical breakdowns), but
-    /// the batch shares every prepared table and both scratch buffers, so
-    /// the inner loop streams linearly over the flat `proc_secs` /
-    /// `msg_from` / `msg_size` arenas with warm caches. This is the hot
-    /// path for population-style candidate sweeps (hierarchical boundary
-    /// repair, sampling studies, the `scale_sweep` micro-bench).
-    pub fn evaluate_batch(&mut self, mappings: &[Mapping]) -> Vec<CostBreakdown> {
-        mappings.iter().map(|m| self.evaluate(m)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::load::{loads, time_penalty};
-    use crate::texecute::texecute;
+    use crate::reference::{loads, texecute, time_penalty};
     use wsflow_model::{BlockSpec, MCycles, Mbits, MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::{bus, homogeneous_servers, line_uniform};
 

@@ -1,41 +1,23 @@
-//! Per-server load and the fairness time penalty (Table 1).
+//! The fairness time penalty and the Fair-Load cycle budgets (Table 1).
 //!
-//! * `Tproc(op) = C(op) / P(Server(op))`
 //! * `Load(s)  = Σ_{op → s} prob(op) · Tproc(op)` — probability-weighted
 //!   for random-graph workflows (§3.4); probabilities are all 1 for
-//!   linear workflows.
+//!   linear workflows. [`Evaluator::compute_loads`](crate::Evaluator::compute_loads)
+//!   computes it.
 //! * `Time Penalty = Σ_s |Load(s) − avg Load| / 2` — the time servers
 //!   collectively deviate from the mean load. Zero iff every server
 //!   spends exactly the average time, i.e. the load is distributed in
 //!   proportion to (equal) completion times.
 
 use wsflow_model::{MCycles, OpId, Seconds};
-use wsflow_net::ServerId;
 
-use crate::mapping::Mapping;
 use crate::problem::Problem;
-
-/// Processing time of `op` if deployed on `server`.
-#[inline]
-pub fn tproc(problem: &Problem, op: OpId, server: ServerId) -> Seconds {
-    problem.workflow().op(op).cost / problem.network().server(server).power
-}
 
 /// Expected (probability-weighted) cycles of `op` — the effective
 /// `C(op)` the §3.4 graph algorithms budget with.
 #[inline]
 pub fn effective_cycles(problem: &Problem, op: OpId) -> MCycles {
     problem.probabilities().of_op(op) * problem.workflow().op(op).cost
-}
-
-/// Per-server loads under a mapping, indexed by server id.
-pub fn loads(problem: &Problem, mapping: &Mapping) -> Vec<Seconds> {
-    let mut result = vec![Seconds::ZERO; problem.num_servers()];
-    for (op, server) in mapping.iter() {
-        let t = tproc(problem, op, server);
-        result[server.index()] += problem.probabilities().of_op(op) * t;
-    }
-    result
 }
 
 /// The fairness time penalty over a load vector.
@@ -45,19 +27,6 @@ pub fn time_penalty_of_loads(loads: &[Seconds]) -> Seconds {
     }
     let avg = loads.iter().copied().sum::<Seconds>() / loads.len() as f64;
     loads.iter().map(|&l| (l - avg).abs()).sum::<Seconds>() / 2.0
-}
-
-/// The fairness time penalty of a mapping.
-pub fn time_penalty(problem: &Problem, mapping: &Mapping) -> Seconds {
-    time_penalty_of_loads(&loads(problem, mapping))
-}
-
-/// The largest per-server load of a mapping (used by the
-/// `max_server_load` constraint).
-pub fn max_load(problem: &Problem, mapping: &Mapping) -> Seconds {
-    loads(problem, mapping)
-        .into_iter()
-        .fold(Seconds::ZERO, Seconds::max)
 }
 
 /// The ideal cycle budget per server:
@@ -103,28 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn tproc_formula() {
-        let p = problem(&[10.0, 20.0], &[1.0, 2.0]);
-        // 10 Mcycles / 1 GHz = 10 ms.
-        let t = tproc(&p, OpId::new(0), ServerId::new(0));
-        assert!((t.value() - 0.010).abs() < 1e-12);
-        // 10 Mcycles / 2 GHz = 5 ms.
-        let t = tproc(&p, OpId::new(0), ServerId::new(1));
-        assert!((t.value() - 0.005).abs() < 1e-12);
-    }
-
-    #[test]
-    fn loads_accumulate_per_server() {
-        let p = problem(&[10.0, 20.0, 30.0], &[1.0, 1.0]);
-        let m = Mapping::new(vec![ServerId::new(0), ServerId::new(0), ServerId::new(1)]);
-        let l = loads(&p, &m);
-        assert!((l[0].value() - 0.030).abs() < 1e-12);
-        assert!((l[1].value() - 0.030).abs() < 1e-12);
-        assert_eq!(time_penalty(&p, &m), Seconds::ZERO);
-        assert!((max_load(&p, &m).value() - 0.030).abs() < 1e-12);
-    }
-
-    #[test]
     fn penalty_counts_misplaced_work_once() {
         // Loads 1s and 3s: avg 2, deviations 1+1, halved = 1s of work in
         // the wrong place.
@@ -137,23 +84,6 @@ mod tests {
         );
         // Empty edge case.
         assert_eq!(time_penalty_of_loads(&[]), Seconds::ZERO);
-    }
-
-    #[test]
-    fn penalty_is_zero_for_proportional_loads_on_heterogeneous_servers() {
-        // Server powers 1 and 2 GHz; assigning cycles 10 and 20 gives
-        // both servers 10 ms of work — fair in the paper's sense.
-        let p = problem(&[10.0, 20.0], &[1.0, 2.0]);
-        let m = Mapping::new(vec![ServerId::new(0), ServerId::new(1)]);
-        assert!(time_penalty(&p, &m).value() < 1e-12);
-    }
-
-    #[test]
-    fn single_server_deployment_is_maximally_unfair() {
-        let p = problem(&[10.0, 10.0], &[1.0, 1.0]);
-        let all_on_one = Mapping::all_on(2, ServerId::new(0));
-        let spread = Mapping::new(vec![ServerId::new(0), ServerId::new(1)]);
-        assert!(time_penalty(&p, &all_on_one) > time_penalty(&p, &spread));
     }
 
     #[test]

@@ -1,12 +1,24 @@
-//! Workflow execution time `Texecute` (Table 1).
+//! The independent reference implementation of Table 1 — a test
+//! oracle, not a production path.
 //!
-//! Two independent implementations with identical semantics:
+//! Production code evaluates the cost model through exactly one kernel,
+//! the flat [`Evaluator`](crate::evaluator::Evaluator) (and the
+//! [`DeltaEvaluator`](crate::delta::DeltaEvaluator) built on it). This
+//! module keeps a second, deliberately naive implementation that shares
+//! none of the evaluator's prepared tables: every transfer is routed
+//! through [`RoutingTable::transfer_time`](wsflow_net::RoutingTable::transfer_time)
+//! and every processing time is divided out of the model structs, so a
+//! slip in the kernel shows up as a disagreement with this module.
+//! Tests, property tests and the `scale_sweep` throughput bench use it;
+//! nothing re-exports it at the crate top level.
+//!
+//! Two evaluators of `Texecute` with identical semantics:
 //!
 //! * [`texecute`] — forward propagation of finish times over the DAG in
-//!   topological order; used everywhere (it is the fast path).
+//!   topological order;
 //! * [`texecute_block`] — recursive evaluation over the recovered block
-//!   structure; kept as a cross-check (property tests assert the two
-//!   agree on arbitrary well-formed workflows).
+//!   structure (property tests assert the two agree on arbitrary
+//!   well-formed workflows).
 //!
 //! Semantics per decision kind (§2.2):
 //!
@@ -23,14 +35,49 @@
 //! of expectations, so this analytic value is an approximation of the
 //! true mean; the discrete-event simulator in `wsflow-sim` measures the
 //! unbiased mean and the experiments in EXPERIMENTS.md quantify the gap.
+//!
+//! Load and penalty follow Table 1 directly:
+//!
+//! * `Tproc(op) = C(op) / P(Server(op))`
+//! * `Load(s)  = Σ_{op → s} prob(op) · Tproc(op)`
+//! * `Time Penalty = Σ_s |Load(s) − avg Load| / 2`
 
 use wsflow_model::structure::BlockTree;
 use wsflow_model::traversal::topo_sort;
 use wsflow_model::{DecisionKind, MsgId, OpId, OpKind, Seconds};
+use wsflow_net::ServerId;
 
-use crate::load::tproc;
+use crate::load::time_penalty_of_loads;
 use crate::mapping::Mapping;
 use crate::problem::Problem;
+
+/// Processing time of `op` if deployed on `server`.
+#[inline]
+pub fn tproc(problem: &Problem, op: OpId, server: ServerId) -> Seconds {
+    problem.workflow().op(op).cost / problem.network().server(server).power
+}
+
+/// Per-server loads under a mapping, indexed by server id.
+pub fn loads(problem: &Problem, mapping: &Mapping) -> Vec<Seconds> {
+    let mut result = vec![Seconds::ZERO; problem.num_servers()];
+    for (op, server) in mapping.iter() {
+        let t = tproc(problem, op, server);
+        result[server.index()] += problem.probabilities().of_op(op) * t;
+    }
+    result
+}
+
+/// The fairness time penalty of a mapping.
+pub fn time_penalty(problem: &Problem, mapping: &Mapping) -> Seconds {
+    time_penalty_of_loads(&loads(problem, mapping))
+}
+
+/// The largest per-server load of a mapping.
+pub fn max_load(problem: &Problem, mapping: &Mapping) -> Seconds {
+    loads(problem, mapping)
+        .into_iter()
+        .fold(Seconds::ZERO, Seconds::max)
+}
 
 /// Communication time of message `m` under `mapping`:
 /// zero if co-located, otherwise the routed transfer time.
@@ -43,23 +90,6 @@ pub fn tcomm(problem: &Problem, m: MsgId, mapping: &Mapping) -> Seconds {
         .routing()
         .transfer_time(problem.network(), from, to, msg.size)
         .expect("problem networks are fully routable")
-}
-
-/// Total expected bytes put on the network by a mapping (probability-
-/// weighted sizes of inter-server messages). Not part of the paper's
-/// objective but the quantity its heuristics try to shrink.
-pub fn network_traffic(problem: &Problem, mapping: &Mapping) -> wsflow_model::Mbits {
-    let w = problem.workflow();
-    let total: wsflow_model::Mbits = w
-        .msg_ids()
-        .filter(|&m| {
-            let msg = w.message(m);
-            mapping.server_of(msg.from) != mapping.server_of(msg.to)
-        })
-        .map(|m| problem.probabilities().of_msg(m) * w.message(m).size)
-        .sum();
-    // An empty f64 sum is -0.0; traffic is non-negative by construction.
-    wsflow_model::Mbits(total.value().max(0.0))
 }
 
 /// Expected execution time of the workflow under `mapping`, by forward
@@ -240,15 +270,69 @@ fn exit_op(tree: &BlockTree) -> Option<OpId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::network_traffic;
+    use crate::evaluator::Evaluator;
     use wsflow_model::{
         recover_structure, BlockSpec, MCycles, Mbits, MbitsPerSec, Probability, WorkflowBuilder,
     };
     use wsflow_net::topology::{bus, homogeneous_servers};
-    use wsflow_net::ServerId;
+    use wsflow_net::Server;
 
     fn bus_problem(w: wsflow_model::Workflow, n_servers: usize, ghz: f64, mbps: f64) -> Problem {
         let net = bus("b", homogeneous_servers(n_servers, ghz), MbitsPerSec(mbps)).unwrap();
         Problem::new(w, net).unwrap()
+    }
+
+    fn line_problem(costs: &[f64], powers_ghz: &[f64]) -> Problem {
+        let mut b = WorkflowBuilder::new("w");
+        let costs: Vec<MCycles> = costs.iter().map(|&c| MCycles(c)).collect();
+        b.line("o", &costs, Mbits(0.05));
+        let servers = powers_ghz
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| Server::with_ghz(format!("s{i}"), g))
+            .collect();
+        let net = bus("b", servers, MbitsPerSec(100.0)).unwrap();
+        Problem::new(b.build().unwrap(), net).unwrap()
+    }
+
+    #[test]
+    fn tproc_formula() {
+        let p = line_problem(&[10.0, 20.0], &[1.0, 2.0]);
+        // 10 Mcycles / 1 GHz = 10 ms.
+        let t = tproc(&p, OpId::new(0), ServerId::new(0));
+        assert!((t.value() - 0.010).abs() < 1e-12);
+        // 10 Mcycles / 2 GHz = 5 ms.
+        let t = tproc(&p, OpId::new(0), ServerId::new(1));
+        assert!((t.value() - 0.005).abs() < 1e-12);
+    }
+
+    #[test]
+    fn loads_accumulate_per_server() {
+        let p = line_problem(&[10.0, 20.0, 30.0], &[1.0, 1.0]);
+        let m = Mapping::new(vec![ServerId::new(0), ServerId::new(0), ServerId::new(1)]);
+        let l = loads(&p, &m);
+        assert!((l[0].value() - 0.030).abs() < 1e-12);
+        assert!((l[1].value() - 0.030).abs() < 1e-12);
+        assert_eq!(time_penalty(&p, &m), Seconds::ZERO);
+        assert!((max_load(&p, &m).value() - 0.030).abs() < 1e-12);
+    }
+
+    #[test]
+    fn penalty_is_zero_for_proportional_loads_on_heterogeneous_servers() {
+        // Server powers 1 and 2 GHz; assigning cycles 10 and 20 gives
+        // both servers 10 ms of work — fair in the paper's sense.
+        let p = line_problem(&[10.0, 20.0], &[1.0, 2.0]);
+        let m = Mapping::new(vec![ServerId::new(0), ServerId::new(1)]);
+        assert!(time_penalty(&p, &m).value() < 1e-12);
+    }
+
+    #[test]
+    fn single_server_deployment_is_maximally_unfair() {
+        let p = line_problem(&[10.0, 10.0], &[1.0, 1.0]);
+        let all_on_one = Mapping::all_on(2, ServerId::new(0));
+        let spread = Mapping::new(vec![ServerId::new(0), ServerId::new(1)]);
+        assert!(time_penalty(&p, &all_on_one) > time_penalty(&p, &spread));
     }
 
     #[test]
@@ -398,12 +482,8 @@ mod tests {
         // Expected time is driven entirely by the p=1 branch: 30 ms.
         assert!((t.value() - 0.030).abs() < 1e-12, "got {t}");
         // And the evaluator agrees.
-        let mut ev = wsflow_cost_test_evaluator(&p);
+        let mut ev = Evaluator::new(&p);
         assert!((ev.execution_time(&m).value() - t.value()).abs() < 1e-12);
-    }
-
-    fn wsflow_cost_test_evaluator(p: &Problem) -> crate::evaluator::Evaluator<'_> {
-        crate::evaluator::Evaluator::new(p)
     }
 
     #[test]

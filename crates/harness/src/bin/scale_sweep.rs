@@ -15,7 +15,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
     println!(
-        "eval throughput on {}x{}: legacy {:.0} ns/eval, flat batched {:.0} ns/eval ({:.2}x)",
+        "eval throughput on {}x{}: reference {:.0} ns/eval, flat {:.0} ns/eval ({:.2}x)",
         bench.ops,
         bench.servers,
         bench.legacy_ns_per_eval,

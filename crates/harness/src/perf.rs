@@ -1,14 +1,13 @@
 //! The pinned perf-regression suite behind `wsflow bench`.
 //!
-//! Seven micro-benchmarks over one fixed-seed 200×20 star instance —
+//! Six micro-benchmarks over one fixed-seed 200×20 star instance —
 //! the cost-model hot paths, the constructive greedies the service
 //! serves, and the hierarchical solver — plus two network-layer rows on
 //! a 150-server class-C bus, the pool `wsflowd` builds per request:
 //!
 //! | bench | times |
 //! |---|---|
-//! | `eval_legacy` | one-shot `texecute` + `time_penalty` per mapping |
-//! | `eval_flat_batch` | [`Evaluator::evaluate_batch`] over the same mappings |
+//! | `eval_flat_batch` | [`Evaluator::evaluate`] per mapping over a fixed batch |
 //! | `delta_probe` | single-move [`DeltaEvaluator::probe`] calls |
 //! | `deploy_fairload` | one [`FairLoad`] construction |
 //! | `deploy_portfolio` | one [`Portfolio`] deploy: best of the paper's five greedies |
@@ -30,9 +29,7 @@ use std::hint::black_box;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use wsflow_core::{DeploymentAlgorithm, FairLoad, Hierarchical, Portfolio, SolveCtx};
-use wsflow_cost::{
-    texecute, time_penalty, CommMatrix, DeltaEvaluator, Evaluator, Mapping, Problem,
-};
+use wsflow_cost::{CommMatrix, DeltaEvaluator, Evaluator, Mapping, Problem};
 use wsflow_model::MbitsPerSec;
 use wsflow_net::{topology, RoutingTable, ServerId};
 use wsflow_sim::{monte_carlo, SimConfig};
@@ -131,23 +128,11 @@ pub fn run(quick: bool) -> BenchDoc {
     };
 
     let ns = {
-        let mut acc = 0.0;
-        let ns = time(reps, evals, || {
-            for mp in &mappings {
-                acc += (texecute(&problem, mp) + time_penalty(&problem, mp)).value();
-            }
-        });
-        sink += acc;
-        ns
-    };
-    benches.push(record("eval_legacy", reps, ns));
-
-    let ns = {
         let mut ev = Evaluator::new(&problem);
         let mut acc = 0.0;
         let ns = time(reps, evals, || {
-            for cb in ev.evaluate_batch(&mappings) {
-                acc += cb.combined.value();
+            for mp in &mappings {
+                acc += ev.evaluate(mp).combined.value();
             }
         });
         sink += acc;
@@ -310,7 +295,6 @@ mod tests {
         assert_eq!(
             names,
             [
-                "eval_legacy",
                 "eval_flat_batch",
                 "delta_probe",
                 "deploy_fairload",

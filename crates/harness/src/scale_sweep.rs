@@ -19,7 +19,8 @@ use rand_chacha::ChaCha8Rng;
 use wsflow_core::{
     Blackboard, DeploymentAlgorithm, FairLoad, Hierarchical, HillClimb, SolveCtx, Termination,
 };
-use wsflow_cost::{texecute, time_penalty, CostBreakdown, Evaluator, Mapping, Problem};
+use wsflow_cost::reference::{texecute, time_penalty};
+use wsflow_cost::{CostBreakdown, Evaluator, Mapping, Problem};
 use wsflow_net::ServerId;
 use wsflow_workload::scale_instance;
 
@@ -53,8 +54,8 @@ pub fn seeds(params: &Params) -> usize {
 
 /// The solver suite: the flat constructive baseline, the hierarchical
 /// wrapper around it, and the hierarchical wrapper around a budgeted
-/// local search (which exercises the batched delta-probe path inside
-/// each cluster as well as at the boundaries).
+/// local search (which exercises the delta-probe path inside each
+/// cluster as well as at the boundaries).
 fn suite() -> Vec<Box<dyn DeploymentAlgorithm + Sync>> {
     vec![
         Box::new(FairLoad),
@@ -159,20 +160,20 @@ pub struct BenchResult {
     pub evals: usize,
     /// Repetitions timed.
     pub reps: usize,
-    /// Mean nanoseconds per evaluation through the legacy one-shot
-    /// functions (`texecute` + `time_penalty`).
+    /// Mean nanoseconds per evaluation through the reference
+    /// implementation ([`texecute`] + [`time_penalty`]).
     pub legacy_ns_per_eval: f64,
-    /// Mean nanoseconds per evaluation through the flat-arena batched
-    /// path ([`Evaluator::evaluate_batch`]).
+    /// Mean nanoseconds per evaluation through the flat-arena kernel
+    /// ([`Evaluator::evaluate`] over the batch of mappings).
     pub flat_batch_ns_per_eval: f64,
     /// `legacy / flat` throughput ratio.
     pub speedup: f64,
 }
 
-/// Time the legacy one-shot evaluation against the flat-arena batched
-/// path on one large instance. Wall-clock by design — only the binary
-/// calls this, and the result goes to `BENCH_scale.json`, never into a
-/// deterministic experiment CSV.
+/// Time the [`reference`](wsflow_cost::reference) evaluation against
+/// the flat-arena [`Evaluator`] on one large instance. Wall-clock by
+/// design — only the binary calls this, and the result goes to
+/// `BENCH_scale.json`, never into a deterministic experiment CSV.
 pub fn bench(params: &Params) -> BenchResult {
     let (m, n) = *sizes(params).last().expect("at least one size");
     let sc = scale_instance(m, n, params.base_seed);
@@ -190,8 +191,8 @@ pub fn bench(params: &Params) -> BenchResult {
     let mut ev = Evaluator::new(&problem);
     // Cross-check before timing: both paths must agree on every
     // candidate, otherwise the speedup number is meaningless.
-    let batch = ev.evaluate_batch(&mappings);
-    for (mp, fast) in mappings.iter().zip(&batch) {
+    for mp in &mappings {
+        let fast = ev.evaluate(mp);
         let want = CostBreakdown::new(
             texecute(&problem, mp),
             time_penalty(&problem, mp),
@@ -200,7 +201,7 @@ pub fn bench(params: &Params) -> BenchResult {
         assert!(
             (fast.combined.value() - want.combined.value()).abs()
                 <= 1e-9 * want.combined.value().abs().max(1.0),
-            "flat batched evaluation diverged from the legacy path"
+            "flat evaluation diverged from the reference path"
         );
     }
 
@@ -215,8 +216,8 @@ pub fn bench(params: &Params) -> BenchResult {
     let legacy = legacy_start.elapsed();
     let flat_start = std::time::Instant::now();
     for _ in 0..reps {
-        for cb in ev.evaluate_batch(&mappings) {
-            sink += cb.combined.value();
+        for mp in &mappings {
+            sink += ev.evaluate(mp).combined.value();
         }
     }
     let flat = flat_start.elapsed();

@@ -8,7 +8,7 @@
 //! paper's model leaves out).
 
 use wsflow_core::{DeploymentAlgorithm, HeavyOpsLargeMsgs};
-use wsflow_cost::{texecute, Problem};
+use wsflow_cost::{Evaluator, Problem};
 use wsflow_model::MbitsPerSec;
 use wsflow_sim::{monte_carlo, SimConfig};
 use wsflow_workload::{generate, Configuration, ExperimentClass, GraphClass};
@@ -51,7 +51,7 @@ pub fn rows(params: &Params, trials: usize) -> Vec<ValidationRow> {
             let mapping = HeavyOpsLargeMsgs
                 .deploy(&problem)
                 .expect("HOLM accepts any instance");
-            let analytic = texecute(&problem, &mapping).value();
+            let analytic = Evaluator::new(&problem).execution_time(&mapping).value();
             let ideal = monte_carlo(
                 &problem,
                 &mapping,

@@ -13,7 +13,6 @@ fn committed_bench_obs_json_parses_and_covers_the_suite() {
     assert_eq!(doc.schema, SCHEMA);
     let names: Vec<&str> = doc.benches.iter().map(|b| b.name.as_str()).collect();
     for required in [
-        "eval_legacy",
         "eval_flat_batch",
         "delta_probe",
         "deploy_fairload",

@@ -185,7 +185,7 @@ struct ServerState {
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use wsflow_cost::{texecute, Mapping, Problem};
+/// use wsflow_cost::{Evaluator, Mapping, Problem};
 /// use wsflow_model::{MCycles, Mbits, MbitsPerSec, WorkflowBuilder};
 /// use wsflow_net::topology::{bus, homogeneous_servers};
 /// use wsflow_net::ServerId;
@@ -199,7 +199,8 @@ struct ServerState {
 ///
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
 /// let outcome = simulate(&problem, &mapping, SimConfig::ideal(), &mut rng);
-/// assert!((outcome.completion.value() - texecute(&problem, &mapping).value()).abs() < 1e-12);
+/// let analytic = Evaluator::new(&problem).execution_time(&mapping);
+/// assert!((outcome.completion.value() - analytic.value()).abs() < 1e-12);
 /// ```
 pub fn simulate(
     problem: &Problem,
@@ -781,7 +782,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use wsflow_cost::texecute;
+    use wsflow_cost::reference::texecute;
     use wsflow_model::{BlockSpec, MCycles, MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::{bus, homogeneous_servers};
     use wsflow_net::ServerId;

@@ -113,7 +113,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsflow_cost::texecute;
+    use wsflow_cost::reference::texecute;
     use wsflow_model::{BlockSpec, MCycles, Mbits, MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::{bus, homogeneous_servers};
     use wsflow_net::ServerId;

@@ -59,7 +59,7 @@ fn main() {
     // than 10% over what a perfectly fair deployment would give it.
     println!("\n== constrained deployment ==");
     let unconstrained = Problem::new(workflows[0].clone(), network.clone()).expect("valid");
-    let fair_max = wsflow::cost::max_load(
+    let fair_max = max_load(
         &unconstrained,
         &FairLoad.deploy(&unconstrained).expect("ok"),
     );
@@ -68,12 +68,12 @@ fn main() {
         unconstrained.with_constraints(UserConstraints::none().with_max_server_load(bound));
     match ConstrainedDeploy::new(HeavyOpsLargeMsgs).deploy_constrained(&problem) {
         Ok(mapping) => {
-            let max_load = wsflow::cost::max_load(&problem, &mapping);
+            let max_load = max_load(&problem, &mapping);
             println!(
                 "feasible: max server load {:.3} ms (bound {:.3} ms), exec {:.3} ms",
                 max_load.value() * 1e3,
                 bound.value() * 1e3,
-                texecute(&problem, &mapping).value() * 1e3
+                Evaluator::new(&problem).execution_time(&mapping).value() * 1e3
             );
         }
         Err(e) => println!("constraint repair failed: {e}"),
@@ -102,4 +102,14 @@ fn main() {
             r.utilization.iter().copied().fold(0.0, f64::max) * 100.0
         );
     }
+}
+
+/// The largest per-server load of `mapping` (what the
+/// `max_server_load` constraint bounds).
+fn max_load(problem: &Problem, mapping: &Mapping) -> Seconds {
+    Evaluator::new(problem)
+        .compute_loads(mapping)
+        .iter()
+        .copied()
+        .fold(Seconds::ZERO, Seconds::max)
 }

@@ -123,6 +123,6 @@ fn main() {
         "\nsimulated mean case time: {:.3} ms (±{:.3} CI95), analytic {:.3} ms",
         mc.completion.mean.value() * 1e3,
         mc.completion.ci95_half_width.value() * 1e3,
-        texecute(&problem, &mapping).value() * 1e3
+        ev.execution_time(&mapping).value() * 1e3
     );
 }

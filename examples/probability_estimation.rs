@@ -60,7 +60,7 @@ fn main() {
     // 1. Deploy believing the fraud branch is rare.
     let assumed = Problem::new(workflow_with(ASSUMED_P), network.clone()).expect("valid");
     let mapping = HeavyOpsLargeMsgs.deploy(&assumed).expect("valid");
-    let believed = texecute(&assumed, &mapping);
+    let believed = Evaluator::new(&assumed).execution_time(&mapping);
 
     // 2. Reality: requests follow the true 85 % distribution.
     let truth = Problem::new(workflow_with(TRUE_P), network.clone()).expect("valid");
@@ -88,7 +88,7 @@ fn main() {
     // 4. Redeploy with the estimated probabilities.
     let informed = Problem::new(reestimated_workflow, network).expect("valid");
     let new_mapping = HeavyOpsLargeMsgs.deploy(&informed).expect("valid");
-    let new_believed = texecute(&informed, &new_mapping);
+    let new_believed = Evaluator::new(&informed).execution_time(&new_mapping);
     let new_observed = monte_carlo(&truth, &new_mapping, SimConfig::ideal(), 3000, 31);
     println!(
         "after re-estimation: predicted {:.3} ms, observed {:.3} ms — prediction error {:.1}% (was {:.1}%)",

@@ -74,8 +74,7 @@ pub mod prelude {
         SimulatedAnnealing,
     };
     pub use wsflow_cost::{
-        texecute, time_penalty, CostBreakdown, CostWeights, Evaluator, Mapping, Problem,
-        UserConstraints,
+        CostBreakdown, CostWeights, Evaluator, Mapping, Problem, UserConstraints,
     };
     pub use wsflow_model::{
         BlockSpec, DecisionKind, Dollars, DollarsPerHour, MCycles, Mbits, MbitsPerSec, MegaHertz,

@@ -6,6 +6,7 @@ use wsflow::core::{
     deploy_joint_fair, deploy_sequential, BranchAndBound, ConstrainedDeploy, ConstrainedError,
     MultiProblem,
 };
+use wsflow::cost::reference::{texecute, time_penalty};
 use wsflow::cost::{pareto_front, ParetoPoint};
 use wsflow::prelude::*;
 use wsflow::sim::{open_loop, BranchEstimates, OpenLoopConfig};

@@ -28,7 +28,7 @@ fn server_failure_redeployment() {
     assert!(after.is_valid_for(3));
     assert_eq!(after.len(), 12);
     // The surviving servers absorb all the work and stay fair.
-    let loads = wsflow::cost::loads(&degraded, &after);
+    let loads = wsflow::cost::reference::loads(&degraded, &after);
     assert!(loads.iter().all(|l| l.value() > 0.0));
 }
 

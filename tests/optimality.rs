@@ -5,6 +5,7 @@
 
 use wsflow::core::registry::paper_bus_algorithms;
 use wsflow::core::{optimum, AllOnFastest, RandomMapping};
+use wsflow::cost::reference::time_penalty;
 use wsflow::prelude::*;
 use wsflow::workload::{generate, Configuration, ExperimentClass, GraphClass};
 

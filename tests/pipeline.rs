@@ -3,6 +3,7 @@
 //! summarise with the harness.
 
 use wsflow::core::registry::paper_bus_algorithms;
+use wsflow::cost::reference::{texecute, time_penalty};
 use wsflow::harness::{aggregate, run_on_problem};
 use wsflow::model::dsl;
 use wsflow::prelude::*;
@@ -137,7 +138,7 @@ fn constraints_reject_and_accept() {
     let mapping = FairLoad.deploy(&problem).expect("ok");
     let mut ev = Evaluator::new(&problem);
     let cost = ev.evaluate(&mapping);
-    let max_load = wsflow::cost::max_load(&problem, &mapping);
+    let max_load = wsflow::cost::reference::max_load(&problem, &mapping);
 
     let loose = UserConstraints::none()
         .with_max_execution_time(cost.execution * 2.0)

@@ -8,6 +8,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use wsflow::core::registry::paper_bus_algorithms;
+use wsflow::cost::reference::texecute;
 use wsflow::model::{dsl, recover_structure, BlockSpec, ExecutionProbabilities};
 use wsflow::prelude::*;
 use wsflow::workload::{generate, Configuration, ExperimentClass, GraphClass};
@@ -147,7 +148,7 @@ fn dag_and_block_evaluators_agree() {
         let problem = Problem::new(w, net).expect("valid");
         let mapping = Mapping::from_fn(problem.num_ops(), |o| ServerId::new(o.0 % k.min(3)));
         let dag = texecute(&problem, &mapping);
-        let block = wsflow::cost::texecute_block(&problem, &mapping, &tree);
+        let block = wsflow::cost::reference::texecute_block(&problem, &mapping, &tree);
         assert!(
             (dag.value() - block.value()).abs() < 1e-9,
             "dag {dag} vs block {block}"
@@ -465,7 +466,7 @@ fn delta_evaluator_equals_full_evaluator_and_texecute() {
             // differently associated expressions; agreement to 1e-9.
             let direct_exec = texecute(&problem, delta.mapping());
             assert!((got.execution.value() - direct_exec.value()).abs() < 1e-9);
-            let direct_loads = wsflow::cost::loads(&problem, delta.mapping());
+            let direct_loads = wsflow::cost::reference::loads(&problem, delta.mapping());
             for (a, b) in direct_loads.iter().zip(delta.loads()) {
                 assert!((a.value() - b.value()).abs() < 1e-12);
             }
