@@ -251,30 +251,10 @@ impl<'p> DeltaEvaluator<'p> {
         let to = &mut self.ops_on[server.index()];
         let at = to.binary_search(&idx).unwrap_err();
         to.insert(at, idx);
-        self.loads[old.index()] = self.fold_server_load(old);
-        self.loads[server.index()] = self.fold_server_load(server);
-
-        // Execution time: re-relax `op`, its direct successors (their
-        // inbound communication changed even if `finish[op]` did not),
-        // and transitively every op whose finish time actually moves.
-        self.dirty[op.index()] = true;
-        for &v in &self.succs[op.index()] {
-            self.dirty[v.index()] = true;
-        }
-        for pos in self.pos_of[op.index()]..self.ev.order.len() {
-            let u = self.ev.order[pos];
-            if !self.dirty[u.index()] {
-                continue;
-            }
-            self.dirty[u.index()] = false;
-            let f = self.ev.finish_of(u, &self.mapping, &self.finish);
-            if f.to_bits() != self.finish[u.index()].to_bits() {
-                self.finish[u.index()] = f;
-                for &v in &self.succs[u.index()] {
-                    self.dirty[v.index()] = true;
-                }
-            }
-        }
+        self.loads[old.index()] = self.fold_server_load(old, None, None);
+        self.loads[server.index()] = self.fold_server_load(server, None, None);
+        // Execution time: re-relax forward from `op`.
+        self.relax_from(op, None);
 
         self.cost = self.make_cost(
             self.ev.completion_of(&self.finish),
@@ -305,35 +285,16 @@ impl<'p> DeltaEvaluator<'p> {
         // sorted position.
         self.scratch_loads.clear();
         self.scratch_loads.extend_from_slice(&self.loads);
-        self.scratch_loads[old.index()] = self.fold_server_load_without(old, op.0);
-        self.scratch_loads[server.index()] = self.fold_server_load_with(server, op.0);
+        self.scratch_loads[old.index()] = self.fold_server_load(old, Some(op.0), None);
+        self.scratch_loads[server.index()] = self.fold_server_load(server, None, Some(op.0));
         let penalty = time_penalty_of_loads(&self.scratch_loads);
 
         // Hypothetical finish times: relax in place, logging each
-        // overwritten value. Every op is relaxed at most once (dirtiness
-        // only propagates forward in topological order), so each undo
-        // entry is recorded exactly once.
+        // overwritten value for the restore below.
         self.mapping.assign(op, server);
-        self.undo.clear();
-        self.dirty[op.index()] = true;
-        for &v in &self.succs[op.index()] {
-            self.dirty[v.index()] = true;
-        }
-        for pos in self.pos_of[op.index()]..self.ev.order.len() {
-            let u = self.ev.order[pos];
-            if !self.dirty[u.index()] {
-                continue;
-            }
-            self.dirty[u.index()] = false;
-            let f = self.ev.finish_of(u, &self.mapping, &self.finish);
-            if f.to_bits() != self.finish[u.index()].to_bits() {
-                self.undo.push((u.0, self.finish[u.index()].to_bits()));
-                self.finish[u.index()] = f;
-                for &v in &self.succs[u.index()] {
-                    self.dirty[v.index()] = true;
-                }
-            }
-        }
+        let mut undo = std::mem::take(&mut self.undo);
+        undo.clear();
+        self.relax_from(op, Some(&mut undo));
         // Hypothetical occupancy without touching the residency lists:
         // the destination is occupied by `op` itself; the origin stays
         // occupied only if `op` was not its last resident.
@@ -349,11 +310,12 @@ impl<'p> DeltaEvaluator<'p> {
         if wsflow_obs::enabled() {
             // Undo-log depth == number of ops whose finish time the move
             // actually perturbed (the probe's affected set).
-            self.stats.undo_depth.record(self.undo.len() as f64);
+            self.stats.undo_depth.record(undo.len() as f64);
         }
-        while let Some((i, bits)) = self.undo.pop() {
+        while let Some((i, bits)) = undo.pop() {
             self.finish[i as usize] = f64::from_bits(bits);
         }
+        self.undo = undo;
         self.mapping.assign(op, old);
         probed
     }
@@ -452,49 +414,62 @@ impl<'p> DeltaEvaluator<'p> {
         }
     }
 
-    /// The load of one server, folded over its resident ops in ascending
-    /// op order — exactly the accumulation order (and expression) of
-    /// [`Evaluator::compute_loads`].
-    fn fold_server_load(&self, server: ServerId) -> Seconds {
-        let mut acc = Seconds::ZERO;
-        for &i in &self.ops_on[server.index()] {
-            let secs = self.ev.proc_sec(i as usize, server.index());
-            acc += Seconds(secs * self.ev.prob_op[i as usize]);
+    /// Re-relax `op`, its direct successors (their inbound communication
+    /// changed even if `finish[op]` did not), and transitively every op
+    /// whose finish time actually moves, in topological order. With an
+    /// `undo` log, each overwritten finish time is saved first; every op
+    /// is relaxed at most once (dirtiness only propagates forward), so
+    /// each entry is recorded exactly once.
+    fn relax_from(&mut self, op: OpId, mut undo: Option<&mut Vec<(u32, u64)>>) {
+        self.dirty[op.index()] = true;
+        for &v in &self.succs[op.index()] {
+            self.dirty[v.index()] = true;
         }
-        acc
-    }
-
-    /// `fold_server_load` for a hypothetical residency with `skip`
-    /// removed from `server`.
-    fn fold_server_load_without(&self, server: ServerId, skip: u32) -> Seconds {
-        let mut acc = Seconds::ZERO;
-        for &i in &self.ops_on[server.index()] {
-            if i == skip {
+        for pos in self.pos_of[op.index()]..self.ev.order.len() {
+            let u = self.ev.order[pos];
+            if !self.dirty[u.index()] {
                 continue;
             }
-            let secs = self.ev.proc_sec(i as usize, server.index());
-            acc += Seconds(secs * self.ev.prob_op[i as usize]);
+            self.dirty[u.index()] = false;
+            let f = self.ev.finish_of(u, &self.mapping, &self.finish);
+            if f.to_bits() != self.finish[u.index()].to_bits() {
+                if let Some(log) = undo.as_deref_mut() {
+                    log.push((u.0, self.finish[u.index()].to_bits()));
+                }
+                self.finish[u.index()] = f;
+                for &v in &self.succs[u.index()] {
+                    self.dirty[v.index()] = true;
+                }
+            }
         }
-        acc
     }
 
-    /// `fold_server_load` for a hypothetical residency with `extra`
-    /// merged into `server` at its sorted position.
-    fn fold_server_load_with(&self, server: ServerId, extra: u32) -> Seconds {
+    /// The load of one server, folded over its resident ops in ascending
+    /// op order — exactly the accumulation order (and expression) of
+    /// [`Evaluator::compute_loads`] — for the residency with `skip`
+    /// removed and `insert` merged in at its sorted position (both
+    /// `None` for the real residency).
+    fn fold_server_load(
+        &self,
+        server: ServerId,
+        skip: Option<u32>,
+        mut insert: Option<u32>,
+    ) -> Seconds {
         let term = |i: u32| {
             let secs = self.ev.proc_sec(i as usize, server.index());
             Seconds(secs * self.ev.prob_op[i as usize])
         };
         let mut acc = Seconds::ZERO;
-        let mut inserted = false;
         for &i in &self.ops_on[server.index()] {
-            if !inserted && extra < i {
+            if let Some(extra) = insert.filter(|&extra| extra < i) {
                 acc += term(extra);
-                inserted = true;
+                insert = None;
             }
-            acc += term(i);
+            if Some(i) != skip {
+                acc += term(i);
+            }
         }
-        if !inserted {
+        if let Some(extra) = insert {
             acc += term(extra);
         }
         acc
@@ -631,6 +606,46 @@ mod tests {
                 want.penalty.value().to_bits(),
                 "penalty diverged at step {step}"
             );
+        }
+    }
+
+    #[test]
+    fn probes_onto_occupied_servers_match_full_evaluation_bitwise() {
+        // Many ops per server with irrational-ish costs, so a probe that
+        // merged `op` into a non-empty residency out of ascending op
+        // order would show in the last bits of a load.
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let costs: Vec<MCycles> = (0..40)
+            .map(|_| MCycles(1.0 + rng.gen::<f64>() * 97.3))
+            .collect();
+        let mut b = WorkflowBuilder::new("w");
+        b.line("o", &costs, Mbits(0.3));
+        let servers = (0..3)
+            .map(|i| Server::with_ghz(format!("s{i}"), 1.3 + 0.7 * i as f64))
+            .collect();
+        let net = bus("b", servers, MbitsPerSec(10.0)).unwrap();
+        let p = Problem::new(b.build().unwrap(), net).unwrap();
+        let mut ev = Evaluator::new(&p);
+        let start = Mapping::from_fn(p.num_ops(), |_| ServerId::new(rng.gen_range(0..3u32)));
+        let mut delta = DeltaEvaluator::new(&p, start);
+        for step in 0..400 {
+            let op = OpId::from(rng.gen_range(0..p.num_ops()));
+            let server = ServerId::new(rng.gen_range(0..3u32));
+            let got = delta.probe(op, server);
+            let mut m = delta.mapping().clone();
+            m.assign(op, server);
+            let want = ev.evaluate(&m);
+            assert_eq!(
+                got.penalty.value().to_bits(),
+                want.penalty.value().to_bits(),
+                "penalty diverged probing at step {step}"
+            );
+            assert_eq!(
+                got.combined.value().to_bits(),
+                want.combined.value().to_bits()
+            );
+            let op = OpId::from(rng.gen_range(0..p.num_ops()));
+            delta.apply(op, ServerId::new(rng.gen_range(0..3u32)));
         }
     }
 

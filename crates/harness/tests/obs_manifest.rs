@@ -98,9 +98,23 @@ fn obs_run_writes_valid_manifest_and_disabled_run_is_identical() {
         let depth = snap.histogram("sim.queue_depth").unwrap();
         assert!(depth.count > 0 && !depth.buckets.is_empty());
         assert!(manifest.phases.iter().any(|p| p.name == "experiment"));
+        // The report lists every metric as exactly one row.
         let rendered = manifest.render();
-        assert!(rendered.contains("exhaustive.nodes_expanded"));
-        assert!(rendered.contains("sim.queue_depth"));
+        let rows: Vec<&str> = rendered
+            .lines()
+            .filter(|l| l.starts_with("  "))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        let names = snap
+            .counters
+            .iter()
+            .map(|c| &c.name)
+            .chain(snap.gauges.iter().map(|g| &g.name))
+            .chain(snap.histograms.iter().map(|h| &h.name));
+        for name in names {
+            let n = rows.iter().filter(|r| **r == name.as_str()).count();
+            assert_eq!(n, 1, "{name} in {n} rows:\n{rendered}");
+        }
     }
 
     std::fs::remove_dir_all(&off_dir).ok();

@@ -27,6 +27,22 @@
 //! `bnb.prunes`, `delta.probes`, `par.tasks`, `sim.queue_depth`,
 //! `span.<name>.secs`. Phase spans use the `phase.` prefix and are
 //! surfaced as the manifest's per-phase timing table.
+//!
+//! The name is all [`Manifest::render`] (the body of `wsflow report`)
+//! reads, so a new metric needs no report code. Its contract:
+//!
+//! - **Prefix → section.** Every counter, gauge and histogram is printed
+//!   exactly once, under a header named by its first dotted segment
+//!   (`bb:`, `solver:`, `span:`, …). Sections come in name order; within
+//!   one, counters, then gauges, then histograms.
+//! - **Suffix → unit.** `_us` is microseconds, `_ns` nanoseconds,
+//!   `_secs` or `.secs` seconds and `_dollars` dollars; any other name
+//!   is a plain count or ratio. Values print to four significant digits,
+//!   so a nonzero value never prints as zero.
+//! - **Siblings → shares.** A counter of three or more segments also
+//!   shows its share of the sum over its siblings, the counters that
+//!   share its name up to the last segment: `solver.termination.<why>`
+//!   as a share of all runs, `bb.accepts.<source>` of all accepts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -22,6 +22,7 @@
 //! having); `phases` and `metrics` are simply empty when observability
 //! is disabled.
 
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::process::Command;
 
@@ -182,9 +183,10 @@ impl Manifest {
         serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Human-readable run summary (the body of `wsflow report`):
-    /// header, per-phase timings, top counters, gauges, and histogram
-    /// quantiles.
+    /// Human-readable run summary (the body of `wsflow report`): the
+    /// header, per-phase timings, then every metric exactly once, in one
+    /// section per name prefix. The layout follows from metric names
+    /// alone — see the crate docs' naming convention.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -209,303 +211,54 @@ impl Manifest {
                 let _ = writeln!(out, "  {:<24} {:>10.4}s  {:>5.1}%", p.name, p.secs, share);
             }
         }
-        let mut counters: Vec<_> = self
-            .metrics
-            .counters
-            .iter()
-            .filter(|c| c.value > 0)
-            .collect();
-        counters.sort_by(|a, b| b.value.cmp(&a.value).then_with(|| a.name.cmp(&b.name)));
-        if !counters.is_empty() {
-            let _ = writeln!(out, "\ntop counters:");
-            for c in counters.iter().take(12) {
-                let _ = writeln!(out, "  {:<36} {:>14}", c.name, c.value);
-            }
-            if counters.len() > 12 {
-                let _ = writeln!(out, "  ... and {} more", counters.len() - 12);
+        let m = &self.metrics;
+        let mut sibling_sums: HashMap<&str, u64> = HashMap::new();
+        for c in &m.counters {
+            if let Some(group) = sibling_group(&c.name) {
+                *sibling_sums.entry(group).or_default() += c.value;
             }
         }
-        if !self.metrics.gauges.is_empty() {
-            let _ = writeln!(out, "\ngauges:");
-            for g in &self.metrics.gauges {
-                let _ = writeln!(out, "  {:<36} {:>14.4}", g.name, g.value);
-            }
-        }
-        if !self.metrics.histograms.is_empty() {
-            let _ = writeln!(out, "\nhistograms (count / p50 / p90 / p99 / max):");
-            for h in &self.metrics.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {:<36} {:>8}  {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
-                    h.name, h.count, h.p50, h.p90, h.p99, h.max
-                );
-            }
-        }
-        // Dedicated summary of the anytime solver core: how many solves
-        // ran, how they terminated, and how many steps incumbents took.
-        let solver_counters: Vec<_> = self
-            .metrics
-            .counters
-            .iter()
-            .filter(|c| c.name.starts_with("solver."))
-            .collect();
-        let steps_hist = self
-            .metrics
-            .histograms
-            .iter()
-            .find(|h| h.name == "solver.steps_to_incumbent");
-        if !solver_counters.is_empty() || steps_hist.is_some() {
-            let _ = writeln!(out, "\nsolver:");
-            let runs = solver_counters
-                .iter()
-                .find(|c| c.name == "solver.runs")
-                .map_or(0, |c| c.value);
-            for c in &solver_counters {
-                if let Some(term) = c.name.strip_prefix("solver.termination.") {
-                    let share = if runs > 0 {
-                        100.0 * c.value as f64 / runs as f64
-                    } else {
-                        0.0
-                    };
-                    let _ = writeln!(out, "  {:<36} {:>14}  {:>5.1}%", term, c.value, share);
-                } else {
-                    let _ = writeln!(out, "  {:<36} {:>14}", c.name, c.value);
-                }
-            }
-            if let Some(h) = steps_hist {
-                let _ = writeln!(
-                    out,
-                    "  steps-to-incumbent: {} samples, p50 {:.0}, p90 {:.0}, p99 {:.0}, max {:.0}",
-                    h.count, h.p50, h.p90, h.p99, h.max
-                );
-            }
-        }
-        // Dedicated summary of the incumbent trajectories the anytime
-        // harness recorded: how quickly solves produced anything, and
-        // how quickly they got within 1% of their final quality.
-        let traj_solves = self
-            .metrics
-            .counters
-            .iter()
-            .find(|c| c.name == "trajectory.solves");
-        let ttfi = self
-            .metrics
-            .histograms
-            .iter()
-            .find(|h| h.name == "trajectory.time_to_first_incumbent_secs");
-        let steps_p99 = self
-            .metrics
-            .histograms
-            .iter()
-            .find(|h| h.name == "trajectory.steps_to_p99_quality");
-        if traj_solves.is_some() || ttfi.is_some() || steps_p99.is_some() {
-            let _ = writeln!(out, "\ntrajectory:");
-            if let Some(c) = traj_solves {
-                let _ = writeln!(out, "  {:<36} {:>14}", "solves with incumbents", c.value);
-            }
-            if let Some(h) = ttfi {
-                let _ = writeln!(
-                    out,
-                    "  time-to-first-incumbent (s): {} samples, p50 {:.6}, p90 {:.6}, p99 {:.6}, max {:.6}",
-                    h.count, h.p50, h.p90, h.p99, h.max
-                );
-            }
-            if let Some(h) = steps_p99 {
-                let _ = writeln!(
-                    out,
-                    "  steps-to-1%-of-final: {} samples, p50 {:.0}, p90 {:.0}, p99 {:.0}, max {:.0}",
-                    h.count, h.p50, h.p90, h.p99, h.max
-                );
-            }
-        }
-        // Dedicated summary for dynamic-environment runs: migrations and
-        // recovery behaviour are the headline numbers of `dyn_policies`,
-        // so surface them even though the raw metrics also appear above.
-        let dyn_counters: Vec<_> = self
-            .metrics
-            .counters
-            .iter()
-            .filter(|c| c.name.starts_with("dyn."))
-            .collect();
-        let ttr = self
-            .metrics
-            .histograms
-            .iter()
-            .find(|h| h.name == "dyn.time_to_recover_secs");
-        let avail = self
-            .metrics
-            .gauges
-            .iter()
-            .find(|g| g.name == "dyn.availability");
-        if !dyn_counters.is_empty() || ttr.is_some() || avail.is_some() {
-            let _ = writeln!(out, "\ndynamic:");
-            for c in &dyn_counters {
-                let _ = writeln!(out, "  {:<36} {:>14}", c.name, c.value);
-            }
-            if let Some(g) = avail {
-                let _ = writeln!(out, "  {:<36} {:>14.4}", g.name, g.value);
-            }
-            if let Some(h) = ttr {
-                let _ = writeln!(
-                    out,
-                    "  time-to-recover (s): {} samples, p50 {:.4}, p90 {:.4}, p99 {:.4}, max {:.4}",
-                    h.count, h.p50, h.p90, h.p99, h.max
-                );
-            }
-        }
-        // Dedicated summary for deployment-service runs (`wsflowd` /
-        // `loadgen`): admission-control counters and the latencies a
-        // client felt, at the median and the tail.
-        let svc_counters: Vec<_> = self
-            .metrics
-            .counters
-            .iter()
-            .filter(|c| c.name.starts_with("svc."))
-            .collect();
-        let svc_hists: Vec<_> = self
-            .metrics
-            .histograms
-            .iter()
-            .filter(|h| h.name.starts_with("svc."))
-            .collect();
-        if !svc_counters.is_empty() || !svc_hists.is_empty() {
-            let _ = writeln!(out, "\nservice:");
-            let offered = svc_counters
-                .iter()
-                .filter(|c| matches!(c.name.as_str(), "svc.admitted" | "svc.rejected"))
-                .map(|c| c.value)
-                .sum::<u64>();
-            for c in &svc_counters {
-                let share = if offered > 0 {
-                    100.0 * c.value as f64 / offered as f64
+        let mut sections: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        let mut row = |name: &str, cells: String| {
+            let prefix = name.split_once('.').map_or(name, |(p, _)| p);
+            sections
+                .entry(prefix.to_string())
+                .or_default()
+                .push(format!("  {name:<40} {cells}"));
+        };
+        for c in &m.counters {
+            let share = sibling_group(&c.name).map_or(String::new(), |g| {
+                let total = sibling_sums[g];
+                let pct = if total > 0 {
+                    100.0 * c.value as f64 / total as f64
                 } else {
                     0.0
                 };
-                let _ = writeln!(out, "  {:<36} {:>14}  {:>5.1}%", c.name, c.value, share);
-            }
-            for (h, label) in svc_hists.iter().filter_map(|h| {
-                let label = match h.name.as_str() {
-                    "svc.queue_wait_us" => "queue wait (µs)",
-                    "svc.ttfi_us" => "time-to-first-incumbent (µs)",
-                    "svc.ttfinal_us" => "time-to-final (µs)",
-                    _ => return None,
-                };
-                Some((h, label))
-            }) {
-                let _ = writeln!(
-                    out,
-                    "  {label}: {} samples, p50 {:.0}, p90 {:.0}, p99 {:.0}, max {:.0}",
-                    h.count, h.p50, h.p90, h.p99, h.max
-                );
-            }
+                format!("  {pct:>5.1}%")
+            });
+            row(&c.name, format!("{:>12}{share}", c.value));
         }
-        // Dedicated summary for geo-distributed runs (`geo_sweep`):
-        // where the placements landed region by region, what the
-        // deployments cost in dollars, and how big the tri-criteria
-        // Pareto front came out.
-        let geo_counters: Vec<_> = self
-            .metrics
-            .counters
-            .iter()
-            .filter(|c| c.name.starts_with("geo."))
-            .collect();
-        let geo_shares: Vec<_> = self
-            .metrics
-            .gauges
-            .iter()
-            .filter(|g| g.name.starts_with("geo.region_share."))
-            .collect();
-        let front_size = self
-            .metrics
-            .gauges
-            .iter()
-            .find(|g| g.name == "geo.front_size");
-        let money_hist = self
-            .metrics
-            .histograms
-            .iter()
-            .find(|h| h.name == "geo.money_dollars");
-        if !geo_counters.is_empty()
-            || !geo_shares.is_empty()
-            || front_size.is_some()
-            || money_hist.is_some()
-        {
-            let _ = writeln!(out, "\ngeo:");
-            for c in &geo_counters {
-                let _ = writeln!(out, "  {:<36} {:>14}", c.name, c.value);
-            }
-            for g in &geo_shares {
-                let region = g.name.trim_start_matches("geo.region_share.");
-                let _ = writeln!(
-                    out,
-                    "  {:<36} {:>13.1}%",
-                    format!("placement share {region}"),
-                    100.0 * g.value
-                );
-            }
-            if let Some(g) = front_size {
-                let _ = writeln!(out, "  {:<36} {:>14.0}", "pareto-front points", g.value);
-            }
-            if let Some(h) = money_hist {
-                let _ = writeln!(
-                    out,
-                    "  deployment bill ($): {} samples, p50 {:.4}, p90 {:.4}, p99 {:.4}, max {:.4}",
-                    h.count, h.p50, h.p90, h.p99, h.max
-                );
-            }
+        for g in &m.gauges {
+            row(&g.name, format!("{:>12}", with_unit(&g.name, g.value)));
         }
-        // Blackboard solver summary (`bb.*`): per-source proposal and
-        // accept tallies with accept shares, generation count, and
-        // which sources were dominated and cancelled mid-solve.
-        let bb_counters: Vec<_> = self
-            .metrics
-            .counters
-            .iter()
-            .filter(|c| c.name.starts_with("bb."))
-            .collect();
-        if !bb_counters.is_empty() {
-            let _ = writeln!(out, "\nblackboard:");
-            if let Some(g) = bb_counters.iter().find(|c| c.name == "bb.generations") {
-                let _ = writeln!(out, "  {:<36} {:>14}", "generations", g.value);
-            }
-            let total_accepts: u64 = bb_counters
-                .iter()
-                .filter(|c| c.name.starts_with("bb.accepts."))
-                .map(|c| c.value)
-                .sum();
-            for c in bb_counters
-                .iter()
-                .filter(|c| c.name.starts_with("bb.proposals."))
-            {
-                let source = c.name.trim_start_matches("bb.proposals.");
-                let accepts = bb_counters
-                    .iter()
-                    .find(|a| a.name == format!("bb.accepts.{source}"))
-                    .map(|a| a.value)
-                    .unwrap_or(0);
-                let share = if total_accepts > 0 {
-                    100.0 * accepts as f64 / total_accepts as f64
-                } else {
-                    0.0
-                };
-                let _ = writeln!(
-                    out,
-                    "  {:<36} {:>14}  {accepts} accepted ({share:.1}%)",
-                    format!("source {source}"),
-                    c.value
-                );
-            }
-            for c in bb_counters
-                .iter()
-                .filter(|c| c.name.starts_with("bb.cancellations."))
-            {
-                let source = c.name.trim_start_matches("bb.cancellations.");
-                let _ = writeln!(
-                    out,
-                    "  {:<36} {:>14}",
-                    format!("cancelled {source}"),
-                    c.value
-                );
+        for h in &m.histograms {
+            let q = |v| with_unit(&h.name, v);
+            row(
+                &h.name,
+                format!(
+                    "{:>12} samples, p50 {}, p90 {}, p99 {}, max {}",
+                    h.count,
+                    q(h.p50),
+                    q(h.p90),
+                    q(h.p99),
+                    q(h.max)
+                ),
+            );
+        }
+        for (prefix, rows) in &sections {
+            let _ = writeln!(out, "\n{prefix}:");
+            for r in rows {
+                let _ = writeln!(out, "{r}");
             }
         }
         if self.phases.is_empty() && self.metrics.is_empty() {
@@ -515,6 +268,52 @@ impl Manifest {
             );
         }
         out
+    }
+}
+
+/// The sibling group of a counter of three or more segments: its name
+/// up to the last segment.
+fn sibling_group(name: &str) -> Option<&str> {
+    name.rsplit_once('.')
+        .map(|(group, _)| group)
+        .filter(|group| group.contains('.'))
+}
+
+/// Unit suffixes of metric names, as `(suffix, before, after)`: the
+/// rendered value is wrapped in `before` and `after`.
+const UNITS: [(&str, &str, &str); 5] = [
+    ("_us", "", "µs"),
+    ("_ns", "", "ns"),
+    ("_secs", "", "s"),
+    (".secs", "", "s"),
+    ("_dollars", "$", ""),
+];
+
+/// `v` in the unit `name`'s suffix declares (a plain number otherwise).
+fn with_unit(name: &str, v: f64) -> String {
+    let (before, after) = UNITS
+        .iter()
+        .find(|(suffix, ..)| name.ends_with(suffix))
+        .map_or(("", ""), |&(_, b, a)| (b, a));
+    format!("{before}{}{after}", significant(v))
+}
+
+/// `v` to four significant digits with trailing zeros trimmed, so a
+/// nonzero value never prints as zero; integers print whole.
+fn significant(v: f64) -> String {
+    let magnitude = v.abs().log10().floor();
+    if !magnitude.is_finite() || v.fract() == 0.0 {
+        return format!("{v}");
+    }
+    if magnitude < -9.0 {
+        return format!("{v:.3e}");
+    }
+    let decimals = (3.0 - magnitude).max(0.0) as usize;
+    let s = format!("{v:.decimals$}");
+    if s.contains('.') {
+        s.trim_end_matches('0').trim_end_matches('.').to_string()
+    } else {
+        s
     }
 }
 
@@ -602,261 +401,128 @@ mod tests {
         assert_eq!(phases[1].name, "sim");
     }
 
-    #[test]
-    fn render_mentions_key_sections() {
-        let mut m = sample();
-        m.metrics.counters.push(crate::registry::CounterSnap {
-            name: "exhaustive.nodes_expanded".to_string(),
-            value: 1234,
-        });
-        let text = m.render();
-        assert!(text.contains("fig6"));
-        assert!(text.contains("phases:"));
-        assert!(text.contains("exhaustive.nodes_expanded"));
-        assert!(!text.contains("dynamic:"), "no dyn metrics, no section");
+    fn hist(name: &str, p50: f64) -> crate::registry::HistSnap {
+        crate::registry::HistSnap {
+            name: name.to_string(),
+            count: 5,
+            sum: 5.0 * p50,
+            min: p50,
+            max: 2.0 * p50,
+            p50,
+            p90: p50,
+            p99: 2.0 * p50,
+            buckets: vec![crate::registry::BucketSnap {
+                le: f64::INFINITY,
+                count: 5,
+            }],
+        }
+    }
+
+    /// The section header a line of the report falls under.
+    fn section_of<'a>(text: &'a str, line: &str) -> &'a str {
+        let at = text.find(line).unwrap();
+        text[..at]
+            .lines()
+            .rev()
+            .find(|l| !l.starts_with(' ') && l.ends_with(':'))
+            .unwrap()
     }
 
     #[test]
-    fn render_surfaces_solver_metrics() {
-        let mut m = sample();
-        for (name, value) in [
-            ("solver.runs", 10u64),
-            ("solver.steps", 5_000),
-            ("solver.termination.converged", 7),
+    fn render_prints_every_metric_once_under_its_prefix() {
+        let counters = [
+            ("bb.accepts.fairload", 3u64),
+            ("bb.accepts.router", 1),
+            ("bb.generations", 6),
+            ("bb.proposals.fairload", 4),
+            ("bnb.runs", 2),
+            ("delta.resyncs", 1),
+            ("dyn.migrations", 17),
+            ("exhaustive.runs", 1),
+            ("geo.solves", 48),
+            ("par.jobs", 9),
+            ("sim.runs", 3),
+            ("solver.runs", 10),
             ("solver.termination.budget_exhausted", 3),
-        ] {
-            m.metrics.counters.push(crate::registry::CounterSnap {
-                name: name.to_string(),
-                value,
-            });
-        }
-        m.metrics.histograms.push(crate::registry::HistSnap {
-            name: "solver.steps_to_incumbent".to_string(),
-            count: 25,
-            sum: 2_000.0,
-            min: 1.0,
-            max: 400.0,
-            p50: 60.0,
-            p90: 300.0,
-            p99: 400.0,
-            buckets: vec![crate::registry::BucketSnap {
-                le: f64::INFINITY,
-                count: 25,
-            }],
-        });
-        let text = m.render();
-        assert!(text.contains("solver:"));
-        assert!(text.contains("solver.runs"));
-        assert!(text.contains("converged"));
-        assert!(text.contains("70.0%"), "{text}");
-        assert!(text.contains("budget_exhausted"));
-        assert!(text.contains("steps-to-incumbent: 25 samples"));
-        assert!(text.contains("p90 300"));
-
-        // No solver metrics → no section.
-        assert!(!sample().render().contains("solver:"));
-    }
-
-    #[test]
-    fn render_surfaces_service_metrics() {
-        let mut m = sample();
-        for (name, value) in [
-            ("svc.admitted", 225u64),
-            ("svc.rejected", 15),
-            ("svc.completed", 225),
-            ("svc.cancelled", 9),
-        ] {
-            m.metrics.counters.push(crate::registry::CounterSnap {
-                name: name.to_string(),
-                value,
-            });
-        }
-        for (name, p50) in [
-            ("svc.queue_wait_us", 1_400.0),
+            ("solver.termination.converged", 7),
+            ("svc.admitted", 225),
+            ("trajectory.solves", 8),
+        ];
+        let gauges = [("dyn.availability", 0.93), ("geo.region_share.r0", 0.4125)];
+        let hists = [
+            ("geo.money_dollars", 0.35),
+            ("solver.steps_to_incumbent", 60.0),
+            ("span.bb.source.secs", 4e-6),
             ("svc.ttfi_us", 1_500.0),
-            ("svc.ttfinal_us", 2_600.0),
-        ] {
-            m.metrics.histograms.push(crate::registry::HistSnap {
+        ];
+        let mut m = sample();
+        for (name, value) in counters {
+            m.metrics.counters.push(crate::registry::CounterSnap {
                 name: name.to_string(),
-                count: 225,
-                sum: p50 * 225.0,
-                min: 10.0,
-                max: 11_000.0,
-                p50,
-                p90: 8_000.0,
-                p99: 10_500.0,
-                buckets: vec![crate::registry::BucketSnap {
-                    le: f64::INFINITY,
-                    count: 225,
-                }],
+                value,
             });
         }
-        let text = m.render();
-        assert!(text.contains("service:"), "{text}");
-        assert!(text.contains("svc.admitted"));
-        // Shares are of the offered load (admitted + rejected = 240).
-        assert!(text.contains("93.8%"), "{text}");
-        assert!(text.contains("6.2%"), "{text}");
-        assert!(text.contains("queue wait (µs): 225 samples"));
-        assert!(text.contains("time-to-first-incumbent (µs): 225 samples"));
-        assert!(text.contains("time-to-final (µs): 225 samples"));
-        assert!(text.contains("p99 10500"), "{text}");
-
-        // No service metrics → no section.
-        assert!(!sample().render().contains("service:"));
-    }
-
-    #[test]
-    fn render_surfaces_trajectory_metrics() {
-        let mut m = sample();
-        m.metrics.counters.push(crate::registry::CounterSnap {
-            name: "trajectory.solves".to_string(),
-            value: 8,
-        });
-        m.metrics.histograms.push(crate::registry::HistSnap {
-            name: "trajectory.time_to_first_incumbent_secs".to_string(),
-            count: 8,
-            sum: 0.008,
-            min: 0.0005,
-            max: 0.002,
-            p50: 0.001,
-            p90: 0.0018,
-            p99: 0.002,
-            buckets: vec![crate::registry::BucketSnap {
-                le: f64::INFINITY,
-                count: 8,
-            }],
-        });
-        m.metrics.histograms.push(crate::registry::HistSnap {
-            name: "trajectory.steps_to_p99_quality".to_string(),
-            count: 8,
-            sum: 800.0,
-            min: 10.0,
-            max: 300.0,
-            p50: 80.0,
-            p90: 250.0,
-            p99: 300.0,
-            buckets: vec![crate::registry::BucketSnap {
-                le: f64::INFINITY,
-                count: 8,
-            }],
-        });
-        let text = m.render();
-        assert!(text.contains("trajectory:"), "{text}");
-        assert!(text.contains("solves with incumbents"));
-        assert!(text.contains("time-to-first-incumbent (s): 8 samples"));
-        assert!(text.contains("steps-to-1%-of-final: 8 samples"));
-        assert!(text.contains("p90 250"));
-
-        // No trajectory metrics → no section.
-        assert!(!sample().render().contains("trajectory:"));
-    }
-
-    #[test]
-    fn render_surfaces_geo_metrics() {
-        let mut m = sample();
-        m.metrics.counters.push(crate::registry::CounterSnap {
-            name: "geo.solves".to_string(),
-            value: 48,
-        });
-        for (name, value) in [
-            ("geo.front_size", 11.0),
-            ("geo.region_share.r0", 0.4125),
-            ("geo.region_share.r1", 0.3375),
-            ("geo.region_share.r2", 0.25),
-        ] {
+        for (name, value) in gauges {
             m.metrics.gauges.push(crate::registry::GaugeSnap {
                 name: name.to_string(),
                 value,
             });
         }
-        m.metrics.histograms.push(crate::registry::HistSnap {
-            name: "geo.money_dollars".to_string(),
-            count: 48,
-            sum: 21.6,
-            min: 0.05,
-            max: 2.5,
-            p50: 0.35,
-            p90: 1.2,
-            p99: 2.4,
-            buckets: vec![crate::registry::BucketSnap {
-                le: f64::INFINITY,
-                count: 48,
-            }],
-        });
-        let text = m.render();
-        assert!(text.contains("geo:"), "{text}");
-        assert!(text.contains("geo.solves"));
-        assert!(text.contains("placement share r0"));
-        assert!(text.contains("41.2%"), "{text}");
-        assert!(text.contains("pareto-front points"));
-        assert!(text.contains("deployment bill ($): 48 samples"));
-        assert!(text.contains("p90 1.2000"), "{text}");
-
-        // No geo metrics → no section.
-        assert!(!sample().render().contains("geo:"));
-    }
-
-    #[test]
-    fn render_surfaces_blackboard_metrics() {
-        let mut m = sample();
-        for (name, value) in [
-            ("bb.generations", 6u64),
-            ("bb.proposals.fairload", 4),
-            ("bb.accepts.fairload", 3),
-            ("bb.proposals.router", 8),
-            ("bb.accepts.router", 1),
-            ("bb.cancellations.swapper", 1),
-        ] {
-            m.metrics.counters.push(crate::registry::CounterSnap {
-                name: name.to_string(),
-                value,
-            });
+        for (name, p50) in hists {
+            m.metrics.histograms.push(hist(name, p50));
         }
         let text = m.render();
-        assert!(text.contains("blackboard:"), "{text}");
-        assert!(text.contains("generations"), "{text}");
-        assert!(text.contains("source fairload"), "{text}");
-        // 3 of 4 accepted proposals belong to fairload: 75%.
-        assert!(text.contains("3 accepted (75.0%)"), "{text}");
-        assert!(text.contains("source router"), "{text}");
-        assert!(text.contains("1 accepted (25.0%)"), "{text}");
-        assert!(text.contains("cancelled swapper"), "{text}");
+        assert!(text.contains("phases:"), "{text}");
+        let names = counters
+            .iter()
+            .map(|c| c.0)
+            .chain(gauges.iter().map(|g| g.0))
+            .chain(hists.iter().map(|h| h.0));
+        for name in names {
+            let line = format!("  {name} ");
+            assert_eq!(text.matches(&line).count(), 1, "{name} once:\n{text}");
+            let prefix = name.split('.').next().unwrap();
+            assert_eq!(section_of(&text, &line), format!("{prefix}:"), "{text}");
+        }
+        let row = |name: &str| {
+            let at = text.find(&format!("  {name} ")).unwrap();
+            text[at..].lines().next().unwrap().to_string()
+        };
+        // Shares are of the sibling sum: 7 of 10 runs converged, and 3 of
+        // the 4 accepted proposals are fairload's.
+        assert!(row("solver.termination.converged").ends_with(" 70.0%"));
+        assert!(row("bb.accepts.fairload").ends_with(" 75.0%"));
+        assert!(row("bb.proposals.fairload").ends_with(" 100.0%"));
+        assert!(!row("solver.runs").contains('%'));
+        // Units follow the suffix, and small values keep their digits.
+        assert!(row("span.bb.source.secs").contains("p50 0.000004s,"));
+        assert!(row("svc.ttfi_us").contains("p50 1500µs,"));
+        assert!(row("geo.money_dollars").contains("p50 $0.35,"));
+        assert!(row("geo.region_share.r0").ends_with(" 0.4125"));
+        assert!(row("solver.steps_to_incumbent").contains("5 samples, p50 60,"));
 
-        // No bb metrics → no section.
-        assert!(!sample().render().contains("blackboard:"));
+        let empty = Manifest {
+            phases: Vec::new(),
+            ..sample()
+        }
+        .render();
+        assert!(empty.contains("no metrics recorded"), "{empty}");
+        assert_eq!(empty.lines().filter(|l| l.ends_with(':')).count(), 0);
     }
 
     #[test]
-    fn render_surfaces_dynamic_metrics() {
-        let mut m = sample();
-        m.metrics.counters.push(crate::registry::CounterSnap {
-            name: "dyn.migrations".to_string(),
-            value: 17,
-        });
-        m.metrics.gauges.push(crate::registry::GaugeSnap {
-            name: "dyn.availability".to_string(),
-            value: 0.93,
-        });
-        m.metrics.histograms.push(crate::registry::HistSnap {
-            name: "dyn.time_to_recover_secs".to_string(),
-            count: 5,
-            sum: 10.0,
-            min: 0.5,
-            max: 4.0,
-            p50: 1.5,
-            p90: 3.5,
-            p99: 4.0,
-            buckets: vec![crate::registry::BucketSnap {
-                le: f64::INFINITY,
-                count: 5,
-            }],
-        });
-        let text = m.render();
-        assert!(text.contains("dynamic:"));
-        assert!(text.contains("dyn.migrations"));
-        assert!(text.contains("dyn.availability"));
-        assert!(text.contains("time-to-recover (s): 5 samples"));
-        assert!(text.contains("p90 3.5000"));
+    fn significant_never_rounds_a_nonzero_value_to_zero() {
+        for (v, want) in [
+            (0.0, "0"),
+            (27.0, "27"),
+            (1508.5714, "1509"),
+            (5.29434, "5.294"),
+            (0.0400, "0.04"),
+            (4e-6, "0.000004"),
+            (2.5e-12, "2.500e-12"),
+            (-0.125, "-0.125"),
+        ] {
+            assert_eq!(significant(v), want);
+        }
     }
 }

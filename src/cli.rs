@@ -1392,15 +1392,15 @@ mod tests {
         let manifest = wsflow_obs::Manifest::collect("anytime", 7, 1, 0.5);
         wsflow_obs::set_enabled(false);
         wsflow_obs::reset();
-        // …and the rendered report surfaces them as a solver: section.
+        // …and the rendered report lists them under a solver: section.
         let dir = std::env::temp_dir().join(format!("wsflow-solver-report-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("anytime_manifest.json");
         manifest.write(&path).unwrap();
         let out = cmd_report(dir.to_str().unwrap()).unwrap();
-        assert!(out.contains("solver:"), "{out}");
-        assert!(out.contains("solver.runs"));
-        assert!(out.contains("converged"));
+        assert!(out.contains("\nsolver:\n"), "{out}");
+        assert!(out.contains("  solver.runs "), "{out}");
+        assert!(out.contains("  solver.termination.converged "), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1418,19 +1418,19 @@ mod tests {
         let manifest = wsflow_obs::Manifest::collect("geo_sweep", 7, 1, 0.5);
         wsflow_obs::set_enabled(false);
         wsflow_obs::reset();
-        // …render as a dedicated geo: section in the report.
+        // …render under a geo: section in the report.
         let dir = std::env::temp_dir().join(format!("wsflow-geo-report-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         manifest
             .write(&dir.join("geo_sweep_manifest.json"))
             .unwrap();
         let out = cmd_report(dir.to_str().unwrap()).unwrap();
-        assert!(out.contains("geo:"), "{out}");
-        assert!(out.contains("geo.solves"), "{out}");
-        assert!(out.contains("placement share r0"), "{out}");
-        assert!(out.contains("62.5%"), "{out}");
-        assert!(out.contains("pareto-front points"), "{out}");
-        assert!(out.contains("deployment bill ($): 1 samples"), "{out}");
+        assert!(out.contains("\ngeo:\n"), "{out}");
+        assert!(out.contains("  geo.solves "), "{out}");
+        assert!(out.contains("  geo.region_share.r0 "), "{out}");
+        assert!(out.contains(" 0.625\n"), "{out}");
+        assert!(out.contains("  geo.front_size "), "{out}");
+        assert!(out.contains(" 1 samples, p50 $0.42"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
