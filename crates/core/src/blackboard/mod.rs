@@ -91,9 +91,6 @@ pub struct Blackboard {
     pub dominated_after: u32,
     /// Safety cap on improvement generations.
     pub max_generations: usize,
-    /// Worker threads for the per-generation fan-out; 0 = honor
-    /// `WSFLOW_THREADS`.
-    pub workers: usize,
 }
 
 impl Blackboard {
@@ -104,14 +101,7 @@ impl Blackboard {
             max_sweeps: 50,
             dominated_after: 2,
             max_generations: 64,
-            workers: 0,
         }
-    }
-
-    /// Pin the worker count (tests compare specific counts).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
     }
 
     /// The default roster, in canonical order: the paper's bus greedies
@@ -159,11 +149,6 @@ impl Blackboard {
         roster: Vec<Box<dyn KnowledgeSource>>,
     ) -> Result<(SolveOutcome, BlackboardStats), DeployError> {
         assert!(!roster.is_empty(), "the source roster must be non-empty");
-        let workers = if self.workers == 0 {
-            wsflow_par::num_threads()
-        } else {
-            self.workers
-        };
         let mark = ctx.mark();
         let mut stats: Vec<SourceStats> = roster
             .iter()
@@ -223,7 +208,7 @@ impl Blackboard {
             let batch = &constructives[next..next + k];
             let shares = wsflow_par::split_budget(ctx.remaining(), k);
             let token = ctx.token();
-            let results = wsflow_par::parallel_map_with(k, workers, |i| {
+            let results = wsflow_par::parallel_map(k, |i| {
                 let _span = wsflow_obs::span_with("bb.source", span_base + i as u64);
                 let mut child = SolveCtx::with_budget_opt(shares[i]).cancel_token(token.clone());
                 let r = roster[batch[i]].propose(problem, None, &mut child);
@@ -281,7 +266,7 @@ impl Blackboard {
             let shares = wsflow_par::split_budget(ctx.remaining(), live.len());
             let snapshot_mapping = best_mapping.clone();
             let snapshot_cost = best_cost;
-            let results = wsflow_par::parallel_map_with(live.len(), workers, |i| {
+            let results = wsflow_par::parallel_map(live.len(), |i| {
                 let _span = wsflow_obs::span_with("bb.source", span_base + i as u64);
                 let mut child =
                     SolveCtx::with_budget_opt(shares[i]).cancel_token(live[i].token.clone());
@@ -489,10 +474,9 @@ mod tests {
                 .iter()
                 .map(|&w| {
                     let mut ctx = SolveCtx::with_budget(budget);
-                    let out = Blackboard::new(7)
-                        .with_workers(w)
-                        .solve(&p, &mut ctx)
-                        .expect("ok");
+                    let out =
+                        wsflow_par::with_threads(w, || Blackboard::new(7).solve(&p, &mut ctx))
+                            .expect("ok");
                     let servers = (0..p.num_ops())
                         .map(|o| out.mapping.server_of(wsflow_model::OpId::from(o)))
                         .collect();

@@ -18,8 +18,6 @@
 //! budget runs out, so it degrades gracefully into "greedy + partial
 //! proof of optimality" on big instances.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use wsflow_cost::{Evaluator, Mapping, Problem};
 use wsflow_model::traversal::topo_sort;
 use wsflow_model::{DecisionKind, OpId, OpKind};
@@ -52,168 +50,51 @@ use crate::solve::{CancelToken, SolveCtx, SolveOutcome};
 /// ```
 #[derive(Debug, Clone)]
 pub struct BranchAndBound {
-    /// Maximum number of search-tree nodes to expand before returning
-    /// the incumbent. With `workers > 1` the budget applies *per root
-    /// branch* (each subtree worker gets the full budget).
+    /// Maximum number of search-tree nodes
+    /// [`deploy_with_proof`](Self::deploy_with_proof) expands before
+    /// returning the incumbent.
     pub node_budget: u64,
-    /// Worker threads exploring root-level subtrees in parallel; `1` =
-    /// sequential (the default), `0` = auto.
-    ///
-    /// Workers share the incumbent *bound* through an atomic, but each
-    /// accepts improvements only against its branch-local incumbent and
-    /// the per-branch winners are merged in branch order, so a
-    /// **completed** search returns the same mapping as the sequential
-    /// search for any worker count (only `nodes_expanded` varies, since
-    /// how early the shared bound tightens depends on timing).
-    pub workers: usize,
 }
 
 impl BranchAndBound {
-    /// Search with a default budget of one million nodes, sequentially.
+    /// Search with a default budget of one million nodes.
     pub fn new() -> Self {
-        Self {
-            node_budget: 1_000_000,
-            workers: 1,
-        }
+        Self::with_budget(1_000_000)
     }
 
     /// Search with a custom node budget.
     pub fn with_budget(node_budget: u64) -> Self {
-        Self {
-            node_budget,
-            workers: 1,
-        }
-    }
-
-    /// Set the number of subtree workers (builder style; `0` = auto).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
+        Self { node_budget }
     }
 
     /// Deploy and also report whether optimality was proven (the search
     /// finished within budget) and how many nodes were expanded.
+    ///
+    /// This is one depth-first search from the root on the calling
+    /// thread, so every field of the outcome is a pure function of the
+    /// instance and [`node_budget`](Self::node_budget).
     pub fn deploy_with_proof(&self, problem: &Problem) -> BnbOutcome {
         wsflow_obs::span_scope!("bnb.search");
-        let outcome = self.deploy_with_proof_inner(problem);
-        if wsflow_obs::enabled() {
-            wsflow_obs::counter_add("bnb.runs", 1);
-            wsflow_obs::counter_add("bnb.nodes_expanded", outcome.nodes_expanded);
-            wsflow_obs::counter_add("bnb.prunes", outcome.prunes);
-            wsflow_obs::counter_add("bnb.incumbent_updates", outcome.incumbent_updates);
-        }
-        outcome
-    }
-
-    fn deploy_with_proof_inner(&self, problem: &Problem) -> BnbOutcome {
-        let mut ctx = Search::new(problem);
+        let mut search = Search::new(problem);
         // Incumbent: best greedy mapping.
-        let (seed_mapping, seed_cost) = Self::greedy_seed(problem, &mut ctx.ev);
-
-        let workers = match self.workers {
-            0 => wsflow_par::num_threads(),
-            w => w,
-        };
-        if workers <= 1 {
-            return self.run_sequential(ctx, seed_mapping, seed_cost);
-        }
-        self.run_parallel(problem, seed_mapping, seed_cost, workers)
-    }
-
-    fn run_sequential(
-        &self,
-        mut ctx: Search<'_>,
-        mut best_mapping: Mapping,
-        mut best_cost: f64,
-    ) -> BnbOutcome {
-        let problem = ctx.problem;
-        let shared = AtomicU64::new(best_cost.to_bits());
+        let (mut mapping, mut cost) = Self::greedy_seed(problem, &mut search.ev);
         let mut partial = vec![ServerId::new(0); problem.num_ops()];
         let mut assigned = vec![false; problem.num_ops()];
         let mut stats = BnbStats::default();
-        let complete = ctx.recurse(
+        let complete = search.recurse_local(
             0,
             &mut partial,
             &mut assigned,
-            &mut best_mapping,
-            &mut best_cost,
+            &mut mapping,
+            &mut cost,
             &mut stats,
-            self.node_budget,
-            &shared,
+            Some(self.node_budget),
+            &CancelToken::new(),
         );
+        stats.flush();
         BnbOutcome {
-            mapping: best_mapping,
-            cost: best_cost,
-            proven_optimal: complete,
-            nodes_expanded: stats.nodes,
-            prunes: stats.prunes,
-            incumbent_updates: stats.incumbent_updates,
-        }
-    }
-
-    /// One worker per root-branch (first assigned op × each server),
-    /// sharing the incumbent bound through `shared`.
-    fn run_parallel(
-        &self,
-        problem: &Problem,
-        seed_mapping: Mapping,
-        seed_cost: f64,
-        workers: usize,
-    ) -> BnbOutcome {
-        let n = problem.num_servers();
-        let shared = AtomicU64::new(seed_cost.to_bits());
-        let shared = &shared;
-        let seed_ref = &seed_mapping;
-        let branches = wsflow_par::parallel_map_with(n, workers, |s| {
-            let mut ctx = Search::new(problem);
-            let op = ctx.order[0];
-            let mut partial = vec![ServerId::new(0); problem.num_ops()];
-            let mut assigned = vec![false; problem.num_ops()];
-            partial[op.index()] = ServerId::new(s as u32);
-            assigned[op.index()] = true;
-            let mut local_mapping = seed_ref.clone();
-            let mut local_cost = seed_cost;
-            let mut stats = BnbStats::default();
-            let lb = ctx.lower_bound(&partial, &assigned);
-            let complete =
-                if lb < local_cost && lb <= f64::from_bits(shared.load(Ordering::Relaxed)) {
-                    ctx.recurse(
-                        1,
-                        &mut partial,
-                        &mut assigned,
-                        &mut local_mapping,
-                        &mut local_cost,
-                        &mut stats,
-                        self.node_budget,
-                        shared,
-                    )
-                } else {
-                    stats.prunes += 1;
-                    true
-                };
-            (local_mapping, local_cost, complete, stats)
-        });
-        // Merge branch winners in branch order with a strict `<`: the
-        // earliest branch holding the optimum wins, exactly like the
-        // sequential depth-first scan.
-        let mut best_mapping = seed_mapping;
-        let mut best_cost = seed_cost;
-        let mut complete = true;
-        let mut stats = BnbStats {
-            nodes: 1, // the root node
-            ..BnbStats::default()
-        };
-        for (mapping, cost, branch_complete, branch_stats) in branches {
-            if cost < best_cost {
-                best_cost = cost;
-                best_mapping = mapping;
-            }
-            complete &= branch_complete;
-            stats.absorb(branch_stats);
-        }
-        BnbOutcome {
-            mapping: best_mapping,
-            cost: best_cost,
+            mapping,
+            cost,
             proven_optimal: complete,
             nodes_expanded: stats.nodes,
             prunes: stats.prunes,
@@ -247,6 +128,16 @@ impl BnbStats {
         self.prunes += other.prunes;
         self.incumbent_updates += other.incumbent_updates;
     }
+
+    /// Publish one run's counters to `wsflow-obs` (when enabled).
+    fn flush(&self) {
+        if wsflow_obs::enabled() {
+            wsflow_obs::counter_add("bnb.runs", 1);
+            wsflow_obs::counter_add("bnb.nodes_expanded", self.nodes);
+            wsflow_obs::counter_add("bnb.prunes", self.prunes);
+            wsflow_obs::counter_add("bnb.incumbent_updates", self.incumbent_updates);
+        }
+    }
 }
 
 /// Result of a branch-and-bound run.
@@ -260,10 +151,9 @@ pub struct BnbOutcome {
     pub proven_optimal: bool,
     /// Number of tree nodes expanded.
     pub nodes_expanded: u64,
-    /// Number of subtrees cut by the admissible lower bound. Like
-    /// `nodes_expanded`, timing-dependent under parallel search.
+    /// Number of subtrees cut by the admissible lower bound.
     pub prunes: u64,
-    /// Number of incumbent improvements accepted across all branches.
+    /// Number of incumbent improvements accepted.
     pub incumbent_updates: u64,
 }
 
@@ -297,16 +187,13 @@ impl DeploymentAlgorithm for BranchAndBound {
     /// Anytime search under `ctx`'s step budget (one step per expanded
     /// tree node).
     ///
-    /// Unlike [`deploy_with_proof`](Self::deploy_with_proof), the
-    /// budgeted search does **not** share an incumbent bound across
-    /// subtree workers: how early a shared bound tightens depends on
-    /// thread timing, which would make a budget-limited traversal (and
-    /// therefore the returned incumbent) nondeterministic. Instead the
-    /// remaining budget is split across the `N` *root branches* — a
-    /// structural count, independent of the worker layout — and each
-    /// branch prunes only against its branch-local incumbent. Budgeted
-    /// results are thus bit-identical for any `WSFLOW_THREADS` setting;
-    /// the price is somewhat weaker pruning than the shared-bound search.
+    /// The remaining budget is split across the `N` *root branches* — a
+    /// structural count, independent of the worker layout — which run
+    /// over [`wsflow_par::parallel_map`], each pruning only against its
+    /// branch-local incumbent. Results are thus bit-identical for any
+    /// `WSFLOW_THREADS` setting; the price is weaker pruning than the
+    /// single recursion of [`deploy_with_proof`](Self::deploy_with_proof),
+    /// whose incumbent carries over from one root branch to the next.
     fn solve(
         &self,
         problem: &Problem,
@@ -321,14 +208,10 @@ impl DeploymentAlgorithm for BranchAndBound {
         let n = problem.num_servers();
         let shares = wsflow_par::split_budget(ctx.remaining(), n);
         let token = ctx.token();
-        let workers = match self.workers {
-            0 => wsflow_par::num_threads(),
-            w => w,
-        };
         let seed_ref = &seed_mapping;
         let shares_ref = &shares;
         let token_ref = &token;
-        let branches = wsflow_par::parallel_map_with(n, workers, |s| {
+        let branches = wsflow_par::parallel_map(n, |s| {
             let mut search = Search::new(problem);
             let op = search.order[0];
             let mut partial = vec![ServerId::new(0); problem.num_ops()];
@@ -373,18 +256,13 @@ impl DeploymentAlgorithm for BranchAndBound {
             stats.absorb(branch_stats);
         }
         ctx.charge(stats.nodes);
-        if wsflow_obs::enabled() {
-            wsflow_obs::counter_add("bnb.runs", 1);
-            wsflow_obs::counter_add("bnb.nodes_expanded", stats.nodes);
-            wsflow_obs::counter_add("bnb.prunes", stats.prunes);
-            wsflow_obs::counter_add("bnb.incumbent_updates", stats.incumbent_updates);
-        }
+        stats.flush();
         Ok(ctx.finish(mark, best_mapping, best_cost, complete))
     }
 
     /// Preserves the classic semantics: the configured
-    /// [`node_budget`](Self::node_budget) cap with shared-bound pruning,
-    /// via [`deploy_with_proof`](Self::deploy_with_proof).
+    /// [`node_budget`](Self::node_budget) cap, via
+    /// [`deploy_with_proof`](Self::deploy_with_proof).
     fn deploy(&self, problem: &Problem) -> Result<Mapping, DeployError> {
         Ok(self.deploy_with_proof(problem).mapping)
     }
@@ -459,77 +337,11 @@ impl<'p> Search<'p> {
         }
     }
 
-    /// Returns `true` if the subtree was fully explored.
-    ///
-    /// `best_cost` is the *local* incumbent: improvements are accepted
-    /// only against it, which keeps the accepted-leaf sequence (and
-    /// hence the returned mapping) independent of how other subtree
-    /// workers progress. `shared` carries the tightest bound published
-    /// by any worker and is used purely for extra pruning: a subtree is
-    /// cut when `lb >= best_cost` (exact, admissible — no leaf in it can
-    /// strictly improve the local incumbent) or when `lb > shared` (the
-    /// subtree provably contains no global optimum). The `lb == shared`
-    /// case is deliberately *not* pruned so that the first optimal leaf
-    /// in depth-first order is always visited, keeping parallel results
-    /// identical to sequential ones on completed searches.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        &mut self,
-        depth: usize,
-        partial: &mut Vec<ServerId>,
-        assigned: &mut Vec<bool>,
-        best_mapping: &mut Mapping,
-        best_cost: &mut f64,
-        stats: &mut BnbStats,
-        budget: u64,
-        shared: &AtomicU64,
-    ) -> bool {
-        if stats.nodes >= budget {
-            return false;
-        }
-        stats.nodes += 1;
-        if depth == self.order.len() {
-            let candidate = Mapping::new(partial.clone());
-            let cost = self.ev.combined(&candidate).value();
-            if cost < *best_cost {
-                *best_cost = cost;
-                *best_mapping = candidate;
-                stats.incumbent_updates += 1;
-                shared.fetch_min(cost.to_bits(), Ordering::Relaxed);
-            }
-            return true;
-        }
-        let op = self.order[depth];
-        let mut complete = true;
-        for s in 0..self.n as u32 {
-            let server = ServerId::new(s);
-            partial[op.index()] = server;
-            assigned[op.index()] = true;
-            let lb = self.lower_bound(partial, assigned);
-            if lb < *best_cost && lb <= f64::from_bits(shared.load(Ordering::Relaxed)) {
-                complete &= self.recurse(
-                    depth + 1,
-                    partial,
-                    assigned,
-                    best_mapping,
-                    best_cost,
-                    stats,
-                    budget,
-                    shared,
-                );
-            } else {
-                stats.prunes += 1;
-            }
-            assigned[op.index()] = false;
-        }
-        complete
-    }
-
-    /// Budgeted, shared-nothing variant of [`recurse`](Self::recurse)
-    /// used by the anytime [`solve`](BranchAndBound::solve): pruning is
-    /// against the branch-local incumbent only, and the node budget is
-    /// an `Option` (per-branch share of the context's remaining steps).
-    /// Returns `true` if the subtree was fully explored.
+    /// Depth-first search below `depth`, pruning every subtree whose
+    /// admissible lower bound is not strictly below the incumbent
+    /// `best_cost`; leaves that strictly improve it replace it. Stops
+    /// after `budget` expanded nodes (`None` = unlimited). Returns
+    /// `true` if the subtree was fully explored.
     ///
     /// The cancel token is polled every [`CANCEL_POLL_PERIOD`] nodes;
     /// an early exit reports the subtree as incomplete.

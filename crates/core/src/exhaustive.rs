@@ -49,38 +49,17 @@ pub const DEFAULT_LIMIT: u64 = 10_000_000;
 pub struct Exhaustive {
     /// Refuse instances whose `N^M` exceeds this.
     pub limit: u64,
-    /// Worker threads for the enumeration; `0` = auto
-    /// ([`wsflow_par::num_threads`]).
-    pub workers: usize,
 }
 
 impl Exhaustive {
-    /// Exhaustive search with the default enumeration limit and
-    /// automatic parallelism.
+    /// Exhaustive search with the default enumeration limit.
     pub fn new() -> Self {
-        Self {
-            limit: DEFAULT_LIMIT,
-            workers: 0,
-        }
+        Self::with_limit(DEFAULT_LIMIT)
     }
 
     /// Exhaustive search with a custom limit.
     pub fn with_limit(limit: u64) -> Self {
-        Self { limit, workers: 0 }
-    }
-
-    /// Pin the number of enumeration workers (builder style).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            wsflow_par::num_threads()
-        } else {
-            self.workers
-        }
+        Self { limit }
     }
 }
 
@@ -122,9 +101,8 @@ impl DeploymentAlgorithm for Exhaustive {
         // Past the zero-remaining guard at least one index is granted.
         let allowed = ctx.remaining().map_or(total, |r| r.min(total));
         let token = ctx.token();
-        let workers = self.effective_workers();
-        let ranges = wsflow_par::split_ranges(allowed as usize, workers);
-        let locals = wsflow_par::parallel_map_with(ranges.len(), workers, |w| {
+        let ranges = wsflow_par::split_ranges(allowed as usize, wsflow_par::num_threads());
+        let locals = wsflow_par::parallel_map(ranges.len(), |w| {
             let r = &ranges[w];
             scan_range(problem, r.start as u64, r.end as u64, &token)
         });
@@ -260,13 +238,12 @@ pub fn pareto_front_exhaustive(
     }
     let n = problem.num_servers() as u32;
     let m = problem.num_ops();
-    let workers = wsflow_par::num_threads();
-    let ranges = wsflow_par::split_ranges(total as usize, workers);
+    let ranges = wsflow_par::split_ranges(total as usize, wsflow_par::num_threads());
     // Each worker evaluates its contiguous index range; concatenating
     // the per-range point lists in range order reproduces the sequential
     // enumeration order exactly, so the final front is identical for any
     // worker count.
-    let chunks = wsflow_par::parallel_map_with(ranges.len(), workers, |wk| {
+    let chunks = wsflow_par::parallel_map(ranges.len(), |wk| {
         let r = &ranges[wk];
         if r.start >= r.end {
             return Vec::new();

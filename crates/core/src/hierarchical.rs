@@ -46,10 +46,6 @@ pub struct Hierarchical<A> {
     pub target_cluster_size: usize,
     /// Upper bound on boundary-repair sweeps.
     pub repair_sweeps: usize,
-    /// Worker threads for the cluster sub-solves; 0 = honour
-    /// `WSFLOW_THREADS` / available parallelism. The result is the same
-    /// for every value — this only pins wall-clock behaviour.
-    pub workers: usize,
 }
 
 impl<A> Hierarchical<A> {
@@ -62,19 +58,12 @@ impl<A> Hierarchical<A> {
             inner,
             target_cluster_size: Self::DEFAULT_CLUSTER_SIZE,
             repair_sweeps: 3,
-            workers: 0,
         }
     }
 
     /// Builder-style: override the target cluster size.
     pub fn with_cluster_size(mut self, target: usize) -> Self {
         self.target_cluster_size = target.max(1);
-        self
-    }
-
-    /// Builder-style: pin the sub-solve worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 }
@@ -118,12 +107,7 @@ impl<A: DeploymentAlgorithm + Sync> Hierarchical<A> {
         ctx: &SolveCtx<'_>,
     ) -> Vec<ClusterResult> {
         let token = ctx.token();
-        let workers = if self.workers == 0 {
-            wsflow_par::num_threads()
-        } else {
-            self.workers
-        };
-        wsflow_par::parallel_map_with(subs.len(), workers, |k| {
+        wsflow_par::parallel_map(subs.len(), |k| {
             // One span per cluster, indexed by cluster number: the
             // structural (name, idx) pair is identical whether the
             // cluster runs here or on a worker thread, so the causal
@@ -346,12 +330,12 @@ mod tests {
     fn finite_budget_is_deterministic_across_worker_counts() {
         let p = line_problem(60, 6);
         let run = |workers: usize| {
-            let algo = Hierarchical::new(FairLoad)
-                .with_cluster_size(12)
-                .with_workers(workers);
-            let mut ctx = SolveCtx::with_budget(500);
-            let out = algo.solve(&p, &mut ctx).unwrap();
-            (out.mapping.clone(), out.cost.to_bits(), out.steps)
+            wsflow_par::with_threads(workers, || {
+                let algo = Hierarchical::new(FairLoad).with_cluster_size(12);
+                let mut ctx = SolveCtx::with_budget(500);
+                let out = algo.solve(&p, &mut ctx).unwrap();
+                (out.mapping.clone(), out.cost.to_bits(), out.steps)
+            })
         };
         let baseline = run(1);
         for workers in [2usize, 4, 7] {

@@ -2,8 +2,9 @@
 //!
 //! * **Golden equivalence** — under an unlimited budget, `solve` returns
 //!   a mapping bit-identical to the legacy `deploy` path for every
-//!   algorithm (including BranchAndBound, whose legacy path keeps its
-//!   shared-bound pruning).
+//!   algorithm (including BranchAndBound, whose legacy path is one
+//!   recursion over the whole tree rather than the budget-split root
+//!   branches).
 //! * **Budget monotonicity** — more budget never yields a worse
 //!   incumbent for the same (algorithm, instance).
 //! * **Worker invariance** — for any worker count, a *finite* budget
@@ -18,6 +19,7 @@ use wsflow_core::{
 };
 use wsflow_cost::Problem;
 use wsflow_model::MbitsPerSec;
+use wsflow_par::with_threads;
 use wsflow_workload::{generate, Configuration, ExperimentClass};
 
 fn problem(ops: usize, servers: usize, seed: u64) -> Problem {
@@ -129,40 +131,40 @@ fn finite_budgets_are_bit_identical_across_worker_counts() {
     for seed in 0..3 {
         let p = problem(7, 3, seed);
         for budget in [25u64, 400, 5_000] {
-            let exh_1 = Exhaustive::new()
-                .with_workers(1)
-                .solve(&p, &mut SolveCtx::with_budget(budget))
-                .expect("solvable");
-            let exh_3 = Exhaustive::new()
-                .with_workers(3)
-                .solve(&p, &mut SolveCtx::with_budget(budget))
-                .expect("solvable");
+            let exh_1 = with_threads(1, || {
+                Exhaustive::new().solve(&p, &mut SolveCtx::with_budget(budget))
+            })
+            .expect("solvable");
+            let exh_3 = with_threads(3, || {
+                Exhaustive::new().solve(&p, &mut SolveCtx::with_budget(budget))
+            })
+            .expect("solvable");
             assert_eq!(exh_1.mapping, exh_3.mapping, "seed {seed} budget {budget}");
             assert_eq!(exh_1.steps, exh_3.steps);
             assert_eq!(exh_1.termination, exh_3.termination);
             assert!((exh_1.cost - exh_3.cost).abs() < 1e-15);
 
-            let bnb_1 = BranchAndBound::new()
-                .with_workers(1)
-                .solve(&p, &mut SolveCtx::with_budget(budget))
-                .expect("solvable");
-            let bnb_3 = BranchAndBound::new()
-                .with_workers(3)
-                .solve(&p, &mut SolveCtx::with_budget(budget))
-                .expect("solvable");
+            let bnb_1 = with_threads(1, || {
+                BranchAndBound::new().solve(&p, &mut SolveCtx::with_budget(budget))
+            })
+            .expect("solvable");
+            let bnb_3 = with_threads(3, || {
+                BranchAndBound::new().solve(&p, &mut SolveCtx::with_budget(budget))
+            })
+            .expect("solvable");
             assert_eq!(bnb_1.mapping, bnb_3.mapping, "seed {seed} budget {budget}");
             assert_eq!(bnb_1.steps, bnb_3.steps);
             assert_eq!(bnb_1.termination, bnb_3.termination);
             assert!((bnb_1.cost - bnb_3.cost).abs() < 1e-15);
 
-            let bb_1 = Blackboard::new(seed)
-                .with_workers(1)
-                .solve(&p, &mut SolveCtx::with_budget(budget))
-                .expect("solvable");
-            let bb_3 = Blackboard::new(seed)
-                .with_workers(3)
-                .solve(&p, &mut SolveCtx::with_budget(budget))
-                .expect("solvable");
+            let bb_1 = with_threads(1, || {
+                Blackboard::new(seed).solve(&p, &mut SolveCtx::with_budget(budget))
+            })
+            .expect("solvable");
+            let bb_3 = with_threads(3, || {
+                Blackboard::new(seed).solve(&p, &mut SolveCtx::with_budget(budget))
+            })
+            .expect("solvable");
             assert_eq!(bb_1.mapping, bb_3.mapping, "seed {seed} budget {budget}");
             assert_eq!(bb_1.steps, bb_3.steps);
             assert_eq!(bb_1.termination, bb_3.termination);

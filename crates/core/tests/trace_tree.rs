@@ -23,11 +23,9 @@ fn spans_for(workers: usize, seed: u64) -> Vec<wsflow_obs::SpanEvent> {
     wsflow_obs::set_enabled(true);
     wsflow_obs::reset();
     let p = problem(seed);
-    let algo = Hierarchical::new(HillClimb::new(FairLoad))
-        .with_cluster_size(24)
-        .with_workers(workers);
+    let algo = Hierarchical::new(HillClimb::new(FairLoad)).with_cluster_size(24);
     let mut ctx = SolveCtx::with_budget(5_000);
-    algo.solve(&p, &mut ctx).expect("hierarchical solve");
+    wsflow_par::with_threads(workers, || algo.solve(&p, &mut ctx)).expect("hierarchical solve");
     let spans = wsflow_obs::registry::spans();
     wsflow_obs::set_enabled(false);
     wsflow_obs::reset();

@@ -333,44 +333,6 @@ impl<'p> DeltaEvaluator<'p> {
         }
     }
 
-    /// Probe `candidates` in order and return the *first* one whose
-    /// combined cost strictly improves on the current mapping's, or
-    /// `None` when none does. Probes stop at the first improvement, so
-    /// at most `candidates.len()` probes are charged to
-    /// [`Self::probes`]; callers that budget per probe should truncate
-    /// `candidates` to their remaining allowance first.
-    pub fn first_improving(&mut self, candidates: &[(OpId, ServerId)]) -> Option<MoveProposal> {
-        let current = self.cost.combined.value();
-        for &(op, server) in candidates {
-            let proposal = self.probe_move(op, server);
-            if proposal.improves(current) {
-                return Some(proposal);
-            }
-        }
-        None
-    }
-
-    /// Probe every candidate and return the strictly-improving one with
-    /// the lowest combined cost, or `None` when no candidate improves.
-    /// Ties keep the earliest candidate, so the result is deterministic
-    /// for a fixed candidate order. Always probes all candidates.
-    pub fn best_move(&mut self, candidates: &[(OpId, ServerId)]) -> Option<MoveProposal> {
-        let current = self.cost.combined.value();
-        let mut best: Option<MoveProposal> = None;
-        for &(op, server) in candidates {
-            let proposal = self.probe_move(op, server);
-            if proposal.improves(current)
-                && best
-                    .as_ref()
-                    .map(|b| proposal.cost.combined < b.cost.combined)
-                    .unwrap_or(true)
-            {
-                best = Some(proposal);
-            }
-        }
-        best
-    }
-
     /// Full from-scratch recompute of finish times, loads, and cost.
     fn recompute_all(&mut self) {
         for list in &mut self.ops_on {
@@ -779,52 +741,5 @@ mod tests {
             proposal.cost.combined.value().to_bits(),
             direct.combined.value().to_bits()
         );
-    }
-
-    #[test]
-    fn first_improving_returns_the_first_candidate_that_beats_current() {
-        let p = branchy_problem(3);
-        let mut delta = DeltaEvaluator::new(&p, Mapping::all_on(p.num_ops(), ServerId::new(0)));
-        let current = delta.cost().combined.value();
-        let candidates: Vec<(OpId, ServerId)> = (0..p.num_ops())
-            .flat_map(|o| {
-                (1..p.num_servers()).map(move |s| (OpId(o as u32), ServerId::new(s as u32)))
-            })
-            .collect();
-        match delta.first_improving(&candidates) {
-            Some(found) => {
-                assert!(found.improves(current));
-                // Every candidate *before* the returned one must not improve.
-                for &(op, server) in &candidates {
-                    if (op, server) == (found.op, found.server) {
-                        break;
-                    }
-                    assert!(!delta.probe_move(op, server).improves(current));
-                }
-            }
-            None => {
-                for &(op, server) in &candidates {
-                    assert!(!delta.probe_move(op, server).improves(current));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn best_move_dominates_first_improving() {
-        let p = branchy_problem(4);
-        let mut delta = DeltaEvaluator::new(&p, Mapping::all_on(p.num_ops(), ServerId::new(0)));
-        let candidates: Vec<(OpId, ServerId)> = (0..p.num_ops())
-            .flat_map(|o| {
-                (0..p.num_servers()).map(move |s| (OpId(o as u32), ServerId::new(s as u32)))
-            })
-            .collect();
-        let best = delta.best_move(&candidates);
-        let first = delta.first_improving(&candidates);
-        match (best, first) {
-            (Some(b), Some(f)) => assert!(b.cost.combined <= f.cost.combined),
-            (None, None) => {}
-            (b, f) => panic!("best/first disagree on existence: {b:?} vs {f:?}"),
-        }
     }
 }

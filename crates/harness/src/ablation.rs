@@ -37,12 +37,13 @@ pub fn flmme_threshold(params: &Params) -> ExperimentOutput {
     );
     let mut records = Vec::new();
     for &fraction in &FLMME_FRACTIONS {
-        let algo = FLMMEVariant {
-            inner: FairLoadMergeMessages::with_fraction(params.base_seed, fraction),
-            label: format!("FLMME@{fraction}"),
-        };
-        let algos: Vec<Box<dyn DeploymentAlgorithm>> = vec![Box::new(algo)];
-        records.extend(crate::runner::run_batch(&scenarios, &algos));
+        records.extend(crate::runner::run_batch(&scenarios, || {
+            let algo = FLMMEVariant {
+                inner: FairLoadMergeMessages::with_fraction(params.base_seed, fraction),
+                label: format!("FLMME@{fraction}"),
+            };
+            vec![Box::new(algo) as Box<dyn DeploymentAlgorithm>]
+        }));
     }
     let aggs = aggregate(&records);
     let mut out = ExperimentOutput::new("ablation_flmme");

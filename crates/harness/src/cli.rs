@@ -10,10 +10,14 @@
 //! * `--obs` — enable observability (equivalent to `WSFLOW_OBS=1`):
 //!   collect metrics and spans, and populate the run manifest.
 //!
+//! There is no worker-count flag: every fan-out takes
+//! [`wsflow_par::num_threads`], which `WSFLOW_THREADS` sets.
+//!
 //! Every binary also writes a `manifest.json` (and an
 //! `<experiment>_manifest.json` copy) next to its CSVs recording git
-//! rev, seed, thread count, wall time, per-phase timings, and — when
-//! observability is on — the full metric snapshot.
+//! rev, seed, thread count ([`wsflow_par::num_threads`]), wall time,
+//! per-phase timings, and — when observability is on — the full metric
+//! snapshot.
 
 use std::path::Path;
 
@@ -50,20 +54,11 @@ pub fn parse(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
                 let v = args.next().ok_or("--ops needs a value")?;
                 params.ops = v.parse().map_err(|_| format!("bad --ops value {v:?}"))?;
             }
-            "--workers" => {
-                let v = args.next().ok_or("--workers needs a value")?;
-                params.workers = v
-                    .parse()
-                    .map_err(|_| format!("bad --workers value {v:?}"))?;
-            }
             "--out" => {
                 out_dir = args.next().ok_or("--out needs a value")?;
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: [--quick] [--seeds N] [--ops M] [--workers W] [--out DIR] [--obs]"
-                        .into(),
-                )
+                return Err("usage: [--quick] [--seeds N] [--ops M] [--out DIR] [--obs]".into())
             }
             other => return Err(format!("unknown flag {other:?}; try --help")),
         }
@@ -193,7 +188,7 @@ pub fn write_manifest(experiment: &str, opts: &CliOptions, wall_secs: f64) {
     let manifest = wsflow_obs::Manifest::collect(
         experiment,
         opts.params.base_seed,
-        opts.params.effective_workers(),
+        wsflow_par::num_threads(),
         wall_secs,
     );
     if let Err(e) = manifest.validate() {
@@ -239,12 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn workers_override() {
-        let opts = parse_vec(&["--workers", "3"]).unwrap();
-        assert_eq!(opts.params.workers, 3);
-    }
-
-    #[test]
     fn obs_flag() {
         assert!(!parse_vec(&[]).unwrap().obs);
         assert!(parse_vec(&["--obs"]).unwrap().obs);
@@ -253,6 +242,8 @@ mod tests {
     #[test]
     fn rejects_unknown_and_missing() {
         assert!(parse_vec(&["--bogus"]).is_err());
+        // `WSFLOW_THREADS` is the one worker count.
+        assert!(parse_vec(&["--workers", "3"]).is_err());
         assert!(parse_vec(&["--seeds"]).is_err());
         assert!(parse_vec(&["--seeds", "x"]).is_err());
         assert!(parse_vec(&["--help"]).is_err());

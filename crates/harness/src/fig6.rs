@@ -11,8 +11,8 @@ use wsflow_core::registry::paper_bus_algorithms;
 use wsflow_workload::{generate_batch, Configuration, ExperimentClass};
 
 use crate::output::ExperimentOutput;
-use crate::parallel::run_batch_parallel;
 use crate::params::Params;
+use crate::runner::run_batch;
 use crate::summary::{aggregate, aggregates_table};
 
 /// Run the Figure-6 experiment.
@@ -29,11 +29,7 @@ pub fn run(params: &Params) -> ExperimentOutput {
                 params.base_seed,
                 params.seeds,
             );
-            let records = run_batch_parallel(
-                &scenarios,
-                &|| paper_bus_algorithms(params.base_seed),
-                params.effective_workers(),
-            );
+            let records = run_batch(&scenarios, || paper_bus_algorithms(params.base_seed));
             let aggs = aggregate(&records);
             out.tables.push(aggregates_table(
                 format!(

@@ -9,9 +9,8 @@ use wsflow_model::MbitsPerSec;
 use wsflow_workload::{generate_batch, Configuration, ExperimentClass, GraphClass, Scenario};
 
 use crate::output::ExperimentOutput;
-use crate::parallel::run_batch_parallel;
 use crate::params::Params;
-use crate::runner::Record;
+use crate::runner::{run_batch, Record};
 use crate::summary::{aggregate, aggregates_table};
 
 /// Generate the graph–bus scenario pool for one bus speed: the seed
@@ -40,11 +39,9 @@ pub fn run_records(params: &Params) -> Vec<Record> {
     let mut records = Vec::new();
     for &bus in &params.bus_speeds {
         let scenarios = graph_scenarios(params, n, bus);
-        records.extend(run_batch_parallel(
-            &scenarios,
-            &|| paper_bus_algorithms(params.base_seed),
-            params.effective_workers(),
-        ));
+        records.extend(run_batch(&scenarios, || {
+            paper_bus_algorithms(params.base_seed)
+        }));
     }
     records
 }
@@ -55,11 +52,7 @@ pub fn run(params: &Params) -> ExperimentOutput {
     let mut out = ExperimentOutput::new("fig7");
     for &bus in &params.bus_speeds {
         let scenarios = graph_scenarios(params, n, bus);
-        let records = run_batch_parallel(
-            &scenarios,
-            &|| paper_bus_algorithms(params.base_seed),
-            params.effective_workers(),
-        );
+        let records = run_batch(&scenarios, || paper_bus_algorithms(params.base_seed));
         let aggs = aggregate(&records);
         out.tables.push(aggregates_table(
             format!(

@@ -37,7 +37,6 @@ pub mod loadgen;
 pub mod multi_wf;
 pub mod obs_diag;
 pub mod output;
-pub mod parallel;
 pub mod params;
 pub mod pareto_report;
 pub mod perf;

@@ -10,8 +10,8 @@ use wsflow_core::DeploymentAlgorithm;
 use wsflow_workload::{generate_batch, Configuration, ExperimentClass};
 
 use crate::output::ExperimentOutput;
-use crate::parallel::run_batch_parallel;
 use crate::params::Params;
+use crate::runner::run_batch;
 use crate::summary::{aggregate, aggregates_table};
 
 fn suite(seed: u64) -> Vec<Box<dyn DeploymentAlgorithm>> {
@@ -33,11 +33,7 @@ pub fn run(params: &Params) -> ExperimentOutput {
             params.base_seed,
             params.seeds,
         );
-        let records = run_batch_parallel(
-            &scenarios,
-            &|| suite(params.base_seed),
-            params.effective_workers(),
-        );
+        let records = run_batch(&scenarios, || suite(params.base_seed));
         let aggs = aggregate(&records);
         out.tables.push(aggregates_table(
             format!(

@@ -24,8 +24,6 @@ pub struct Params {
     pub quality_samples: usize,
     /// Base RNG seed for the whole run.
     pub base_seed: u64,
-    /// Worker threads (0 = auto).
-    pub workers: usize,
 }
 
 impl Params {
@@ -43,7 +41,6 @@ impl Params {
             seeds: 50,
             quality_samples: 32_000,
             base_seed: 2007,
-            workers: 0,
         }
     }
 
@@ -56,16 +53,6 @@ impl Params {
             seeds: 4,
             quality_samples: 200,
             base_seed: 2007,
-            workers: 2,
-        }
-    }
-
-    /// Resolve the worker count.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            crate::parallel::default_workers()
-        } else {
-            self.workers
         }
     }
 }
@@ -95,13 +82,5 @@ mod tests {
         let q = Params::quick();
         assert!(q.ops < Params::paper().ops);
         assert!(q.seeds < Params::paper().seeds);
-        assert!(q.effective_workers() >= 1);
-    }
-
-    #[test]
-    fn auto_workers_resolve() {
-        let mut p = Params::quick();
-        p.workers = 0;
-        assert!(p.effective_workers() >= 1);
     }
 }

@@ -38,16 +38,16 @@ const MAX_OPS: usize = 12;
 
 /// The solver suite under the budget sweep: the portfolio of
 /// constructive greedies, the cooperative blackboard, two refiners,
-/// and exact search. BnB and the blackboard use auto workers so the
-/// run also exercises the deterministic budget split across subtrees
-/// and generations.
+/// and exact search. BnB and the blackboard fan out over
+/// `WSFLOW_THREADS` workers, so the run also exercises the
+/// deterministic budget split across subtrees and generations.
 fn suite(seed: u64) -> Vec<Box<dyn DeploymentAlgorithm>> {
     vec![
         Box::new(Portfolio::new(seed)),
         Box::new(Blackboard::new(seed)),
         Box::new(HillClimb::new(FairLoad)),
         Box::new(SimulatedAnnealing::new(seed)),
-        Box::new(BranchAndBound::new().with_workers(0)),
+        Box::new(BranchAndBound::new()),
     ]
 }
 

@@ -65,19 +65,26 @@ pub fn run_on_problem(
     records
 }
 
-/// Run every algorithm over a batch of scenarios (sequentially; see
-/// [`crate::parallel`] for the multi-threaded variant).
+/// Run the algorithm suite over a batch of scenarios, one
+/// [`wsflow_par::parallel_map`] task per scenario, and return the
+/// records grouped by scenario, in scenario order, for any
+/// `WSFLOW_THREADS`.
+///
+/// Boxed algorithms are not `Sync`, so each task builds its own suite
+/// with `suite` (cheap: the suites are stateless apart from seeds).
 pub fn run_batch(
     scenarios: &[Scenario],
-    algorithms: &[Box<dyn DeploymentAlgorithm>],
+    suite: impl Fn() -> Vec<Box<dyn DeploymentAlgorithm>> + Sync,
 ) -> Vec<Record> {
-    let mut records = Vec::new();
-    for s in scenarios {
+    wsflow_par::parallel_map(scenarios.len(), |i| {
+        let s = &scenarios[i];
         let problem = Problem::new(s.workflow.clone(), s.network.clone())
             .expect("generated scenarios are valid problems");
-        records.extend(run_on_problem(&problem, algorithms, &s.name, s.seed));
-    }
-    records
+        run_on_problem(&problem, &suite(), &s.name, s.seed)
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]
@@ -98,9 +105,8 @@ mod tests {
             1,
             2,
         );
-        let algos = paper_bus_algorithms(0);
-        let records = run_batch(&scenarios, &algos);
-        assert_eq!(records.len(), 2 * algos.len());
+        let records = run_batch(&scenarios, || paper_bus_algorithms(0));
+        assert_eq!(records.len(), 2 * paper_bus_algorithms(0).len());
         for r in &records {
             assert!(r.execution > 0.0);
             assert!(r.penalty >= 0.0);
@@ -120,9 +126,42 @@ mod tests {
             1,
             1,
         );
-        let algos = wsflow_core::registry::line_line_variants();
         // Line–Line requires a line network; on a bus it produces nothing.
-        let records = run_batch(&scenarios, &algos);
+        let records = run_batch(&scenarios, wsflow_core::registry::line_line_variants);
         assert!(records.is_empty());
+    }
+
+    #[test]
+    fn records_are_identical_for_any_thread_count() {
+        let class = ExperimentClass::class_c();
+        let scenarios = generate_batch(
+            Configuration::LineBus(MbitsPerSec(100.0)),
+            10,
+            3,
+            &class,
+            5,
+            6,
+        );
+        let run = |threads| {
+            let records = wsflow_par::with_threads(threads, || {
+                run_batch(&scenarios, || paper_bus_algorithms(0))
+            });
+            // Everything but the wall-clock runtime.
+            records
+                .into_iter()
+                .map(|r| Record {
+                    runtime_micros: 0,
+                    ..r
+                })
+                .collect::<Vec<_>>()
+        };
+        let sequential = run(1);
+        assert_eq!(sequential.len(), 6 * paper_bus_algorithms(0).len());
+        assert_eq!(run(3), sequential);
+    }
+
+    #[test]
+    fn empty_scenario_list_yields_no_records() {
+        assert!(run_batch(&[], || paper_bus_algorithms(0)).is_empty());
     }
 }

@@ -31,6 +31,6 @@ pub use error::NetError;
 pub use ids::{LinkId, RegionId, ServerId, ZoneId};
 pub use link::Link;
 pub use network::{Network, TopologyKind};
-pub use routing::{Path, RoutingCache, RoutingTable};
+pub use routing::{Path, RoutingTable};
 pub use server::Server;
 pub use topology::classify;

@@ -69,15 +69,11 @@ pub struct Network {
     /// evaluation loops cache-linear.
     adj_off: Vec<u32>,
     adj_links: Vec<LinkId>,
-    /// Mutation counter: bumped by every server/link mutation, so caches
-    /// derived from the network (notably routing tables) can detect
-    /// staleness. Not part of the network's identity.
-    generation: u64,
 }
 
-/// Identity excludes the derived adjacency index and the mutation
-/// counter: two networks describing the same servers and links are
-/// equal regardless of their mutation history.
+/// Identity excludes the derived adjacency index: two networks
+/// describing the same servers and links are equal regardless of their
+/// mutation history.
 impl PartialEq for Network {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
@@ -134,7 +130,6 @@ impl Network {
             region_side: 0,
             adj_off: Vec::new(),
             adj_links: Vec::new(),
-            generation: 0,
         };
         net.reindex();
         Ok(net)
@@ -188,20 +183,10 @@ impl Network {
         }
         self.region_latency = flat;
         self.region_side = r as u32;
-        self.generation += 1;
         Ok(self)
     }
 
-    /// The mutation counter: bumped by every server/link mutation.
-    /// Caches derived from the network (e.g. a routing table) record
-    /// the generation they were computed at and recompute when it no
-    /// longer matches.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Change a server's computational power. Bumps the generation.
+    /// Change a server's computational power.
     pub fn set_server_power(&mut self, s: ServerId, power: MegaHertz) -> Result<(), NetError> {
         if !finite_positive(power.value()) {
             return Err(NetError::BadPower {
@@ -213,11 +198,10 @@ impl Network {
             return Err(NetError::UnknownServer(s));
         }
         self.servers[s.index()].power = power;
-        self.generation += 1;
         Ok(())
     }
 
-    /// Change a link's throughput. Bumps the generation.
+    /// Change a link's throughput.
     pub fn set_link_speed(&mut self, l: LinkId, speed: MbitsPerSec) -> Result<(), NetError> {
         let Some(link) = self.links.get_mut(l.index()) else {
             return Err(NetError::UnknownLink(l));
@@ -230,12 +214,10 @@ impl Network {
             });
         }
         link.speed = speed;
-        self.generation += 1;
         Ok(())
     }
 
-    /// Change a server's hourly price. Bumps the generation (the
-    /// `CommMatrix`-style caches that precompute prices must refresh).
+    /// Change a server's hourly price.
     pub fn set_server_price(&mut self, s: ServerId, price: DollarsPerHour) -> Result<(), NetError> {
         if !price.is_finite() || price.value() < 0.0 {
             return Err(NetError::BadPrice {
@@ -247,7 +229,6 @@ impl Network {
             return Err(NetError::UnknownServer(s));
         }
         self.servers[s.index()].price = price;
-        self.generation += 1;
         Ok(())
     }
 
@@ -691,7 +672,7 @@ mod tests {
     }
 
     #[test]
-    fn mutations_bump_the_generation() {
+    fn setters_mutate_in_place_and_reject_bad_values() {
         let mut net = Network::new(
             "n",
             two_servers(),
@@ -703,18 +684,14 @@ mod tests {
             TopologyKind::Line,
         )
         .unwrap();
-        assert_eq!(net.generation(), 0);
         net.set_server_power(ServerId::new(0), MegaHertz(500.0))
             .unwrap();
-        assert_eq!(net.generation(), 1);
         net.set_link_speed(LinkId::new(0), MbitsPerSec(10.0))
             .unwrap();
-        assert_eq!(net.generation(), 2);
         assert_eq!(net.server(ServerId::new(0)).power, MegaHertz(500.0));
         assert_eq!(net.link(LinkId::new(0)).speed, MbitsPerSec(10.0));
 
-        // Rejected mutations leave the generation alone. The setters
-        // share the constructor's rule: finite and positive.
+        // The setters share the constructor's rule: finite and positive.
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
                 net.set_server_power(ServerId::new(0), MegaHertz(bad)),
@@ -733,10 +710,9 @@ mod tests {
             net.set_server_power(ServerId::new(9), MegaHertz(1.0)),
             Err(NetError::UnknownServer(ServerId::new(9)))
         );
-        assert_eq!(net.generation(), 2);
 
         // Equality ignores mutation history: a freshly built copy of the
-        // mutated network compares equal despite generation 0.
+        // mutated network compares equal.
         let rebuilt = Network::new(
             "n",
             vec![
@@ -831,11 +807,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(net.server(ServerId::new(0)).price, DollarsPerHour(0.25));
-        let gen = net.generation();
         net.set_server_price(ServerId::new(1), DollarsPerHour(0.75))
             .unwrap();
         assert_eq!(net.server(ServerId::new(1)).price, DollarsPerHour(0.75));
-        assert_eq!(net.generation(), gen + 1);
         assert!(matches!(
             net.set_server_price(ServerId::new(0), DollarsPerHour(-1.0)),
             Err(NetError::BadPrice { .. })

@@ -157,8 +157,6 @@ pub struct RoutingTable {
     offsets: Vec<u32>,
     /// Every route's links, concatenated in row-major pair order.
     links: Vec<LinkId>,
-    /// Generation of the network these routes were computed from.
-    generation: u64,
 }
 
 impl RoutingTable {
@@ -182,19 +180,7 @@ impl RoutingTable {
             search.run(net, src);
             search.append_routes(src, &mut links, &mut offsets);
         }
-        Self {
-            n,
-            offsets,
-            links,
-            generation: net.generation(),
-        }
-    }
-
-    /// `true` if these routes were computed from `net` at its current
-    /// generation — i.e. no server/link mutation has happened since.
-    #[inline]
-    pub fn is_current(&self, net: &Network) -> bool {
-        self.generation == net.generation() && self.n == net.num_servers()
+        Self { n, offsets, links }
     }
 
     /// The route from `from` to `to`; `None` if unreachable.
@@ -237,57 +223,6 @@ impl RoutingTable {
         } else {
             Some(base)
         }
-    }
-}
-
-/// A [`RoutingTable`] that re-derives itself whenever the underlying
-/// network mutates.
-///
-/// Every server/link mutation bumps [`Network::generation`]; the cache
-/// compares generations on each access and recomputes the table when
-/// they diverge, so cached shortest paths can never go stale. Dynamic
-/// consumers (the re-deployment controller) route through this instead
-/// of holding a raw `RoutingTable`.
-///
-/// # Examples
-///
-/// ```
-/// use wsflow_net::topology::{homogeneous_servers, line_uniform};
-/// use wsflow_net::{LinkId, RoutingCache};
-/// use wsflow_model::MbitsPerSec;
-///
-/// let mut net = line_uniform("l", homogeneous_servers(3, 1.0), MbitsPerSec(10.0)).unwrap();
-/// let mut cache = RoutingCache::new(&net);
-/// net.set_link_speed(LinkId::new(0), MbitsPerSec(5.0)).unwrap();
-/// assert!(!cache.is_current(&net));
-/// let _fresh = cache.table(&net); // recomputed on access
-/// ```
-#[derive(Debug, Clone)]
-pub struct RoutingCache {
-    table: RoutingTable,
-}
-
-impl RoutingCache {
-    /// Build the cache, computing routes for the network's current state.
-    pub fn new(net: &Network) -> Self {
-        Self {
-            table: RoutingTable::new(net),
-        }
-    }
-
-    /// The routes for `net`'s *current* state, recomputing first if any
-    /// mutation happened since the cached table was built.
-    pub fn table(&mut self, net: &Network) -> &RoutingTable {
-        if !self.table.is_current(net) {
-            self.table = RoutingTable::new(net);
-        }
-        &self.table
-    }
-
-    /// `true` if the cached table matches `net`'s current generation.
-    #[inline]
-    pub fn is_current(&self, net: &Network) -> bool {
-        self.table.is_current(net)
     }
 }
 
@@ -766,13 +701,11 @@ mod tests {
         }
     }
 
-    /// Regression for the stale-route hazard the generation counter
-    /// closes: mutating a link must invalidate cached routes, and the
-    /// recomputed table must actually re-route. Here speeding up the
+    /// A table rebuilt after a link mutation re-routes: speeding up the
     /// slow direct link flips the best 0 → 2 route from the two-hop
     /// detour to the direct hop.
     #[test]
-    fn mutating_a_link_invalidates_cached_routes() {
+    fn rebuilt_routes_follow_a_link_mutation() {
         let servers = homogeneous_servers(3, 1.0);
         let links = vec![
             crate::link::Link::new(ServerId::new(0), ServerId::new(1), MbitsPerSec(1000.0)),
@@ -781,37 +714,23 @@ mod tests {
         ];
         let mut net =
             Network::new("n", servers, links, crate::network::TopologyKind::Custom).unwrap();
-        let mut cache = RoutingCache::new(&net);
-        assert!(cache.is_current(&net));
-        assert_eq!(
-            cache
-                .table(&net)
+        let hops = |net: &Network| {
+            RoutingTable::new(net)
                 .path(ServerId::new(0), ServerId::new(2))
                 .unwrap()
-                .hops(),
+                .hops()
+        };
+        assert_eq!(
+            hops(&net),
             2,
             "with a 1 Mbps direct link the two-hop fast route wins"
         );
-
         net.set_link_speed(LinkId::new(2), MbitsPerSec(10_000.0))
             .unwrap();
-        assert!(!cache.is_current(&net), "mutation must mark routes stale");
-        let p = cache.table(&net).path(ServerId::new(0), ServerId::new(2));
         assert_eq!(
-            p.unwrap().hops(),
+            hops(&net),
             1,
-            "after the mutation the direct link is fastest and routes must recompute"
-        );
-        assert!(cache.is_current(&net));
-
-        // A raw table also reports itself stale after any later mutation.
-        let old = RoutingTable::new(&net);
-        assert!(old.is_current(&net));
-        net.set_server_power(ServerId::new(0), wsflow_model::units::MegaHertz(123.0))
-            .unwrap();
-        assert!(
-            !old.is_current(&net),
-            "server mutations invalidate routes too (conservatively)"
+            "after the mutation the direct link is fastest"
         );
     }
 

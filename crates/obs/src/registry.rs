@@ -130,14 +130,20 @@ impl Histogram {
     /// the `ceil(q·count)`-th observation and interpolate linearly by
     /// rank inside it, treating each of the bucket's `c` observations as
     /// sitting at the midpoint of its 1/c sub-slice. The estimate is
-    /// clamped to the observed `[min, max]`, which keeps point masses
-    /// exact; otherwise the error is bounded by the owning bucket's
-    /// width.
+    /// clamped to the observed `[min, max]`, and ranks 1 and `count` are
+    /// exactly `min` and `max`, which keeps point masses exact; otherwise
+    /// the error is bounded by the owning bucket's width.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        if target == 1 {
+            return self.min;
+        }
+        if target == self.count {
+            return self.max;
+        }
         let mut cum = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             if c == 0 {
@@ -484,6 +490,24 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.count, 6);
         assert_eq!(h.min, 0.25);
+    }
+
+    #[test]
+    fn extreme_ranks_are_exactly_min_and_max() {
+        // 0 sits in the lowest bucket, whose midpoint is not 0.
+        let mut h = Histogram::default();
+        h.record(0.0);
+        h.record(2.0);
+        assert_eq!(h.quantile(0.0), 0.0);
+        assert_eq!(h.quantile(0.5), 0.0);
+        assert_eq!(h.quantile(0.99), 2.0);
+        assert_eq!(h.quantile(1.0), 2.0);
+
+        let mut single = Histogram::default();
+        single.record(3.7);
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(single.quantile(q), 3.7, "q={q}");
+        }
     }
 
     /// Exact quantile of a sorted sample: the `ceil(q·n)`-th order

@@ -8,12 +8,21 @@
 //! are returned **in index order** regardless of which thread computed
 //! them or when.
 //!
-//! The worker count is chosen by [`num_threads`]: the `WSFLOW_THREADS`
-//! environment variable if set (a value of `1` forces fully sequential
-//! in-place execution — useful for debugging and for establishing
-//! baseline timings), otherwise [`std::thread::available_parallelism`].
+//! [`num_threads`] is the one worker count of the workspace: the
+//! `WSFLOW_THREADS` environment variable if set (a value of `1` forces
+//! fully sequential in-place execution — useful for debugging and for
+//! establishing baseline timings), otherwise
+//! [`std::thread::available_parallelism`]. Every solver and harness
+//! fan-out goes through [`parallel_map`], which reads it. Tests that
+//! compare thread counts inside one process pin it with [`with_threads`].
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// The [`with_threads`] override, read before `WSFLOW_THREADS`.
+    static THREADS_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+}
 
 /// Interpret a `WSFLOW_THREADS` value. `None` means "unset"; `Err`
 /// carries the unparseable value so the caller can warn instead of
@@ -26,18 +35,40 @@ pub fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-/// Worker count: `WSFLOW_THREADS` if set and valid, else the machine's
-/// available parallelism, else 1. An unparseable `WSFLOW_THREADS`
-/// triggers a one-time stderr warning (via the shared
-/// [`wsflow_obs::env_knob`] machinery every `WSFLOW_*` knob uses) rather
-/// than a silent fallback.
+/// Worker count: the [`with_threads`] override if one is in scope, else
+/// `WSFLOW_THREADS` if set and valid, else the machine's available
+/// parallelism, else 1. An unparseable `WSFLOW_THREADS` triggers a
+/// one-time stderr warning (via the shared [`wsflow_obs::env_knob`]
+/// machinery every `WSFLOW_*` knob uses) rather than a silent fallback.
 pub fn num_threads() -> usize {
+    if let Some(n) = THREADS_OVERRIDE.with(Cell::get) {
+        return n;
+    }
     if let Some(n) = wsflow_obs::env_positive_usize("WSFLOW_THREADS") {
         return n;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Run `f` with [`num_threads`] pinned to `n` (at least 1) on this
+/// thread and on the workers of every [`parallel_map`] started inside
+/// it, however deeply nested. The previous value comes back when `f`
+/// returns or unwinds.
+///
+/// This is a test seam: tests that check results are bit-identical
+/// across thread counts run both counts in one process. Programs take
+/// their worker count from `WSFLOW_THREADS`.
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREADS_OVERRIDE.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(THREADS_OVERRIDE.with(|c| c.replace(Some(n.max(1)))));
+    f()
 }
 
 /// Map `f` over `0..n` using up to [`num_threads`] scoped threads and
@@ -51,18 +82,8 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map_with(n, num_threads(), f)
-}
-
-/// [`parallel_map`] with an explicit worker count (mainly for tests that
-/// must compare specific thread counts).
-pub fn parallel_map_with<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
+    let workers = num_threads().clamp(1, n.max(1));
+    if workers == 1 {
         if wsflow_obs::enabled() {
             wsflow_obs::counter_add("par.jobs", 1);
             wsflow_obs::counter_add("par.sequential_jobs", 1);
@@ -76,11 +97,15 @@ where
     // whatever span is open on the calling thread, even though they run
     // elsewhere. Capturing the parent is a no-op when obs is off.
     let parent = wsflow_obs::current_parent();
+    // Workers inherit a `with_threads` override the same way, so nested
+    // fan-outs size themselves like the caller's.
+    let threads = THREADS_OVERRIDE.with(Cell::get);
     let mut collected: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let _causal = wsflow_obs::adopt_parent(parent);
+                    THREADS_OVERRIDE.with(|c| c.set(threads));
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -133,39 +158,6 @@ where
         .collect()
 }
 
-/// Run one closure per worker (`0..workers`) on scoped threads and
-/// return their results in worker order. The closures share state via
-/// the environment (e.g. an atomic incumbent bound); this is the
-/// building block for parallel branch-and-bound.
-///
-/// With `workers == 1` the single closure runs on the calling thread.
-pub fn run_workers<T, F>(workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.max(1);
-    if workers == 1 {
-        return vec![f(0)];
-    }
-    let f = &f;
-    let parent = wsflow_obs::current_parent();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let _causal = wsflow_obs::adopt_parent(parent);
-                    f(w)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-}
-
 /// Split `0..n` into `parts` contiguous ranges whose lengths differ by
 /// at most one (earlier ranges get the extra items). Used to partition
 /// enumeration index spaces deterministically.
@@ -213,21 +205,40 @@ mod tests {
     #[test]
     fn parallel_map_preserves_index_order() {
         for workers in [1, 2, 3, 8] {
-            let out = parallel_map_with(100, workers, |i| i * i);
+            let out = with_threads(workers, || parallel_map(100, |i| i * i));
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn parallel_map_empty_and_single() {
-        assert_eq!(parallel_map_with(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map_with(1, 4, |i| i + 7), vec![7]);
+        with_threads(4, || {
+            assert_eq!(parallel_map(0, |i| i), Vec::<usize>::new());
+            assert_eq!(parallel_map(1, |i| i + 7), vec![7]);
+        });
     }
 
     #[test]
-    fn run_workers_returns_in_worker_order() {
-        let out = run_workers(4, |w| w * 10);
-        assert_eq!(out, vec![0, 10, 20, 30]);
+    fn with_threads_reaches_nested_workers_and_is_restored_after_a_panic() {
+        let outer = num_threads();
+        let seen = with_threads(3, || {
+            parallel_map(4, |_| parallel_map(2, |_| num_threads()))
+        });
+        assert_eq!(seen, vec![vec![3, 3]; 4]);
+        assert_eq!(num_threads(), outer);
+
+        with_threads(5, || {
+            let caught = std::panic::catch_unwind(|| {
+                with_threads(2, || {
+                    assert_eq!(num_threads(), 2);
+                    panic!("unwind through the override");
+                })
+            });
+            assert!(caught.is_err());
+            assert_eq!(num_threads(), 5, "the enclosing override comes back");
+        });
+        assert_eq!(num_threads(), outer);
+        assert_eq!(with_threads(0, num_threads), 1, "zero clamps to one");
     }
 
     #[test]
@@ -297,9 +308,11 @@ mod tests {
             {
                 let root = wsflow_obs::span("par.test_root");
                 root_id = root.id();
-                parallel_map_with(8, workers, |i| {
-                    let _s = wsflow_obs::span_with("par.task_probe", i as u64);
-                    i
+                with_threads(workers, || {
+                    parallel_map(8, |i| {
+                        let _s = wsflow_obs::span_with("par.task_probe", i as u64);
+                        i
+                    })
                 });
             }
             let spans = wsflow_obs::registry::spans();

@@ -64,10 +64,10 @@ USAGE:
   wsflow simulate <workflow.wsf> --servers GHZ[,GHZ…] [--bus MBPS] [--algo NAME]
                   [--trials K] [--contended]
   wsflow explain  <workflow.wsf> --servers GHZ[,GHZ…] [--bus MBPS] [--algo NAME]
-  wsflow dynamic  [--quick] [--seeds N] [--ops M] [--workers W] [--out DIR]
+  wsflow dynamic  [--quick] [--seeds N] [--ops M] [--out DIR]
   wsflow submit   <workflow.wsf> --servers GHZ[,GHZ…] [--bus MBPS] [--algo NAME]
                   [--budget N] [--deadline-ms N] [--tenant T] [--addr HOST:PORT]
-  wsflow loadgen  [--quick] [--seeds N] [--ops M] [--workers W] [--out DIR]
+  wsflow loadgen  [--quick] [--seeds N] [--ops M] [--out DIR]
   wsflow report   <manifest.json | results-dir>
   wsflow trace    <spans.ndjson | results-dir> [--wall] [--out FILE]
   wsflow bench    [--quick] [--out FILE] [--compare BASELINE] [--tolerance T]

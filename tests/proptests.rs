@@ -12,6 +12,7 @@ use wsflow::cost::reference::texecute;
 use wsflow::model::{dsl, recover_structure, BlockSpec, ExecutionProbabilities};
 use wsflow::prelude::*;
 use wsflow::workload::{generate, Configuration, ExperimentClass, GraphClass};
+use wsflow_par::with_threads;
 
 /// Run `f` over `cases` independent seeded RNG streams.
 fn for_cases(test_tag: u64, cases: u64, mut f: impl FnMut(&mut ChaCha8Rng)) {
@@ -492,17 +493,12 @@ fn parallel_exhaustive_bit_identical_to_sequential() {
             seed,
         );
         let problem = Problem::new(s.workflow, s.network).expect("valid");
-        let reference = Exhaustive::with_limit(100_000)
-            .with_workers(1)
-            .deploy(&problem)
-            .expect("enumerable");
+        let exhaustive = Exhaustive::with_limit(100_000);
+        let reference = with_threads(1, || exhaustive.deploy(&problem)).expect("enumerable");
         let mut ev = Evaluator::new(&problem);
         let ref_cost = ev.combined(&reference).value();
         for workers in [2usize, 3, 5, 8] {
-            let got = Exhaustive::with_limit(100_000)
-                .with_workers(workers)
-                .deploy(&problem)
-                .expect("enumerable");
+            let got = with_threads(workers, || exhaustive.deploy(&problem)).expect("enumerable");
             assert_eq!(
                 got, reference,
                 "{workers}-worker exhaustive returned a different mapping"
@@ -512,12 +508,13 @@ fn parallel_exhaustive_bit_identical_to_sequential() {
     });
 }
 
-/// Parallel branch-and-bound (shared atomic incumbent bound) must agree
-/// with the sequential search on completed runs: same mapping, same
-/// cost, same optimality proof.
+/// Unlimited `solve` (root branches over `parallel_map`, each pruning
+/// against its own incumbent) must agree with the sequential
+/// `deploy_with_proof` recursion at any thread count: same mapping, same
+/// cost bits, same optimality proof.
 #[test]
 fn parallel_branch_bound_matches_sequential() {
-    use wsflow::core::BranchAndBound;
+    use wsflow::core::{BranchAndBound, SolveCtx, Termination};
     for_cases(0x10, 24, |rng| {
         let class = ExperimentClass::class_c();
         let m = rng.gen_range(4usize..7);
@@ -533,14 +530,15 @@ fn parallel_branch_bound_matches_sequential() {
         let problem = Problem::new(s.workflow, s.network).expect("valid");
         let sequential = BranchAndBound::new().deploy_with_proof(&problem);
         assert!(sequential.proven_optimal);
-        for workers in [2usize, 4] {
-            let parallel = BranchAndBound::new()
-                .with_workers(workers)
-                .deploy_with_proof(&problem);
-            assert!(parallel.proven_optimal);
+        for workers in [1usize, 4] {
+            let parallel = with_threads(workers, || {
+                BranchAndBound::new().solve(&problem, &mut SolveCtx::unlimited())
+            })
+            .expect("solvable");
+            assert_eq!(parallel.termination, Termination::Converged);
             assert_eq!(
                 parallel.mapping, sequential.mapping,
-                "{workers}-worker bnb returned a different mapping"
+                "{workers}-thread bnb solve returned a different mapping"
             );
             assert_eq!(parallel.cost.to_bits(), sequential.cost.to_bits());
         }
