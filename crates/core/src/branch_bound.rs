@@ -6,21 +6,30 @@
 //! every subtree whose *admissible lower bound* already exceeds the best
 //! complete mapping found so far:
 //!
-//! * **Execution bound**: finish-time propagation where every unassigned
-//!   operation optimistically runs on the fastest server and every
-//!   message with an unassigned endpoint is free.
-//! * **Penalty bound**: the water-filling minimum — remaining work is
-//!   split fractionally over the least-loaded servers, the provably
-//!   fairest completion.
+//! * **Execution bound**: [`Evaluator::relaxed_execution_time`], Table
+//!   1's own recurrence with every unassigned operation on its fastest
+//!   server and every message with an unassigned endpoint free. A
+//!   message between two assigned operations costs its transfer, so
+//!   link propagation and region surcharges are charged once per
+//!   transfer, as in the cost being bounded. An XOR join takes the
+//!   probability-weighted mean of its lower-bounded arrivals, which is
+//!   admissible because the weights do not depend on the mapping and
+//!   the recurrence is monotone in its arrivals.
+//! * **Penalty bound**: the time penalty is the load above the mean.
+//!   No completion takes load off a server, and the mean is largest
+//!   when all remaining work runs on the slowest server, so the current
+//!   loads' excess over that largest mean bounds it. (Filling the
+//!   least-loaded servers first, "water-filling", gives the minimum only
+//!   on identical servers: on mixed powers, work on a slow server
+//!   raises the mean more, and a completion can beat it.)
 //!
 //! The search is *anytime*: it seeds the incumbent with the greedy
 //! algorithms' best mapping and returns the incumbent when the node
 //! budget runs out, so it degrades gracefully into "greedy + partial
 //! proof of optimality" on big instances.
 
-use wsflow_cost::{Evaluator, Mapping, Problem};
-use wsflow_model::traversal::topo_sort;
-use wsflow_model::{DecisionKind, OpId, OpKind};
+use wsflow_cost::{Evaluator, Mapping, PartialMapping, Problem};
+use wsflow_model::OpId;
 use wsflow_net::ServerId;
 
 use crate::algorithm::{DeployError, DeploymentAlgorithm};
@@ -78,13 +87,9 @@ impl BranchAndBound {
         let mut search = Search::new(problem);
         // Incumbent: best greedy mapping.
         let (mut mapping, mut cost) = Self::greedy_seed(problem, &mut search.ev);
-        let mut partial = vec![ServerId::new(0); problem.num_ops()];
-        let mut assigned = vec![false; problem.num_ops()];
         let mut stats = BnbStats::default();
         let complete = search.recurse_local(
             0,
-            &mut partial,
-            &mut assigned,
             &mut mapping,
             &mut cost,
             &mut stats,
@@ -214,19 +219,14 @@ impl DeploymentAlgorithm for BranchAndBound {
         let branches = wsflow_par::parallel_map(n, |s| {
             let mut search = Search::new(problem);
             let op = search.order[0];
-            let mut partial = vec![ServerId::new(0); problem.num_ops()];
-            let mut assigned = vec![false; problem.num_ops()];
-            partial[op.index()] = ServerId::new(s as u32);
-            assigned[op.index()] = true;
+            search.partial.assign(op, ServerId::new(s as u32));
             let mut local_mapping = seed_ref.clone();
             let mut local_cost = seed_cost;
             let mut stats = BnbStats::default();
-            let lb = search.lower_bound(&partial, &assigned);
+            let lb = search.lower_bound();
             let complete = if lb < local_cost {
                 search.recurse_local(
                     1,
-                    &mut partial,
-                    &mut assigned,
                     &mut local_mapping,
                     &mut local_cost,
                     &mut stats,
@@ -273,16 +273,14 @@ struct Search<'p> {
     ev: Evaluator<'p>,
     /// Operations in assignment order (heaviest expected work first).
     order: Vec<OpId>,
-    /// Topological order for the execution bound.
-    topo: Vec<OpId>,
+    /// The servers of the operations assigned so far.
+    partial: PartialMapping,
     /// Expected processing seconds per (op, server).
     proc: Vec<Vec<f64>>,
-    /// Fastest processing seconds per op (over all servers).
-    proc_min: Vec<f64>,
     /// Expected per-op execution probability.
     prob_op: Vec<f64>,
-    /// One-Mbit transfer seconds per server pair (row-major).
-    pair_secs: Vec<f64>,
+    /// The least server power (MCycles per second).
+    slowest_power: f64,
     n: usize,
     weights: (f64, f64),
 }
@@ -291,7 +289,6 @@ impl<'p> Search<'p> {
     fn new(problem: &'p Problem) -> Self {
         let w = problem.workflow();
         let net = problem.network();
-        let n = net.num_servers();
         let mut order: Vec<OpId> = w.op_ids().collect();
         let probs = problem.probabilities();
         order.sort_by(|&a, &b| {
@@ -309,30 +306,19 @@ impl<'p> Search<'p> {
                     .collect()
             })
             .collect();
-        let proc_min = proc
-            .iter()
-            .map(|row| row.iter().copied().fold(f64::INFINITY, f64::min))
-            .collect();
-        let mut pair_secs = vec![0.0; n * n];
-        for a in net.server_ids() {
-            for b in net.server_ids() {
-                pair_secs[a.index() * n + b.index()] = problem
-                    .routing()
-                    .transfer_time(net, a, b, wsflow_model::Mbits(1.0))
-                    .expect("fully routable")
-                    .value();
-            }
-        }
         Self {
             problem,
             ev: Evaluator::new(problem),
             order,
-            topo: topo_sort(w).expect("acyclic"),
+            partial: PartialMapping::unassigned(w.num_ops()),
             proc,
-            proc_min,
             prob_op: probs.op_prob.iter().map(|p| p.value()).collect(),
-            pair_secs,
-            n,
+            slowest_power: net
+                .servers()
+                .iter()
+                .map(|s| s.power.value())
+                .fold(f64::INFINITY, f64::min),
+            n: net.num_servers(),
             weights: (problem.weights().execution, problem.weights().penalty),
         }
     }
@@ -345,12 +331,9 @@ impl<'p> Search<'p> {
     ///
     /// The cancel token is polled every [`CANCEL_POLL_PERIOD`] nodes;
     /// an early exit reports the subtree as incomplete.
-    #[allow(clippy::too_many_arguments)]
     fn recurse_local(
         &mut self,
         depth: usize,
-        partial: &mut Vec<ServerId>,
-        assigned: &mut Vec<bool>,
         best_mapping: &mut Mapping,
         best_cost: &mut f64,
         stats: &mut BnbStats,
@@ -367,7 +350,7 @@ impl<'p> Search<'p> {
         }
         stats.nodes += 1;
         if depth == self.order.len() {
-            let candidate = Mapping::new(partial.clone());
+            let candidate = self.partial.complete().expect("a leaf assigns every op");
             let cost = self.ev.combined(&candidate).value();
             if cost < *best_cost {
                 *best_cost = cost;
@@ -379,159 +362,121 @@ impl<'p> Search<'p> {
         let op = self.order[depth];
         let mut complete = true;
         for s in 0..self.n as u32 {
-            let server = ServerId::new(s);
-            partial[op.index()] = server;
-            assigned[op.index()] = true;
-            let lb = self.lower_bound(partial, assigned);
+            self.partial.assign(op, ServerId::new(s));
+            let lb = self.lower_bound();
             if lb < *best_cost {
-                complete &= self.recurse_local(
-                    depth + 1,
-                    partial,
-                    assigned,
-                    best_mapping,
-                    best_cost,
-                    stats,
-                    budget,
-                    token,
-                );
+                complete &=
+                    self.recurse_local(depth + 1, best_mapping, best_cost, stats, budget, token);
             } else {
                 stats.prunes += 1;
             }
-            assigned[op.index()] = false;
         }
+        self.partial.unassign(op);
         complete
     }
 
-    fn lower_bound(&self, partial: &[ServerId], assigned: &[bool]) -> f64 {
-        let exec = self.execution_bound(partial, assigned);
-        let pen = self.penalty_bound(partial, assigned);
+    /// Admissible lower bound on the combined cost of every completion
+    /// of [`partial`](Self::partial).
+    fn lower_bound(&mut self) -> f64 {
+        let exec = self.ev.relaxed_execution_time(&self.partial).value();
+        let pen = self.penalty_bound();
         self.weights.0 * exec + self.weights.1 * pen
     }
 
-    /// Optimistic Texecute: unassigned ops run at their fastest possible
-    /// speed; messages touching an unassigned op are free.
-    fn execution_bound(&self, partial: &[ServerId], assigned: &[bool]) -> f64 {
+    /// Penalty bound. The time penalty is the total load above the
+    /// mean, `Σ max(0, load − mean)`, and no completion lowers a server's
+    /// load below what its assigned ops already put there. The mean is
+    /// largest when all remaining expected work runs on the slowest
+    /// server, so every completion's penalty is at least
+    /// `Σ max(0, load − that largest mean)` over the current loads.
+    fn penalty_bound(&self) -> f64 {
         let w = self.problem.workflow();
-        let mut finish = vec![0.0f64; w.num_ops()];
-        for &u in &self.topo {
-            let in_msgs = w.in_msgs(u);
-            let ready = if in_msgs.is_empty() {
-                0.0
-            } else {
-                let arrival = |mid: wsflow_model::MsgId| -> f64 {
-                    let msg = w.message(mid);
-                    let comm = if assigned[msg.from.index()] && assigned[msg.to.index()] {
-                        let a = partial[msg.from.index()];
-                        let b = partial[msg.to.index()];
-                        msg.size.value() * self.pair_secs[a.index() * self.n + b.index()]
-                    } else {
-                        0.0
-                    };
-                    finish[msg.from.index()] + comm
-                };
-                match w.op(u).kind {
-                    OpKind::Close(DecisionKind::Or) => in_msgs
-                        .iter()
-                        .map(|&m| arrival(m))
-                        .fold(f64::INFINITY, f64::min),
-                    OpKind::Close(DecisionKind::Xor) => {
-                        // Weighted mean is bounded below by the minimum
-                        // arrival; use the admissible minimum.
-                        in_msgs
-                            .iter()
-                            .map(|&m| arrival(m))
-                            .fold(f64::INFINITY, f64::min)
-                    }
-                    _ => in_msgs.iter().map(|&m| arrival(m)).fold(0.0f64, f64::max),
-                }
-            };
-            let proc = if assigned[u.index()] {
-                self.proc[u.index()][partial[u.index()].index()]
-            } else {
-                self.proc_min[u.index()]
-            };
-            finish[u.index()] = ready + proc;
-        }
-        w.sinks()
-            .into_iter()
-            .map(|s| finish[s.index()])
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Water-filling penalty bound: current per-server loads from the
-    /// assigned ops; the remaining expected work may be split
-    /// fractionally over servers, which is fairest when it levels the
-    /// least-loaded servers first.
-    fn penalty_bound(&self, partial: &[ServerId], assigned: &[bool]) -> f64 {
-        let w = self.problem.workflow();
-        let net = self.problem.network();
         let mut loads = vec![0.0f64; self.n];
         let mut remaining_cycles = 0.0f64;
         for op in w.op_ids() {
             let i = op.index();
-            if assigned[i] {
-                loads[partial[i].index()] += self.prob_op[i] * self.proc[i][partial[i].index()];
-            } else {
-                remaining_cycles += self.prob_op[i] * w.op(op).cost.value();
+            match self.partial.server_of(op) {
+                Some(s) => loads[s.index()] += self.prob_op[i] * self.proc[i][s.index()],
+                None => remaining_cycles += self.prob_op[i] * w.op(op).cost.value(),
             }
         }
-        if remaining_cycles <= 0.0 {
-            return penalty_of(&loads);
-        }
-        // Water-fill: find level t so that raising every below-t server
-        // to t consumes exactly the remaining cycles (cycles consumed on
-        // server i per second of added load = P_i).
-        let powers: Vec<f64> = net.servers().iter().map(|s| s.power.value()).collect();
-        let mut idx: Vec<usize> = (0..self.n).collect();
-        idx.sort_by(|&a, &b| loads[a].partial_cmp(&loads[b]).expect("finite"));
-        let mut cycles_left = remaining_cycles;
-        let mut level = loads[idx[0]];
-        let mut active_power = 0.0;
-        let mut k = 0;
-        while k < self.n {
-            // Activate every server at the current level.
-            while k < self.n && loads[idx[k]] <= level + 1e-15 {
-                active_power += powers[idx[k]];
-                k += 1;
-            }
-            let next_level = if k < self.n {
-                loads[idx[k]]
-            } else {
-                f64::INFINITY
-            };
-            let capacity = (next_level - level) * active_power;
-            if capacity >= cycles_left || next_level.is_infinite() {
-                level += cycles_left / active_power;
-                cycles_left = 0.0;
-                break;
-            }
-            cycles_left -= capacity;
-            level = next_level;
-        }
-        debug_assert!(cycles_left.abs() < 1e-9 || cycles_left == 0.0);
-        let final_loads: Vec<f64> = loads
-            .iter()
-            .map(|&l| if l < level { level } else { l })
-            .collect();
-        penalty_of(&final_loads)
+        let mean =
+            (loads.iter().sum::<f64>() + remaining_cycles / self.slowest_power) / self.n as f64;
+        loads.iter().map(|&l| (l - mean).max(0.0)).sum()
     }
 }
 
 /// How many tree nodes a branch expands between cancel polls.
 const CANCEL_POLL_PERIOD: u64 = 1024;
 
-fn penalty_of(loads: &[f64]) -> f64 {
-    if loads.is_empty() {
-        return 0.0;
-    }
-    let avg = loads.iter().sum::<f64>() / loads.len() as f64;
-    loads.iter().map(|l| (l - avg).abs()).sum::<f64>() / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exhaustive::optimum;
+
+    /// Instances for the bound checks: a line on a propagation-free bus;
+    /// lines on full meshes with long propagation and messages over
+    /// 1 Mbit; an XOR graph on such a mesh; and small geo instances,
+    /// whose region surcharges are per-transfer latencies.
+    fn bound_instances() -> Vec<Problem> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        let mut problems = vec![line_problem(
+            &[10.0, 30.0, 20.0, 40.0],
+            &[0.5, 0.1, 0.9],
+            homogeneous_servers(2, 1.0),
+            5.0,
+        )];
+        for _ in 0..6 {
+            let ops = rng.gen_range(3..=5usize);
+            let costs: Vec<f64> = (0..ops).map(|_| rng.gen_range(10.0..100.0)).collect();
+            let sizes: Vec<f64> = (1..ops).map(|_| rng.gen_range(1.0..21.0)).collect();
+            let servers = homogeneous_servers(rng.gen_range(2..=3usize), 1.0);
+            let propagation = Seconds(rng.gen_range(0.05..0.55));
+            problems.push(line_problem_on(
+                &costs,
+                &sizes,
+                full_mesh("m", servers, MbitsPerSec(1000.0), propagation).unwrap(),
+            ));
+        }
+        let mesh = full_mesh(
+            "m",
+            homogeneous_servers(3, 1.0),
+            MbitsPerSec(100.0),
+            Seconds(0.02),
+        )
+        .unwrap();
+        problems.push(Problem::new(xor_graph(2.0), mesh).unwrap());
+        for seed in 0..3 {
+            let s = wsflow_workload::geo_instance(5, 3, 2, seed);
+            problems.push(Problem::new(s.workflow, s.network).unwrap());
+        }
+        problems
+    }
+
+    /// The least combined cost over every completion of `search`'s
+    /// partial mapping, by brute force.
+    fn best_completion(search: &mut Search<'_>) -> f64 {
+        let n = search.n;
+        let free: Vec<OpId> = search
+            .problem
+            .workflow()
+            .op_ids()
+            .filter(|&o| !search.partial.is_assigned(o))
+            .collect();
+        let mut full = search.partial.clone();
+        let mut best = f64::INFINITY;
+        for code in 0..n.pow(free.len() as u32) {
+            let mut rest = code;
+            for &o in &free {
+                full.assign(o, ServerId::new((rest % n) as u32));
+                rest /= n;
+            }
+            let mapping = full.complete().unwrap();
+            best = best.min(search.ev.combined(&mapping).value());
+        }
+        best
+    }
 
     /// Admissibility: for random partial assignments, the lower bound
     /// never exceeds the cost of the best completion (checked against
@@ -539,48 +484,90 @@ mod tests {
     #[test]
     fn lower_bound_is_admissible() {
         use rand::{Rng, SeedableRng};
-        let p = line_problem(
-            &[10.0, 30.0, 20.0, 40.0],
-            &[0.5, 0.1, 0.9],
-            homogeneous_servers(2, 1.0),
-            5.0,
-        );
-        let mut search = Search::new(&p);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let m = p.num_ops();
-        for _ in 0..50 {
-            // Random partial assignment.
-            let mut partial = vec![ServerId::new(0); m];
-            let mut assigned = vec![false; m];
-            for i in 0..m {
-                if rng.gen::<bool>() {
-                    assigned[i] = true;
-                    partial[i] = ServerId::new(rng.gen_range(0..2));
+        for p in &bound_instances() {
+            let mut search = Search::new(p);
+            let n = p.num_servers() as u32;
+            for _ in 0..30 {
+                search.partial = PartialMapping::unassigned(p.num_ops());
+                for op in p.workflow().op_ids() {
+                    if rng.gen::<bool>() {
+                        search
+                            .partial
+                            .assign(op, ServerId::new(rng.gen_range(0..n)));
+                    }
                 }
+                let lb = search.lower_bound();
+                let best = best_completion(&mut search);
+                assert!(
+                    lb <= best + 1e-9,
+                    "{}: inadmissible bound: lb {lb} > best completion {best} \
+                     (partial {:?})",
+                    p.workflow().name(),
+                    search.partial
+                );
             }
-            let lb = search.lower_bound(&partial, &assigned);
-            // Brute-force the best completion of the free slots.
-            let free: Vec<usize> = (0..m).filter(|&i| !assigned[i]).collect();
-            let mut best = f64::INFINITY;
-            for bits in 0u32..(1 << free.len()) {
-                let mut full = partial.clone();
-                for (j, &i) in free.iter().enumerate() {
-                    full[i] = ServerId::new((bits >> j) & 1);
-                }
-                let mapping = Mapping::new(full);
-                best = best.min(search.ev.combined(&mapping).value());
-            }
-            assert!(
-                lb <= best + 1e-9,
-                "inadmissible bound: lb {lb} > best completion {best}                  (assigned {assigned:?})"
-            );
         }
     }
-    use wsflow_model::{MCycles, Mbits, MbitsPerSec, WorkflowBuilder};
-    use wsflow_net::topology::{bus, homogeneous_servers};
-    use wsflow_net::Server;
+
+    /// The root bound, with nothing assigned, is a floor under every
+    /// mapping: no solver may report a cheaper one.
+    #[test]
+    fn no_solver_reports_a_cost_below_the_root_bound() {
+        use crate::registry;
+        use crate::solve::SolveCtx;
+        use crate::{Blackboard, Exhaustive, Portfolio};
+        let mut problems = bound_instances();
+        let class = wsflow_workload::ExperimentClass::class_c();
+        for seed in 0..4u64 {
+            let config = if seed % 2 == 0 {
+                wsflow_workload::Configuration::LineBus(MbitsPerSec(10.0))
+            } else {
+                wsflow_workload::Configuration::GraphBus(
+                    wsflow_workload::GraphClass::Hybrid,
+                    MbitsPerSec(1.0),
+                )
+            };
+            let s = wsflow_workload::generate(config, 6, 3, &class, 40 + seed);
+            problems.push(Problem::new(s.workflow, s.network).unwrap());
+        }
+        for p in &problems {
+            let floor = Search::new(p).lower_bound();
+            let mut solvers = registry::paper_bus_algorithms(5);
+            solvers.extend(registry::line_line_variants());
+            solvers.extend(registry::baselines(5, 16));
+            solvers.push(registry::default_random_graph_solver(5));
+            solvers.push(Box::new(Blackboard::new(9)));
+            solvers.push(Box::new(Portfolio::new(5)));
+            solvers.push(Box::new(Exhaustive::new()));
+            solvers.push(Box::new(BranchAndBound::new()));
+            for algo in &solvers {
+                // Line–Line variants reject non-line networks.
+                let Ok(out) = algo.solve(p, &mut SolveCtx::unlimited()) else {
+                    continue;
+                };
+                assert!(
+                    out.cost >= floor,
+                    "{} on {}: cost {} below the root bound {floor}",
+                    algo.name(),
+                    p.workflow().name(),
+                    out.cost
+                );
+            }
+        }
+    }
+
+    use wsflow_model::{
+        BlockSpec, MCycles, Mbits, MbitsPerSec, Seconds, Workflow, WorkflowBuilder,
+    };
+    use wsflow_net::topology::{bus, full_mesh, homogeneous_servers};
+    use wsflow_net::{Network, Server};
 
     fn line_problem(costs: &[f64], sizes: &[f64], servers: Vec<Server>, mbps: f64) -> Problem {
+        line_problem_on(costs, sizes, bus("n", servers, MbitsPerSec(mbps)).unwrap())
+    }
+
+    fn line_problem_on(costs: &[f64], sizes: &[f64], net: Network) -> Problem {
         let mut b = WorkflowBuilder::new("w");
         let ids: Vec<OpId> = costs
             .iter()
@@ -590,8 +577,28 @@ mod tests {
         for (i, &s) in sizes.iter().enumerate() {
             b.msg(ids[i], ids[i + 1], Mbits(s));
         }
-        let net = bus("n", servers, MbitsPerSec(mbps)).unwrap();
         Problem::new(b.build().unwrap(), net).unwrap()
+    }
+
+    /// `a` then an XOR split into `l` (40 MCycles) or `r` (10), with
+    /// message `i` of size `step · i` Mbit.
+    fn xor_graph(step: f64) -> Workflow {
+        let spec = BlockSpec::seq(vec![
+            BlockSpec::op("a", MCycles(20.0)),
+            BlockSpec::xor_uniform(
+                "x",
+                vec![
+                    BlockSpec::op("l", MCycles(40.0)),
+                    BlockSpec::op("r", MCycles(10.0)),
+                ],
+            ),
+        ]);
+        let mut i = 0;
+        spec.lower("g", &mut || {
+            i += 1;
+            Mbits(step * i as f64)
+        })
+        .unwrap()
     }
 
     #[test]
@@ -670,24 +677,7 @@ mod tests {
 
     #[test]
     fn works_on_graph_workflows() {
-        use wsflow_model::BlockSpec;
-        let spec = BlockSpec::seq(vec![
-            BlockSpec::op("a", MCycles(20.0)),
-            BlockSpec::xor_uniform(
-                "x",
-                vec![
-                    BlockSpec::op("l", MCycles(40.0)),
-                    BlockSpec::op("r", MCycles(10.0)),
-                ],
-            ),
-        ]);
-        let mut i = 0;
-        let w = spec
-            .lower("g", &mut || {
-                i += 1;
-                Mbits(0.1 * i as f64)
-            })
-            .unwrap();
+        let w = xor_graph(0.1);
         let net = bus("n", homogeneous_servers(2, 1.0), MbitsPerSec(10.0)).unwrap();
         let p = Problem::new(w, net).unwrap();
         let (_, opt) = optimum(&p, 1_000_000).unwrap(); // 2^6 = 64

@@ -94,11 +94,7 @@ impl<A: DeploymentAlgorithm> ConstrainedDeploy<A> {
         let mut ev = Evaluator::new(problem);
         let score = |ev: &mut Evaluator<'_>, m: &Mapping| -> (Seconds, Seconds) {
             let cost = ev.evaluate(m);
-            let load = ev
-                .compute_loads(m)
-                .iter()
-                .copied()
-                .fold(Seconds::ZERO, Seconds::max);
+            let load = ev.loads().iter().copied().fold(Seconds::ZERO, Seconds::max);
             (violation(&constraints, &cost, load), cost.combined)
         };
         let mut current = start;

@@ -17,29 +17,29 @@ use wsflow_workload::{generate, Configuration, ExperimentClass, GraphClass};
 /// per instance, in instance order.
 const GOLDEN: &[(u64, u64, u64, bool, u64)] = &[
     (31, 30, 1, true, 4590548643792302124),
-    (27, 26, 1, true, 4590296874558733603),
+    (28, 25, 1, true, 4590296874558733603),
     (7, 6, 1, true, 4581588535616416798),
     (10, 21, 0, true, 4589468260265693457),
     (247, 495, 0, true, 4594140621180220582),
-    (386, 764, 3, true, 4590762171580330755),
-    (732, 293, 4, true, 4585542495629808073),
-    (43, 118, 3, true, 4583583556752596009),
-    (1831, 5478, 4, true, 4591519052538506144),
-    (24, 23, 1, true, 4587966099621982786),
+    (406, 804, 3, true, 4590762171580330755),
+    (96, 273, 4, true, 4585542495629808073),
+    (50, 139, 3, true, 4583583556752596009),
+    (2143, 6414, 4, true, 4591519052538506144),
+    (26, 23, 1, true, 4587966099621982786),
     (9, 6, 2, true, 4586228733383653112),
     (13, 12, 1, true, 4581421828931458171),
-    (16, 33, 0, true, 4593071139967589854),
+    (19, 39, 0, true, 4593071139967589854),
     (65, 128, 1, true, 4588999693750862825),
-    (1, 3, 0, true, 4569832565890358094),
-    (118, 355, 0, true, 4586766100489271160),
-    (725, 2160, 4, true, 4591566370838975010),
-    (1330, 3991, 0, true, 4593517088084035941),
+    (19, 21, 0, true, 4569832565890358094),
+    (124, 373, 0, true, 4586766100489271160),
+    (774, 2307, 4, true, 4591566370838975010),
+    (1366, 4099, 0, true, 4593517088084035941),
     (15, 16, 0, true, 4586285716529018307),
     (15, 12, 2, true, 4589404643017837172),
     (50, 45, 2, false, 4594034307405977022),
-    (31, 60, 1, true, 4591870180066957721),
-    (80, 73, 2, false, 4583612442870408956),
-    (36, 52, 7, true, 4584887885994051324),
+    (35, 68, 1, true, 4591870180066957721),
+    (21, 37, 2, true, 4583612442870408956),
+    (40, 57, 7, true, 4584887885994051324),
 ];
 
 fn instance(i: u64) -> (Problem, BranchAndBound) {

@@ -13,7 +13,7 @@ use wsflow_model::{DecisionKind, MsgId, OpId, OpKind, Seconds};
 use wsflow_net::ServerId;
 
 use crate::load::time_penalty_of_loads;
-use crate::mapping::Mapping;
+use crate::mapping::{Mapping, PartialMapping};
 use crate::money::{billed, PriceTable};
 use crate::objective::CostBreakdown;
 use crate::problem::Problem;
@@ -44,6 +44,8 @@ pub struct Evaluator<'p> {
     pub(crate) order: Vec<OpId>,
     /// Row-major `proc_secs[op * N + server]` = `Tproc(op)` there.
     pub(crate) proc_secs: Vec<f64>,
+    /// `fastest_secs[op]` = the least `Tproc(op)` over all servers.
+    fastest_secs: Vec<f64>,
     /// `prob_op[op]` = execution probability.
     pub(crate) prob_op: Vec<f64>,
     /// `prob_msg[msg]` = send probability.
@@ -77,10 +79,15 @@ impl<'p> Evaluator<'p> {
         let order = topo_sort(w).expect("problem workflows are acyclic");
         let n = net.num_servers();
         let mut proc_secs = Vec::with_capacity(w.num_ops() * n);
+        let mut fastest_secs = Vec::with_capacity(w.num_ops());
         for op in w.ops() {
+            let mut fastest = f64::INFINITY;
             for s in net.servers() {
-                proc_secs.push((op.cost / s.power).value());
+                let secs = (op.cost / s.power).value();
+                fastest = fastest.min(secs);
+                proc_secs.push(secs);
             }
+            fastest_secs.push(fastest);
         }
         let prob_op = problem
             .probabilities()
@@ -102,6 +109,7 @@ impl<'p> Evaluator<'p> {
             problem,
             order,
             proc_secs,
+            fastest_secs,
             prob_op,
             prob_msg,
             msg_from,
@@ -148,8 +156,17 @@ impl<'p> Evaluator<'p> {
     /// sender's finish time plus the transfer.
     #[inline]
     pub(crate) fn arrival(&self, m: MsgId, to: ServerId, mapping: &Mapping, finish: &[f64]) -> f64 {
-        let t = self.comm_of(m, to, mapping);
-        finish[self.msg_from[m.index()] as usize] + t
+        let from = mapping.server_of(OpId(self.msg_from[m.index()]));
+        self.arrival_between(m, from, to, finish)
+    }
+
+    /// When inbound message `m` reaches `to` from a sender placed on
+    /// `from`: the sender's finish time plus the transfer.
+    #[inline]
+    fn arrival_between(&self, m: MsgId, from: ServerId, to: ServerId, finish: &[f64]) -> f64 {
+        let i = m.index();
+        let t = self.comm_secs(from, to, self.msg_size[i]);
+        finish[self.msg_from[i] as usize] + t
     }
 
     /// When `u` may start, given the finish times of its predecessors:
@@ -157,12 +174,25 @@ impl<'p> Evaluator<'p> {
     /// `Texecute` recurrence).
     #[inline]
     pub(crate) fn ready_of(&self, u: OpId, mapping: &Mapping, finish: &[f64]) -> f64 {
+        let to = mapping.server_of(u);
+        // Forced: the closure has one call site per join kind, and left
+        // to itself the compiler calls it out of line on this hot path.
+        self.combine(
+            u,
+            #[inline(always)]
+            |m| self.arrival(m, to, mapping, finish),
+        )
+    }
+
+    /// The AND/OR/XOR combination of `u`'s inbound arrivals, each given
+    /// by `arrival`: a max, a min or a weighted sum with mapping-free
+    /// non-negative weights, so monotone in every arrival.
+    #[inline(always)]
+    fn combine(&self, u: OpId, arrival: impl Fn(MsgId) -> f64) -> f64 {
         let in_msgs = self.problem.workflow().in_msgs(u);
         if in_msgs.is_empty() {
             return 0.0;
         }
-        let to = mapping.server_of(u);
-        let arrival = |m: MsgId| self.arrival(m, to, mapping, finish);
         match self.kind[u.index()] {
             OpKind::Close(DecisionKind::And) => {
                 in_msgs.iter().map(|&m| arrival(m)).fold(0.0f64, f64::max)
@@ -237,6 +267,41 @@ impl<'p> Evaluator<'p> {
         result
     }
 
+    /// A lower bound on the execution time of every completion of
+    /// `partial`: Table 1's recurrence with each unassigned op on its
+    /// fastest server and each message touching one free. Every other
+    /// message takes the full pass's arrival rule, so propagation and
+    /// region surcharges count once per transfer. The recurrence is
+    /// monotone in its arrivals (an XOR join's weights do not depend on
+    /// the mapping), so no completion finishes sooner; with every op
+    /// assigned the result is [`execution_time`](Self::execution_time)'s,
+    /// bit for bit.
+    pub fn relaxed_execution_time(&mut self, partial: &PartialMapping) -> Seconds {
+        let mut finish = std::mem::take(&mut self.finish);
+        for &u in &self.order {
+            let host = partial.server_of(u);
+            let ready = self.combine(
+                u,
+                #[inline(always)]
+                |m| {
+                    let sender = OpId(self.msg_from[m.index()]);
+                    match (partial.server_of(sender), host) {
+                        (Some(from), Some(to)) => self.arrival_between(m, from, to, &finish),
+                        _ => finish[sender.index()],
+                    }
+                },
+            );
+            let proc = match host {
+                Some(s) => self.proc_sec(u.index(), s.index()),
+                None => self.fastest_secs[u.index()],
+            };
+            finish[u.index()] = ready + proc;
+        }
+        let result = self.completion_of(&finish);
+        self.finish = finish;
+        result
+    }
+
     /// Per-server loads (probability-weighted processing seconds).
     pub fn compute_loads(&mut self, mapping: &Mapping) -> &[Seconds] {
         for l in self.loads.iter_mut() {
@@ -246,6 +311,13 @@ impl<'p> Evaluator<'p> {
             let secs = self.proc_secs[op.index() * self.n_servers + server.index()];
             self.loads[server.index()] += Seconds(secs * self.prob_op[op.index()]);
         }
+        &self.loads
+    }
+
+    /// The per-server loads the last [`evaluate`](Self::evaluate),
+    /// [`penalty`](Self::penalty) or [`compute_loads`](Self::compute_loads) folded.
+    #[inline]
+    pub fn loads(&self) -> &[Seconds] {
         &self.loads
     }
 
@@ -442,6 +514,99 @@ mod tests {
         assert!((texecute(&p, &split).value() - t.value()).abs() < 1e-12);
     }
 
+    /// The relaxations one at a time on a two-op line over a mesh with
+    /// 0.5 s propagation and servers of 1 and 2 GHz.
+    #[test]
+    fn relaxed_pass_frees_unassigned_ops_and_charges_propagation_once() {
+        use crate::mapping::PartialMapping;
+        use wsflow_net::topology::full_mesh;
+        use wsflow_net::Server;
+        let mut b = WorkflowBuilder::new("w");
+        b.line("o", &[MCycles(10.0), MCycles(30.0)], Mbits(10.0));
+        let servers = vec![Server::with_ghz("slow", 1.0), Server::with_ghz("fast", 2.0)];
+        let net = full_mesh("m", servers, MbitsPerSec(100.0), Seconds(0.5)).unwrap();
+        let p = Problem::new(b.build().unwrap(), net).unwrap();
+        let mut ev = Evaluator::new(&p);
+        let (o0, o1) = (OpId::new(0), OpId::new(1));
+        let mut partial = PartialMapping::unassigned(2);
+        // Both ops on the 2 GHz server, no transfer: 5 + 15 ms.
+        assert!((ev.relaxed_execution_time(&partial).value() - 0.020).abs() < 1e-12);
+        // One endpoint assigned: the message is still free.
+        partial.assign(o0, ServerId::new(0));
+        assert!((ev.relaxed_execution_time(&partial).value() - 0.025).abs() < 1e-12);
+        // Both assigned apart: 10 ms + 10 Mbit / 100 Mbps + 0.5 s once + 15 ms.
+        partial.assign(o1, ServerId::new(1));
+        assert!((ev.relaxed_execution_time(&partial).value() - 0.625).abs() < 1e-12);
+    }
+
+    /// With every op assigned, the relaxed pass applies no relaxation:
+    /// it must return `execution_time`'s bits on line, XOR-graph and
+    /// geo instances, propagation and region surcharges included.
+    #[test]
+    fn relaxed_pass_on_complete_mappings_is_execution_time_bitwise() {
+        use crate::mapping::PartialMapping;
+        use rand::{Rng, SeedableRng};
+        use wsflow_net::topology::full_mesh;
+
+        let mut line = WorkflowBuilder::new("w");
+        line.line(
+            "o",
+            &[MCycles(10.0), MCycles(40.0), MCycles(25.0), MCycles(5.0)],
+            Mbits(7.5),
+        );
+        let mesh = full_mesh(
+            "m",
+            homogeneous_servers(3, 1.5),
+            MbitsPerSec(1000.0),
+            Seconds(0.3),
+        )
+        .unwrap();
+        let xor = BlockSpec::seq(vec![
+            BlockSpec::op("s", MCycles(15.0)),
+            BlockSpec::xor_uniform(
+                "x",
+                vec![
+                    BlockSpec::op("q", MCycles(10.0)),
+                    BlockSpec::and(
+                        "a",
+                        vec![
+                            BlockSpec::op("r", MCycles(90.0)),
+                            BlockSpec::op("t", MCycles(30.0)),
+                        ],
+                    ),
+                ],
+            ),
+        ]);
+        let mut i = 0usize;
+        let xor = xor
+            .lower("g", &mut || {
+                i += 1;
+                Mbits(0.7 * i as f64)
+            })
+            .unwrap();
+        let geo = wsflow_workload::geo_instance(7, 4, 2, 11);
+        let problems = [
+            Problem::new(line.build().unwrap(), mesh.clone()).unwrap(),
+            Problem::new(xor, mesh).unwrap(),
+            Problem::new(geo.workflow, geo.network).unwrap(),
+        ];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        for p in &problems {
+            let mut ev = Evaluator::new(p);
+            let n = p.num_servers() as u32;
+            for _ in 0..50 {
+                let m = Mapping::from_fn(p.num_ops(), |_| ServerId::new(rng.gen_range(0..n)));
+                let relaxed = ev.relaxed_execution_time(&PartialMapping::from_full(&m));
+                assert_eq!(
+                    relaxed.value().to_bits(),
+                    ev.execution_time(&m).value().to_bits(),
+                    "{}: relaxed pass differs on {m}",
+                    p.workflow().name()
+                );
+            }
+        }
+    }
+
     #[test]
     fn repeated_evaluation_is_consistent() {
         let mut b = WorkflowBuilder::new("w");
@@ -455,5 +620,8 @@ mod tests {
         let _ = ev.evaluate(&m2);
         let a1_again = ev.evaluate(&m1);
         assert_eq!(a1, a1_again);
+        // `evaluate` leaves the loads it folded readable.
+        let left = ev.loads().to_vec();
+        assert_eq!(left, ev.compute_loads(&m1));
     }
 }

@@ -131,8 +131,11 @@ impl fmt::Display for Mapping {
     }
 }
 
-/// A partial mapping used inside the greedy algorithms while operations
-/// are still being placed.
+/// A mapping in which some operations may not have a server yet.
+///
+/// Branch-and-bound carries one down its search tree, and
+/// [`Evaluator::relaxed_execution_time`](crate::Evaluator::relaxed_execution_time)
+/// bounds the execution time of its every completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialMapping {
     assignment: Vec<Option<ServerId>>,

@@ -3,7 +3,8 @@
 //! Six micro-benchmarks over one fixed-seed 200×20 star instance —
 //! the cost-model hot paths, the constructive greedies the service
 //! serves, and the hierarchical solver — plus two network-layer rows on
-//! a 150-server class-C bus, the pool `wsflowd` builds per request:
+//! a 150-server class-C bus, the pool `wsflowd` builds per request, and
+//! one branch-and-bound proof on a small graph workflow with XOR joins:
 //!
 //! | bench | times |
 //! |---|---|
@@ -15,6 +16,7 @@
 //! | `sim_engine` | Monte-Carlo trials of the discrete-event simulator |
 //! | `net_build` | one [`topology::bus`] build (links + validation + adjacency) |
 //! | `route_build` | [`RoutingTable::new`] + [`CommMatrix::new`] (all-pairs routing) |
+//! | `bnb_prove` | one unbudgeted [`BranchAndBound::deploy_with_proof`], per expanded node |
 //!
 //! Results are wall-clock by design and go to `BENCH_obs.json` —
 //! never into a deterministic experiment CSV. `compare` implements the
@@ -28,12 +30,16 @@ use std::hint::black_box;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use wsflow_core::{DeploymentAlgorithm, FairLoad, Hierarchical, Portfolio, SolveCtx};
+use wsflow_core::{
+    BranchAndBound, DeploymentAlgorithm, FairLoad, Hierarchical, Portfolio, SolveCtx,
+};
 use wsflow_cost::{CommMatrix, DeltaEvaluator, Evaluator, Mapping, Problem};
 use wsflow_model::MbitsPerSec;
 use wsflow_net::{topology, RoutingTable, ServerId};
 use wsflow_sim::{monte_carlo, SimConfig};
-use wsflow_workload::{bus_network, scale_instance, ExperimentClass};
+use wsflow_workload::{
+    bus_network, generate, scale_instance, Configuration, ExperimentClass, GraphClass,
+};
 
 /// Schema tag of `BENCH_obs.json`.
 pub const SCHEMA: &str = "wsflow-bench/1";
@@ -85,6 +91,19 @@ impl BenchDoc {
         out.push('\n');
         out
     }
+}
+
+/// The branch-and-bound row's instance: a 5-operation bushy graph
+/// workflow with XOR joins on a 4-server 1 Mbps class-C bus.
+fn bnb_instance() -> Problem {
+    let s = generate(
+        Configuration::GraphBus(GraphClass::Bushy, MbitsPerSec(1.0)),
+        5,
+        4,
+        &ExperimentClass::class_c(),
+        506,
+    );
+    Problem::new(s.workflow, s.network).expect("generated scenarios are valid")
 }
 
 /// Time `reps` repetitions of `body`, which performs `units` inner
@@ -234,6 +253,25 @@ pub fn run(quick: bool) -> BenchDoc {
     };
     benches.push(bus_record("route_build", ns));
 
+    // One proof takes well under a millisecond: time `evals` of them
+    // per rep, and report per expanded node (the count is a pure
+    // function of the instance).
+    let problem = bnb_instance();
+    let bnb = BranchAndBound::new();
+    let nodes = bnb.deploy_with_proof(&problem).nodes_expanded as usize;
+    let ns = time(reps, evals * nodes, || {
+        for _ in 0..evals {
+            black_box(bnb.deploy_with_proof(&problem));
+        }
+    });
+    benches.push(BenchRecord {
+        name: "bnb_prove".to_string(),
+        ops: problem.num_ops(),
+        servers: problem.num_servers(),
+        reps,
+        ns_per_op: ns,
+    });
+
     assert!(sink.is_finite());
     BenchDoc {
         schema: SCHEMA.to_string(),
@@ -305,7 +343,8 @@ mod tests {
                 "hier_stitch",
                 "sim_engine",
                 "net_build",
-                "route_build"
+                "route_build",
+                "bnb_prove"
             ]
         );
         for b in &d.benches {
@@ -336,6 +375,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `bnb_prove` is meant to time the bound on XOR joins.
+    #[test]
+    fn the_bnb_instance_has_xor_joins() {
+        use wsflow_model::{DecisionKind, OpKind};
+        let problem = bnb_instance();
+        assert!(problem
+            .workflow()
+            .ops()
+            .iter()
+            .any(|op| op.kind == OpKind::Close(DecisionKind::Xor)));
     }
 
     #[test]
