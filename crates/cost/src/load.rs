@@ -54,20 +54,14 @@ pub fn ideal_cycles(problem: &Problem) -> Vec<MCycles> {
 mod tests {
     use super::*;
     use wsflow_model::{MCycles, Mbits, MbitsPerSec, WorkflowBuilder};
-    use wsflow_net::topology::{bus, homogeneous_servers};
-    use wsflow_net::Server;
+    use wsflow_net::topology::{bus, ghz_bus, homogeneous_servers};
 
     fn problem(costs: &[f64], powers_ghz: &[f64]) -> Problem {
         let mut b = WorkflowBuilder::new("w");
         let costs: Vec<MCycles> = costs.iter().map(|&c| MCycles(c)).collect();
         b.line("o", &costs, Mbits(0.05));
         let w = b.build().unwrap();
-        let servers = powers_ghz
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| Server::with_ghz(format!("s{i}"), g))
-            .collect();
-        let net = bus("b", servers, MbitsPerSec(100.0)).unwrap();
+        let net = ghz_bus("b", powers_ghz, MbitsPerSec(100.0)).unwrap();
         Problem::new(w, net).unwrap()
     }
 

@@ -275,8 +275,7 @@ mod tests {
     use wsflow_model::{
         recover_structure, BlockSpec, MCycles, Mbits, MbitsPerSec, Probability, WorkflowBuilder,
     };
-    use wsflow_net::topology::{bus, homogeneous_servers};
-    use wsflow_net::Server;
+    use wsflow_net::topology::{bus, ghz_bus, homogeneous_servers};
 
     fn bus_problem(w: wsflow_model::Workflow, n_servers: usize, ghz: f64, mbps: f64) -> Problem {
         let net = bus("b", homogeneous_servers(n_servers, ghz), MbitsPerSec(mbps)).unwrap();
@@ -287,12 +286,7 @@ mod tests {
         let mut b = WorkflowBuilder::new("w");
         let costs: Vec<MCycles> = costs.iter().map(|&c| MCycles(c)).collect();
         b.line("o", &costs, Mbits(0.05));
-        let servers = powers_ghz
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| Server::with_ghz(format!("s{i}"), g))
-            .collect();
-        let net = bus("b", servers, MbitsPerSec(100.0)).unwrap();
+        let net = ghz_bus("b", powers_ghz, MbitsPerSec(100.0)).unwrap();
         Problem::new(b.build().unwrap(), net).unwrap()
     }
 

@@ -3,8 +3,9 @@
 //! Six micro-benchmarks over one fixed-seed 200×20 star instance —
 //! the cost-model hot paths, the constructive greedies the service
 //! serves, and the hierarchical solver — plus two network-layer rows on
-//! a 150-server class-C bus, the pool `wsflowd` builds per request, and
-//! one branch-and-bound proof on a small graph workflow with XOR joins:
+//! a 150-server class-C bus, the pool `wsflowd` builds on a memo miss,
+//! one end-to-end `wsflowd` loopback row on that pool, and one
+//! branch-and-bound proof on a small graph workflow with XOR joins:
 //!
 //! | bench | times |
 //! |---|---|
@@ -16,6 +17,7 @@
 //! | `sim_engine` | Monte-Carlo trials of the discrete-event simulator |
 //! | `net_build` | one [`topology::bus`] build (links + validation + adjacency) |
 //! | `route_build` | [`RoutingTable::new`] + [`CommMatrix::new`] (all-pairs routing) |
+//! | `svc_loopback` | one sequential inline `fairload` request to an in-process `wsflowd` |
 //! | `bnb_prove` | one unbudgeted [`BranchAndBound::deploy_with_proof`], per expanded node |
 //!
 //! Results are wall-clock by design and go to `BENCH_obs.json` —
@@ -37,8 +39,10 @@ use wsflow_cost::{CommMatrix, DeltaEvaluator, Evaluator, Mapping, Problem};
 use wsflow_model::MbitsPerSec;
 use wsflow_net::{topology, RoutingTable, ServerId};
 use wsflow_sim::{monte_carlo, SimConfig};
+use wsflow_svc::{DaemonConfig, ProblemSpec, Request, SvcConfig};
 use wsflow_workload::{
-    bus_network, generate, scale_instance, Configuration, ExperimentClass, GraphClass,
+    bus_network, generate, random_graph_workflow, scale_instance, Configuration, ExperimentClass,
+    GraphClass,
 };
 
 /// Schema tag of `BENCH_obs.json`.
@@ -253,6 +257,58 @@ pub fn run(quick: bool) -> BenchDoc {
     };
     benches.push(bus_record("route_build", ns));
 
+    // Distinct 40-op hybrid workflows sent inline, one at a time, on the
+    // bus's pool to a one-worker daemon. The untimed warm-up repetition
+    // leaves that pool in the daemon's memo, so the row times the
+    // round trip, the parse and the solve, not the network build.
+    let ns = {
+        let daemon = wsflow_svc::daemon::spawn(DaemonConfig {
+            svc: SvcConfig::default().with_workers(1),
+            port: 0,
+        })
+        .expect("bind an ephemeral loopback port");
+        let class = ExperimentClass::class_c();
+        let server_ghz: Vec<f64> = bus
+            .servers()
+            .iter()
+            .map(|s| s.power.value() / 1000.0)
+            .collect();
+        let requests: Vec<Request> = (0..evals)
+            .map(|i| {
+                let wf =
+                    random_graph_workflow("w", 40, GraphClass::Hybrid, &class, SEED + i as u64);
+                Request {
+                    tenant: "bench".to_string(),
+                    algo: "fairload".to_string(),
+                    budget: None,
+                    deadline_ms: None,
+                    spec: ProblemSpec::Inline {
+                        workflow: wsflow_model::dsl::serialize(&wf),
+                        server_ghz: server_ghz.clone(),
+                        bus_mbps: 100.0,
+                    },
+                }
+            })
+            .collect();
+        let mut acc = 0.0;
+        let ns = time(reps, evals, || {
+            for req in &requests {
+                let out = wsflow_svc::submit(daemon.addr(), req, |_, _| {})
+                    .expect("the loopback daemon serves");
+                acc += out.cost;
+            }
+        });
+        sink += acc;
+        ns
+    };
+    benches.push(BenchRecord {
+        name: "svc_loopback".to_string(),
+        ops: 40,
+        servers: bus_servers,
+        reps,
+        ns_per_op: ns,
+    });
+
     // One proof takes well under a millisecond: time `evals` of them
     // per rep, and report per expanded node (the count is a pure
     // function of the instance).
@@ -344,6 +400,7 @@ mod tests {
                 "sim_engine",
                 "net_build",
                 "route_build",
+                "svc_loopback",
                 "bnb_prove"
             ]
         );

@@ -21,6 +21,7 @@ fn committed_bench_obs_json_parses_and_covers_the_suite() {
         "sim_engine",
         "net_build",
         "route_build",
+        "svc_loopback",
         "bnb_prove",
     ] {
         assert!(names.contains(&required), "baseline misses {required}");
@@ -35,10 +36,12 @@ fn committed_bench_obs_json_parses_and_covers_the_suite() {
         assert!(b.reps > 0, "{}", b.name);
         // The baseline must come from the full suite, not a --quick run:
         // the pinned 200x20 instance, the 150-server bus for the network
-        // rows (which have no operations), or the branch-and-bound row's
-        // own 5x4 graph instance, which both suites share.
+        // rows (which have no operations) and for the loopback row's
+        // 40-op requests, or the branch-and-bound row's own 5x4 graph
+        // instance, which both suites share.
         let full = match b.name.as_str() {
             "net_build" | "route_build" => (0, 150),
+            "svc_loopback" => (40, 150),
             "bnb_prove" => (5, 4),
             _ => (200, 20),
         };

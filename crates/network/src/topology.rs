@@ -79,6 +79,23 @@ pub fn bus(
     Ok(net)
 }
 
+/// A [`bus`] of servers `s0..s{n-1}` rated `ghz[i]` GHz: the pool
+/// `wsflow deploy --servers` and `wsflowd`'s inline specs describe. Its
+/// inputs determine the network completely, so callers may key a cache
+/// of it on their bits.
+pub fn ghz_bus(
+    name: impl Into<String>,
+    ghz: &[f64],
+    speed: MbitsPerSec,
+) -> Result<Network, NetError> {
+    let servers = ghz
+        .iter()
+        .enumerate()
+        .map(|(i, &g)| Server::with_ghz(format!("s{i}"), g))
+        .collect();
+    bus(name, servers, speed)
+}
+
 /// A star with `servers[0]` as the hub.
 pub fn star(
     name: impl Into<String>,
@@ -237,6 +254,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ghz_bus_names_and_rates_its_servers() {
+        let net = ghz_bus("pool", &[1.0, 2.5, 3.0], MbitsPerSec(10.0)).unwrap();
+        let by_hand = bus(
+            "pool",
+            vec![
+                Server::with_ghz("s0", 1.0),
+                Server::with_ghz("s1", 2.5),
+                Server::with_ghz("s2", 3.0),
+            ],
+            MbitsPerSec(10.0),
+        )
+        .unwrap();
+        assert_eq!(net, by_hand);
+        assert!(ghz_bus("pool", &[1.0, f64::NAN], MbitsPerSec(10.0)).is_err());
+        assert!(matches!(
+            ghz_bus("pool", &[1.0], MbitsPerSec(10.0)),
+            Err(NetError::TooFewServers { needed: 2, got: 1 })
+        ));
     }
 
     #[test]

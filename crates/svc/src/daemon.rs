@@ -7,6 +7,17 @@
 //! the shared [`Scheduler`]; incumbents stream back as they are found,
 //! then the final frame, then the server closes.
 //!
+//! The network is fixed infrastructure while workflows change, so
+//! clients tend to send the same inline pool again and again. The daemon
+//! keeps one [`PoolMemo`]: the routed network of the last inline pool
+//! it built, keyed by the exact bits of the spec's `server_ghz` and
+//! `bus_mbps`. A request for that pool skips the bus build, the
+//! all-pairs routing and the communication-coefficient matrix, which
+//! on a 150-server pool are most of a request's work. The key is the
+//! network builder's whole input, so an entry never goes stale and needs
+//! no invalidation; one slot bounds the memo to one pool's network.
+//! Generated specs never consult it.
+//!
 //! [`DaemonHandle::shutdown`] sets a stop flag and then wakes the
 //! blocked `accept` by connecting to the daemon's own address; the loop
 //! drops that connection unserviced and exits. If the wake-up connect
@@ -39,7 +50,7 @@ use wsflow_core::CancelToken;
 use crate::config::SvcConfig;
 use crate::proto::{self, ProblemSpec, Reply, Request};
 use crate::sched::{Job, JobEvent, SchedStats, Scheduler};
-use crate::{build_problem, resolve_algorithm};
+use crate::{resolve_algorithm, PoolMemo};
 
 /// Longest a connection thread waits on its job before it checks the
 /// client and the stop flag again.
@@ -125,13 +136,14 @@ pub fn spawn(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
     let addr = listener.local_addr()?;
     let scheduler = Arc::new(Scheduler::start(&cfg.svc));
     let stop = Arc::new(AtomicBool::new(false));
+    let pools = Arc::new(PoolMemo::default());
 
     let accept_thread = {
         let scheduler = Arc::clone(&scheduler);
         let stop = Arc::clone(&stop);
         std::thread::Builder::new()
             .name("wsflowd-accept".to_string())
-            .spawn(move || accept_loop(listener, &scheduler, &stop))?
+            .spawn(move || accept_loop(listener, &scheduler, &stop, &pools))?
     };
 
     Ok(DaemonHandle {
@@ -142,7 +154,12 @@ pub fn spawn(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
     })
 }
 
-fn accept_loop(listener: TcpListener, scheduler: &Arc<Scheduler>, stop: &Arc<AtomicBool>) {
+fn accept_loop(
+    listener: TcpListener,
+    scheduler: &Arc<Scheduler>,
+    stop: &Arc<AtomicBool>,
+    pools: &Arc<PoolMemo>,
+) {
     loop {
         let accepted = accept(&listener);
         // `shutdown` sets the flag before its wake-up connect, so that
@@ -154,9 +171,10 @@ fn accept_loop(listener: TcpListener, scheduler: &Arc<Scheduler>, stop: &Arc<Ato
             Ok(stream) => {
                 let scheduler = Arc::clone(scheduler);
                 let stop = Arc::clone(stop);
+                let pools = Arc::clone(pools);
                 let _ = std::thread::Builder::new()
                     .name("wsflowd-conn".to_string())
-                    .spawn(move || handle_connection(stream, &scheduler, &stop));
+                    .spawn(move || handle_connection(stream, &scheduler, &stop, &pools));
             }
             // E.g. out of file descriptors: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
@@ -189,7 +207,12 @@ fn try_reply(stream: &mut TcpStream, reply: &Reply) {
     let _ = stream.flush();
 }
 
-fn handle_connection(mut stream: TcpStream, scheduler: &Scheduler, stop: &AtomicBool) {
+fn handle_connection(
+    mut stream: TcpStream,
+    scheduler: &Scheduler,
+    stop: &AtomicBool,
+    pools: &PoolMemo,
+) {
     // 1. Exactly one request frame.
     let request: Request = match proto::read_message(&mut stream) {
         Ok(Some(req)) => req,
@@ -224,7 +247,7 @@ fn handle_connection(mut stream: TcpStream, scheduler: &Scheduler, stop: &Atomic
         );
         return;
     };
-    let problem = match build_problem(&request.spec) {
+    let problem = match pools.problem(&request.spec) {
         Ok(p) => p,
         Err(message) => {
             try_reply(&mut stream, &Reply::Invalid { message });

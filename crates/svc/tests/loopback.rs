@@ -7,7 +7,8 @@
 //! (observed as a `cancelled` termination in the scheduler stats); a
 //! saturated queue answers with typed backpressure; malformed frames
 //! get a `protocol_error` reply, never a crash; shutdown is prompt and
-//! hangs up on in-flight clients.
+//! hangs up on in-flight clients; a repeated inline pool, reused from
+//! the daemon's pool memo, gives the replies a fresh build would.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -15,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use wsflow_svc::daemon::{spawn, DaemonConfig, DaemonHandle};
 use wsflow_svc::proto::{self, ProblemSpec, RejectReason, Reply, Request};
-use wsflow_svc::{submit, ClientError, SvcConfig};
+use wsflow_svc::{build_problem, resolve_algorithm, submit, ClientError, SvcConfig};
 
 fn daemon_with(workers: usize, per_tenant: usize, total: usize) -> DaemonHandle {
     spawn(DaemonConfig {
@@ -314,4 +315,53 @@ fn dropping_the_daemon_mid_solve_hangs_up_on_the_client() {
             other => panic!("expected incumbents then a close, got {other:?}"),
         }
     }
+}
+
+/// A 40-op hybrid workflow on a 30-server pool whose ratings step by
+/// `step_ghz`.
+fn inline_request(step_ghz: f64, seed: u64) -> Request {
+    let class = wsflow_workload::ExperimentClass::class_c();
+    let wf = wsflow_workload::random_graph_workflow(
+        "w",
+        40,
+        wsflow_workload::GraphClass::Hybrid,
+        &class,
+        seed,
+    );
+    Request {
+        tenant: "pool".into(),
+        algo: "fairload".into(),
+        budget: None,
+        deadline_ms: None,
+        spec: ProblemSpec::Inline {
+            workflow: wsflow_model::dsl::serialize(&wf),
+            server_ghz: (0..30).map(|i| 1.0 + step_ghz * (i % 7) as f64).collect(),
+            bus_mbps: 100.0,
+        },
+    }
+}
+
+#[test]
+fn a_repeated_inline_pool_replies_as_a_fresh_build_does() {
+    let daemon = daemon_with(1, 16, 64);
+    let a = inline_request(0.25, 11);
+    let b = inline_request(0.5, 12);
+    // `a`'s pool three times, another pool between the second and third.
+    for req in [&a, &a, &b, &a] {
+        let problem = build_problem(&req.spec).unwrap();
+        let expected = resolve_algorithm(&req.algo, 0)
+            .unwrap()
+            .solve(
+                &problem,
+                &mut wsflow_core::SolveCtx::with_budget_opt(req.budget),
+            )
+            .unwrap();
+        let out = submit(daemon.addr(), req, |_, _| {}).expect("submit succeeds");
+        assert_eq!(out.cost.to_bits(), expected.cost.to_bits());
+        assert_eq!(out.steps, expected.steps);
+        assert_eq!(out.termination, expected.termination.name());
+        let mapping: Vec<u32> = expected.mapping.as_slice().iter().map(|s| s.0).collect();
+        assert_eq!(out.mapping, mapping);
+    }
+    assert_eq!(daemon.stats_snapshot(), (4, 0, 4, 0, 0));
 }

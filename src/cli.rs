@@ -15,7 +15,6 @@ use wsflow_cost::load::time_penalty_of_loads;
 use wsflow_cost::{deployment_dot, network_traffic, Evaluator, Problem};
 use wsflow_model::{dsl, workflow_dot, MbitsPerSec, Workflow, WorkflowStats};
 use wsflow_net::topology;
-use wsflow_net::Server;
 use wsflow_sim::{monte_carlo, SimConfig};
 use wsflow_workload::{random_graph_workflow, ExperimentClass, GraphClass};
 
@@ -140,13 +139,7 @@ impl PoolFlags {
 
 impl PoolSpec {
     fn network(&self) -> Result<wsflow_net::Network, CliError> {
-        let servers: Vec<Server> = self
-            .ghz
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| Server::with_ghz(format!("s{i}"), g))
-            .collect();
-        topology::bus("pool", servers, MbitsPerSec(self.bus_mbps))
+        topology::ghz_bus("pool", &self.ghz, MbitsPerSec(self.bus_mbps))
             .map_err(|e| CliError::Invalid(format!("invalid server pool: {e}")))
     }
 }
