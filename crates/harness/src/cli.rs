@@ -1,26 +1,27 @@
-//! Minimal command-line handling shared by the experiment binaries.
+//! Options and the run path `wsflow run` shares across experiments.
 //!
-//! Every binary accepts:
+//! Every experiment accepts:
 //!
 //! * `--quick` — run the seconds-scale configuration instead of the
 //!   paper's full sizes;
 //! * `--seeds N` — override the number of scenarios per configuration;
 //! * `--ops M` — override the workflow size;
-//! * `--out DIR` — CSV output directory (default `results/`);
-//! * `--obs` — enable observability (equivalent to `WSFLOW_OBS=1`):
-//!   collect metrics and spans, and populate the run manifest.
+//! * `--out DIR` — CSV output directory (default `results/`).
 //!
-//! There is no worker-count flag: every fan-out takes
+//! `--seeds` and `--ops` apply on top of the chosen sizes, before or
+//! after `--quick`. Observability is `wsflow`'s global `--obs` (or
+//! `WSFLOW_OBS=1`). There is no worker-count flag: every fan-out takes
 //! [`wsflow_par::num_threads`], which `WSFLOW_THREADS` sets.
 //!
-//! Every binary also writes a `manifest.json` (and an
-//! `<experiment>_manifest.json` copy) next to its CSVs recording git
+//! [`run_one`] also writes a `manifest.json` (and an
+//! `<experiment>_manifest.json` copy) next to the CSVs recording git
 //! rev, seed, thread count ([`wsflow_par::num_threads`]), wall time,
 //! per-phase timings, and — when observability is on — the full metric
 //! snapshot.
 
 use std::path::Path;
 
+use crate::output::ExperimentOutput;
 use crate::params::Params;
 
 /// Parsed common options.
@@ -30,103 +31,51 @@ pub struct CliOptions {
     pub params: Params,
     /// CSV output directory.
     pub out_dir: String,
-    /// Observability requested via `--obs` (the `WSFLOW_OBS` env var is
-    /// honoured independently by `wsflow_obs::enabled`).
-    pub obs: bool,
 }
 
-/// Parse options from an argument iterator (excluding `argv[0]`).
-/// Unknown flags produce an error string listing usage.
-pub fn parse(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
-    let mut params = Params::paper();
+/// Parse options from an argument iterator. Unknown flags produce an
+/// error string; `--help` produces the usage line as an error.
+pub fn parse(mut args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
+    let mut quick = false;
+    let mut seeds = None;
+    let mut ops = None;
     let mut out_dir = "results".to_string();
-    let mut obs = false;
-    let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => params = Params::quick(),
-            "--obs" => obs = true,
+            "--quick" => quick = true,
             "--seeds" => {
                 let v = args.next().ok_or("--seeds needs a value")?;
-                params.seeds = v.parse().map_err(|_| format!("bad --seeds value {v:?}"))?;
+                seeds = Some(v.parse().map_err(|_| format!("bad --seeds value {v:?}"))?);
             }
             "--ops" => {
                 let v = args.next().ok_or("--ops needs a value")?;
-                params.ops = v.parse().map_err(|_| format!("bad --ops value {v:?}"))?;
+                ops = Some(v.parse().map_err(|_| format!("bad --ops value {v:?}"))?);
             }
             "--out" => {
                 out_dir = args.next().ok_or("--out needs a value")?;
             }
             "--help" | "-h" => {
-                return Err("usage: [--quick] [--seeds N] [--ops M] [--out DIR] [--obs]".into())
+                return Err("usage: [--quick] [--seeds N] [--ops M] [--out DIR]".into())
             }
             other => return Err(format!("unknown flag {other:?}; try --help")),
         }
     }
-    Ok(CliOptions {
-        params,
-        out_dir,
-        obs,
-    })
+    let mut params = if quick {
+        Params::quick()
+    } else {
+        Params::paper()
+    };
+    params.seeds = seeds.unwrap_or(params.seeds);
+    params.ops = ops.unwrap_or(params.ops);
+    Ok(CliOptions { params, out_dir })
 }
 
-/// Parse from the process arguments, exiting with a message on error.
-pub fn parse_or_exit() -> CliOptions {
-    match parse(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Print an experiment's tables and write its CSVs.
-pub fn emit(output: &crate::output::ExperimentOutput, opts: &CliOptions) {
-    print!("{}", output.render());
-    match output.write_csv(&opts.out_dir) {
-        Ok(paths) => {
-            for p in paths {
-                eprintln!("wrote {}", p.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not write CSVs: {e}"),
-    }
-}
-
-/// Run one experiment end to end: honour `--obs`, run the obs
-/// spot-check, time the run with `phase.*` spans, emit tables/CSVs, and
-/// write the run manifest next to them.
-///
-/// This is the standard body of every experiment binary's `main`.
-pub fn run_one(
-    opts: &CliOptions,
-    f: impl FnOnce(&Params) -> crate::output::ExperimentOutput,
-) -> crate::output::ExperimentOutput {
-    run_one_inner(opts, f, true)
-}
-
-/// Like [`run_one`], but returns the rendered tables instead of
-/// printing them — CSVs and the manifest are still written. For callers
-/// that own stdout, such as the `wsflow dynamic` subcommand.
-pub fn run_one_captured(
-    opts: &CliOptions,
-    f: impl FnOnce(&Params) -> crate::output::ExperimentOutput,
-) -> (crate::output::ExperimentOutput, String) {
-    let output = run_one_inner(opts, f, false);
-    let rendered = output.render();
-    (output, rendered)
-}
-
-fn run_one_inner(
-    opts: &CliOptions,
-    f: impl FnOnce(&Params) -> crate::output::ExperimentOutput,
-    print_tables: bool,
-) -> crate::output::ExperimentOutput {
+/// Run one experiment end to end: run the obs spot-check, time the run
+/// with `phase.*` spans, write its CSVs and the run manifest (plus
+/// `spans.ndjson` with observability on), and return the output for the
+/// caller to render.
+pub fn run_one(opts: &CliOptions, f: impl FnOnce(&Params) -> ExperimentOutput) -> ExperimentOutput {
     let started = std::time::Instant::now();
-    if opts.obs {
-        wsflow_obs::set_enabled(true);
-    }
     if wsflow_obs::enabled() {
         wsflow_obs::reset();
         crate::obs_diag::spot_check(&opts.params);
@@ -137,17 +86,13 @@ fn run_one_inner(
     };
     {
         wsflow_obs::span_scope!("phase.emit");
-        if print_tables {
-            emit(&output, opts);
-        } else {
-            match output.write_csv(&opts.out_dir) {
-                Ok(paths) => {
-                    for p in paths {
-                        eprintln!("wrote {}", p.display());
-                    }
+        match output.write_csv(&opts.out_dir) {
+            Ok(paths) => {
+                for p in paths {
+                    eprintln!("wrote {}", p.display());
                 }
-                Err(e) => eprintln!("warning: could not write CSVs: {e}"),
             }
+            Err(e) => eprintln!("warning: could not write CSVs: {e}"),
         }
     }
     if wsflow_obs::enabled() {
@@ -184,7 +129,7 @@ fn write_spans(out_dir: &str) {
 /// suite runs keep every experiment's manifest) into the output
 /// directory. Always written — provenance is worth having even without
 /// metrics; never fatal.
-pub fn write_manifest(experiment: &str, opts: &CliOptions, wall_secs: f64) {
+fn write_manifest(experiment: &str, opts: &CliOptions, wall_secs: f64) {
     let manifest = wsflow_obs::Manifest::collect(
         experiment,
         opts.params.base_seed,
@@ -227,16 +172,26 @@ mod tests {
 
     #[test]
     fn quick_and_overrides() {
-        let opts = parse_vec(&["--quick", "--seeds", "7", "--ops", "11", "--out", "tmp"]).unwrap();
-        assert_eq!(opts.params.seeds, 7);
-        assert_eq!(opts.params.ops, 11);
-        assert_eq!(opts.out_dir, "tmp");
-    }
-
-    #[test]
-    fn obs_flag() {
-        assert!(!parse_vec(&[]).unwrap().obs);
-        assert!(parse_vec(&["--obs"]).unwrap().obs);
+        // `--seeds` and `--ops` hold on whichever side of `--quick`
+        // they come.
+        let quick = Params::quick();
+        for (args, ops) in [
+            (
+                &["--quick", "--seeds", "7", "--ops", "11", "--out", "tmp"][..],
+                11,
+            ),
+            (&["--seeds", "7", "--quick"], quick.ops),
+            (
+                &["--ops", "11", "--quick", "--seeds", "7", "--out", "tmp"],
+                11,
+            ),
+        ] {
+            let opts = parse_vec(args).unwrap();
+            assert_eq!(opts.params.seeds, 7, "{args:?}");
+            assert_eq!(opts.params.ops, ops, "{args:?}");
+            assert_eq!(opts.params.server_counts, quick.server_counts, "{args:?}");
+        }
+        assert_eq!(parse_vec(&["--out", "tmp"]).unwrap().out_dir, "tmp");
     }
 
     #[test]
@@ -247,5 +202,7 @@ mod tests {
         assert!(parse_vec(&["--seeds"]).is_err());
         assert!(parse_vec(&["--seeds", "x"]).is_err());
         assert!(parse_vec(&["--help"]).is_err());
+        // `wsflow --obs` turns observability on before these flags parse.
+        assert!(parse_vec(&["--obs"]).is_err());
     }
 }

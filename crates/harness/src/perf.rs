@@ -4,8 +4,9 @@
 //! the cost-model hot paths, the constructive greedies the service
 //! serves, and the hierarchical solver — plus two network-layer rows on
 //! a 150-server class-C bus, the pool `wsflowd` builds on a memo miss,
-//! one end-to-end `wsflowd` loopback row on that pool, and one
-//! branch-and-bound proof on a small graph workflow with XOR joins:
+//! one end-to-end `wsflowd` loopback row on that pool, one
+//! branch-and-bound proof on a small graph workflow with XOR joins, and
+//! the flat evaluator on the scale sweep's largest instance:
 //!
 //! | bench | times |
 //! |---|---|
@@ -19,6 +20,7 @@
 //! | `route_build` | [`RoutingTable::new`] + [`CommMatrix::new`] (all-pairs routing) |
 //! | `svc_loopback` | one sequential inline `fairload` request to an in-process `wsflowd` |
 //! | `bnb_prove` | one unbudgeted [`BranchAndBound::deploy_with_proof`], per expanded node |
+//! | `eval_scale` | [`Evaluator::evaluate`] per mapping on the largest [`scale_sweep::sizes`] rung (10⁴×10³) |
 //!
 //! Results are wall-clock by design and go to `BENCH_obs.json` —
 //! never into a deterministic experiment CSV. `compare` implements the
@@ -35,7 +37,8 @@ use rand_chacha::ChaCha8Rng;
 use wsflow_core::{
     BranchAndBound, DeploymentAlgorithm, FairLoad, Hierarchical, Portfolio, SolveCtx,
 };
-use wsflow_cost::{CommMatrix, DeltaEvaluator, Evaluator, Mapping, Problem};
+use wsflow_cost::reference::{texecute, time_penalty};
+use wsflow_cost::{CommMatrix, CostBreakdown, DeltaEvaluator, Evaluator, Mapping, Problem};
 use wsflow_model::MbitsPerSec;
 use wsflow_net::{topology, RoutingTable, ServerId};
 use wsflow_sim::{monte_carlo, SimConfig};
@@ -44,6 +47,9 @@ use wsflow_workload::{
     bus_network, generate, random_graph_workflow, scale_instance, Configuration, ExperimentClass,
     GraphClass,
 };
+
+use crate::params::Params;
+use crate::scale_sweep;
 
 /// Schema tag of `BENCH_obs.json`.
 pub const SCHEMA: &str = "wsflow-bench/1";
@@ -110,6 +116,18 @@ fn bnb_instance() -> Problem {
     Problem::new(s.workflow, s.network).expect("generated scenarios are valid")
 }
 
+/// `count` uniformly random mappings of `problem`, from the pinned seed.
+fn random_mappings(problem: &Problem, count: usize) -> Vec<Mapping> {
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    (0..count)
+        .map(|_| {
+            Mapping::from_fn(problem.num_ops(), |_| {
+                ServerId::new(rng.gen_range(0..problem.num_servers() as u32))
+            })
+        })
+        .collect()
+}
+
 /// Time `reps` repetitions of `body`, which performs `units` inner
 /// operations per repetition, and report mean ns per inner operation.
 fn time(reps: usize, units: usize, mut body: impl FnMut()) -> f64 {
@@ -132,14 +150,7 @@ pub fn run(quick: bool) -> BenchDoc {
     };
     let sc = scale_instance(m, n, SEED);
     let problem = Problem::new(sc.workflow, sc.network).expect("scale instances are valid");
-    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-    let mappings: Vec<Mapping> = (0..evals)
-        .map(|_| {
-            Mapping::from_fn(problem.num_ops(), |_| {
-                ServerId::new(rng.gen_range(0..problem.num_servers() as u32))
-            })
-        })
-        .collect();
+    let mappings = random_mappings(&problem, evals);
     let mut sink = 0.0f64;
     let mut benches = Vec::new();
     let record = |name: &str, reps: usize, ns: f64| BenchRecord {
@@ -328,6 +339,47 @@ pub fn run(quick: bool) -> BenchDoc {
         ns_per_op: ns,
     });
 
+    // The flat kernel on the scale sweep's largest rung. Cross-check it
+    // against the recursive reference before timing: a fast evaluation
+    // that disagrees with Table 1 is not worth timing.
+    let sizes = scale_sweep::sizes(&if quick {
+        Params::quick()
+    } else {
+        Params::paper()
+    });
+    let (m, n) = *sizes.last().expect("at least one size");
+    let sc = scale_instance(m, n, SEED);
+    let problem = Problem::new(sc.workflow, sc.network).expect("scale instances are valid");
+    let mappings = random_mappings(&problem, evals);
+    let mut ev = Evaluator::new(&problem);
+    for mp in &mappings {
+        let fast = ev.evaluate(mp);
+        let want = CostBreakdown::new(
+            texecute(&problem, mp),
+            time_penalty(&problem, mp),
+            problem.weights(),
+        );
+        assert!(
+            (fast.combined.value() - want.combined.value()).abs()
+                <= 1e-9 * want.combined.value().abs().max(1.0),
+            "flat evaluation diverged from the reference path"
+        );
+    }
+    let mut acc = 0.0;
+    let ns = time(reps, evals, || {
+        for mp in &mappings {
+            acc += ev.evaluate(mp).combined.value();
+        }
+    });
+    sink += acc;
+    benches.push(BenchRecord {
+        name: "eval_scale".to_string(),
+        ops: m,
+        servers: n,
+        reps,
+        ns_per_op: ns,
+    });
+
     assert!(sink.is_finite());
     BenchDoc {
         schema: SCHEMA.to_string(),
@@ -401,7 +453,8 @@ mod tests {
                 "net_build",
                 "route_build",
                 "svc_loopback",
-                "bnb_prove"
+                "bnb_prove",
+                "eval_scale"
             ]
         );
         for b in &d.benches {

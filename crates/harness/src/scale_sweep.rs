@@ -10,18 +10,13 @@
 //! Budgets are logical, so `scale_sweep.csv` is byte-identical for any
 //! `WSFLOW_THREADS` setting and with observability on or off — CI
 //! checks exactly that. No wall-clock value appears in any column; the
-//! timed evaluator micro-benchmark lives in [`bench()`](fn@bench), which only the
-//! binary invokes (its output goes to `BENCH_scale.json`, never into
-//! the experiment CSV).
+//! evaluator timing on the largest rung is `wsflow bench`'s
+//! `eval_scale` row ([`crate::perf`]).
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use wsflow_core::{
     Blackboard, DeploymentAlgorithm, FairLoad, Hierarchical, HillClimb, SolveCtx, Termination,
 };
-use wsflow_cost::reference::{texecute, time_penalty};
-use wsflow_cost::{CostBreakdown, Evaluator, Mapping, Problem};
-use wsflow_net::ServerId;
+use wsflow_cost::Problem;
 use wsflow_workload::scale_instance;
 
 use crate::output::ExperimentOutput;
@@ -144,98 +139,6 @@ pub fn run(params: &Params) -> ExperimentOutput {
             .push(("trajectory.csv".to_string(), recorder.csv()));
     }
     out
-}
-
-/// Result of the evaluator-throughput micro-benchmark — the document
-/// committed as `BENCH_scale.json`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct BenchResult {
-    /// Benchmark identifier (`"scale_eval_throughput"`).
-    pub name: String,
-    /// Instance operations.
-    pub ops: usize,
-    /// Instance servers.
-    pub servers: usize,
-    /// Candidate mappings evaluated per repetition.
-    pub evals: usize,
-    /// Repetitions timed.
-    pub reps: usize,
-    /// Mean nanoseconds per evaluation through the reference
-    /// implementation ([`texecute`] + [`time_penalty`]).
-    pub legacy_ns_per_eval: f64,
-    /// Mean nanoseconds per evaluation through the flat-arena kernel
-    /// ([`Evaluator::evaluate`] over the batch of mappings).
-    pub flat_batch_ns_per_eval: f64,
-    /// `legacy / flat` throughput ratio.
-    pub speedup: f64,
-}
-
-/// Time the [`reference`](wsflow_cost::reference) evaluation against
-/// the flat-arena [`Evaluator`] on one large instance. Wall-clock by
-/// design — only the binary calls this, and the result goes to
-/// `BENCH_scale.json`, never into a deterministic experiment CSV.
-pub fn bench(params: &Params) -> BenchResult {
-    let (m, n) = *sizes(params).last().expect("at least one size");
-    let sc = scale_instance(m, n, params.base_seed);
-    let problem = Problem::new(sc.workflow, sc.network).expect("scale instances are valid");
-    let mut rng = ChaCha8Rng::seed_from_u64(params.base_seed);
-    let evals = 32usize;
-    let mappings: Vec<Mapping> = (0..evals)
-        .map(|_| {
-            Mapping::from_fn(problem.num_ops(), |_| {
-                ServerId::new(rng.gen_range(0..problem.num_servers() as u32))
-            })
-        })
-        .collect();
-
-    let mut ev = Evaluator::new(&problem);
-    // Cross-check before timing: both paths must agree on every
-    // candidate, otherwise the speedup number is meaningless.
-    for mp in &mappings {
-        let fast = ev.evaluate(mp);
-        let want = CostBreakdown::new(
-            texecute(&problem, mp),
-            time_penalty(&problem, mp),
-            problem.weights(),
-        );
-        assert!(
-            (fast.combined.value() - want.combined.value()).abs()
-                <= 1e-9 * want.combined.value().abs().max(1.0),
-            "flat evaluation diverged from the reference path"
-        );
-    }
-
-    let reps = 3usize;
-    let mut sink = 0.0f64;
-    let legacy_start = std::time::Instant::now();
-    for _ in 0..reps {
-        for mp in &mappings {
-            sink += (texecute(&problem, mp) + time_penalty(&problem, mp)).value();
-        }
-    }
-    let legacy = legacy_start.elapsed();
-    let flat_start = std::time::Instant::now();
-    for _ in 0..reps {
-        for mp in &mappings {
-            sink += ev.evaluate(mp).combined.value();
-        }
-    }
-    let flat = flat_start.elapsed();
-    assert!(sink.is_finite());
-
-    let per = |d: std::time::Duration| d.as_nanos() as f64 / (reps * evals) as f64;
-    let legacy_ns = per(legacy);
-    let flat_ns = per(flat);
-    BenchResult {
-        name: "scale_eval_throughput".to_string(),
-        ops: m,
-        servers: n,
-        evals,
-        reps,
-        legacy_ns_per_eval: legacy_ns,
-        flat_batch_ns_per_eval: flat_ns,
-        speedup: legacy_ns / flat_ns,
-    }
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@ fn committed_bench_obs_json_parses_and_covers_the_suite() {
         "route_build",
         "svc_loopback",
         "bnb_prove",
+        "eval_scale",
     ] {
         assert!(names.contains(&required), "baseline misses {required}");
     }
@@ -37,12 +38,14 @@ fn committed_bench_obs_json_parses_and_covers_the_suite() {
         // The baseline must come from the full suite, not a --quick run:
         // the pinned 200x20 instance, the 150-server bus for the network
         // rows (which have no operations) and for the loopback row's
-        // 40-op requests, or the branch-and-bound row's own 5x4 graph
-        // instance, which both suites share.
+        // 40-op requests, the branch-and-bound row's own 5x4 graph
+        // instance, which both suites share, or the scale sweep's
+        // largest rung.
         let full = match b.name.as_str() {
             "net_build" | "route_build" => (0, 150),
             "svc_loopback" => (40, 150),
             "bnb_prove" => (5, 4),
+            "eval_scale" => (10_000, 1_000),
             _ => (200, 20),
         };
         assert_eq!(

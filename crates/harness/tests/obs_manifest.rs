@@ -1,6 +1,7 @@
-//! End-to-end observability test: `run_one` with `--obs` must produce a
-//! valid, renderable manifest carrying the acceptance metrics, and an
-//! obs-disabled run must produce byte-identical CSVs.
+//! End-to-end observability test: `run_one` with observability on (as
+//! `wsflow --obs` turns it on) must produce a valid, renderable manifest
+//! carrying the acceptance metrics, and an obs-disabled run must
+//! produce byte-identical CSVs.
 //!
 //! Lives in its own integration-test binary so flipping the global
 //! observability flag cannot race the library's unit tests.
@@ -57,7 +58,6 @@ fn obs_run_writes_valid_manifest_and_disabled_run_is_identical() {
     let off_opts = CliOptions {
         params: Params::quick(),
         out_dir: off_dir.to_str().unwrap().to_string(),
-        obs: false,
     };
     wsflow_obs::set_enabled(false);
     wsflow_obs::reset();
@@ -74,8 +74,8 @@ fn obs_run_writes_valid_manifest_and_disabled_run_is_identical() {
     let on_opts = CliOptions {
         params: Params::quick(),
         out_dir: on_dir.to_str().unwrap().to_string(),
-        obs: true,
     };
+    wsflow_obs::set_enabled(true);
     run_one(&on_opts, wsflow_harness::fig6::run);
     wsflow_obs::set_enabled(false);
     wsflow_obs::reset();

@@ -48,7 +48,7 @@ pub struct PhaseTiming {
 pub struct Manifest {
     /// Schema identifier, always [`SCHEMA`].
     pub schema: String,
-    /// Experiment / binary name (e.g. `fig6`).
+    /// Experiment name (e.g. `fig6`).
     pub experiment: String,
     /// Short git revision of the working tree, or `"unknown"`.
     pub git_rev: String,

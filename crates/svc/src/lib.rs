@@ -41,57 +41,25 @@ pub use proto::{ProblemSpec, RejectReason, Reply, Request};
 pub use queue::FairQueue;
 pub use sched::{JobEvent, JobReport, SchedStats, Scheduler};
 pub use virt::{Arrival, RequestReport, VirtualService};
+pub use wsflow_core::registry::BoxedAlgorithm;
 
 use std::sync::{Arc, Mutex};
 
-use wsflow_core::{
-    DeploymentAlgorithm, FairLoad, FairLoadMergeMessages, FairLoadTieResolver,
-    FairLoadTieResolver2, HeavyOpsLargeMsgs, HillClimb, Portfolio, SimulatedAnnealing,
-};
 use wsflow_cost::{CommMatrix, CostWeights, Problem};
 use wsflow_model::{MbitsPerSec, Workflow};
 use wsflow_net::{topology, Network, RoutingTable};
 use wsflow_workload::{Configuration, ExperimentClass, GraphClass};
 
-/// A solver that can cross a thread boundary into the worker pool.
-pub type BoxedAlgorithm = Box<dyn DeploymentAlgorithm + Send + Sync>;
-
-/// Resolve an algorithm by its wire name; `seed` feeds the randomised
-/// members. `None` for unknown names (the caller turns that into a
+/// Resolve an algorithm by its wire name ([`wsflow_core::registry::by_name`]);
+/// `None` for unknown names (the caller turns that into a
 /// [`Reply::Invalid`]).
-///
-/// Accepted names: `fairload`, `fltr`, `fltr2`, `flmme`, `holm`,
-/// `portfolio`, `blackboard`, `hillclimb`, `sa`, `exhaustive`.
 pub fn resolve_algorithm(name: &str, seed: u64) -> Option<BoxedAlgorithm> {
-    Some(match name {
-        "fairload" => Box::new(FairLoad),
-        "fltr" => Box::new(FairLoadTieResolver::new(seed)),
-        "fltr2" => Box::new(FairLoadTieResolver2::new(seed)),
-        "flmme" => Box::new(FairLoadMergeMessages::new(seed)),
-        "holm" => Box::new(HeavyOpsLargeMsgs),
-        "portfolio" => Box::new(Portfolio::new(seed)),
-        "blackboard" => Box::new(wsflow_core::Blackboard::new(seed)),
-        "hillclimb" => Box::new(HillClimb::new(Portfolio::new(seed))),
-        "sa" => Box::new(SimulatedAnnealing::new(seed)),
-        "exhaustive" => Box::new(wsflow_core::Exhaustive::new()),
-        _ => return None,
-    })
+    wsflow_core::registry::by_name(name, seed)
 }
 
-/// The algorithm names [`resolve_algorithm`] accepts, for error
-/// messages and CLI help.
-pub const ALGORITHM_NAMES: &[&str] = &[
-    "fairload",
-    "fltr",
-    "fltr2",
-    "flmme",
-    "holm",
-    "portfolio",
-    "blackboard",
-    "hillclimb",
-    "sa",
-    "exhaustive",
-];
+/// The algorithm names [`resolve_algorithm`] accepts
+/// ([`wsflow_core::registry::NAMES`]).
+pub const ALGORITHM_NAMES: &[&str] = wsflow_core::registry::NAMES;
 
 /// Materialise a wire [`ProblemSpec`] into a solvable [`Problem`].
 ///
@@ -253,15 +221,6 @@ impl PoolMemo {
 mod tests {
     use super::*;
     use wsflow_net::ServerId;
-
-    #[test]
-    fn every_listed_algorithm_resolves() {
-        for name in ALGORITHM_NAMES {
-            let algo = resolve_algorithm(name, 7).unwrap_or_else(|| panic!("{name} missing"));
-            assert!(!algo.name().is_empty());
-        }
-        assert!(resolve_algorithm("magic", 7).is_none());
-    }
 
     #[test]
     fn generated_spec_builds_a_problem() {

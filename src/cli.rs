@@ -6,11 +6,8 @@
 
 use std::fmt;
 
-use wsflow_core::registry::paper_bus_algorithms;
-use wsflow_core::{
-    Blackboard, DeploymentAlgorithm, Exhaustive, FairLoad, FairLoadMergeMessages,
-    FairLoadTieResolver, FairLoadTieResolver2, HeavyOpsLargeMsgs, Portfolio,
-};
+use wsflow_core::registry::{self, paper_bus_algorithms};
+use wsflow_core::DeploymentAlgorithm;
 use wsflow_cost::load::time_penalty_of_loads;
 use wsflow_cost::{deployment_dot, network_traffic, Evaluator, Problem};
 use wsflow_model::{dsl, workflow_dot, MbitsPerSec, Workflow, WorkflowStats};
@@ -63,19 +60,21 @@ USAGE:
   wsflow simulate <workflow.wsf> --servers GHZ[,GHZ…] [--bus MBPS] [--algo NAME]
                   [--trials K] [--contended]
   wsflow explain  <workflow.wsf> --servers GHZ[,GHZ…] [--bus MBPS] [--algo NAME]
-  wsflow dynamic  [--quick] [--seeds N] [--ops M] [--out DIR]
   wsflow submit   <workflow.wsf> --servers GHZ[,GHZ…] [--bus MBPS] [--algo NAME]
                   [--budget N] [--deadline-ms N] [--tenant T] [--addr HOST:PORT]
-  wsflow loadgen  [--quick] [--seeds N] [--ops M] [--out DIR]
+  wsflow run      <experiment> | all | --list [--quick] [--seeds N] [--ops M]
+                  [--out DIR]
   wsflow report   <manifest.json | results-dir>
   wsflow trace    <spans.ndjson | results-dir> [--wall] [--out FILE]
   wsflow bench    [--quick] [--out FILE] [--compare BASELINE] [--tolerance T]
 
 Workflow files use the line-oriented text format (see `wsflow::model::dsl`).
 Algorithms: fairload, fltr, fltr2, flmme, holm (default), portfolio,
-blackboard, exhaustive, all. `submit` sends the request to a running `wsflowd`
-(default 127.0.0.1:7407, or WSFLOW_SVC_PORT) and additionally accepts
-hillclimb and sa.
+blackboard, hillclimb, sa, exhaustive; `deploy` also takes all (the paper's
+five greedies). `submit` sends the request to a running `wsflowd` (default
+127.0.0.1:7407, or WSFLOW_SVC_PORT).
+`run` runs one experiment of the evaluation, or all of them, writing
+CSVs and a manifest to --out (default results/); `run --list` names them.
 --servers 1.0,2.0,3.0 declares three servers with those GHz ratings;
 --bus sets the shared bus speed in Mbps (default 100).
 --obs (global, or WSFLOW_OBS=1) collects metrics during the command and
@@ -197,21 +196,14 @@ fn load_workflow(path: &str) -> Result<Workflow, CliError> {
 }
 
 fn algorithm_by_name(name: &str) -> Result<Box<dyn DeploymentAlgorithm>, CliError> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "fairload" => Box::new(FairLoad),
-        "fltr" => Box::new(FairLoadTieResolver::new(0)),
-        "fltr2" => Box::new(FairLoadTieResolver2::new(0)),
-        "flmme" => Box::new(FairLoadMergeMessages::new(0)),
-        "holm" => Box::new(HeavyOpsLargeMsgs),
-        "portfolio" => Box::new(Portfolio::new(0)),
-        "blackboard" => Box::new(Blackboard::new(0)),
-        "exhaustive" => Box::new(Exhaustive::new()),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown algorithm {other:?}; try fairload, fltr, fltr2, flmme, holm, portfolio, blackboard, exhaustive, all"
-            )))
-        }
-    })
+    registry::by_name(name, 0)
+        .map(|algo| algo as Box<dyn DeploymentAlgorithm>)
+        .ok_or_else(|| {
+            CliError::Usage(format!(
+                "unknown algorithm {name:?}; try {}, all",
+                registry::NAMES.join(", ")
+            ))
+        })
 }
 
 /// `wsflow validate <file>`: parse + well-formedness report.
@@ -428,22 +420,6 @@ pub fn cmd_explain(path: &str, flags: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `wsflow dynamic [--quick] …`: run the dynamic-environment policy
-/// experiment (seeded fault injection × re-solve budget ×
-/// re-deployment policies).
-///
-/// Accepts the experiment-harness flags; summary tables come back as
-/// the command output while `dyn_policies.csv` (whose `budget` column
-/// is the per-fault logical-step cap and `resolves_exhausted` counts
-/// searches it cut short), per-table CSVs and the run manifest are
-/// written to the output directory (default `results/`).
-pub fn cmd_dynamic(args: &[String]) -> Result<String, CliError> {
-    let opts = wsflow_harness::cli::parse(args.iter().cloned()).map_err(CliError::Usage)?;
-    let (_, rendered) =
-        wsflow_harness::cli::run_one_captured(&opts, wsflow_harness::dyn_policies::run);
-    Ok(rendered)
-}
-
 /// `wsflow submit <file> --servers … [--algo …] [--addr …]`: send one
 /// deployment request to a running `wsflowd` and stream the reply.
 ///
@@ -555,17 +531,61 @@ pub fn cmd_submit(path: &str, flags: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `wsflow loadgen [--quick] …`: run the multi-tenant service load
-/// generator (deterministic virtual-time mode of the scheduler behind
-/// `wsflowd`).
+/// `wsflow run <experiment> | all | --list [--quick] …`: run
+/// experiments from [`wsflow_harness::EXPERIMENTS`].
 ///
-/// Summary tables come back as the command output; `loadgen.csv`,
-/// per-table CSVs, and the run manifest land in the output directory
-/// (default `results/`).
-pub fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
-    let opts = wsflow_harness::cli::parse(args.iter().cloned()).map_err(CliError::Usage)?;
-    let (_, rendered) = wsflow_harness::cli::run_one_captured(&opts, wsflow_harness::loadgen::run);
-    Ok(rendered)
+/// Each run writes its CSVs and run manifest to the output directory
+/// (default `results/`) and returns its summary tables as the command
+/// output; `all` runs every entry in table order, naming each on stderr
+/// as it starts. `--list` prints one `name  description` line per entry.
+pub fn cmd_run(args: &[String]) -> Result<String, CliError> {
+    let names = || {
+        wsflow_harness::EXPERIMENTS
+            .iter()
+            .map(|e| e.name)
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let (target, flags) = args.split_first().ok_or_else(|| {
+        CliError::Usage(format!(
+            "run needs an experiment, all or --list; experiments: {}",
+            names()
+        ))
+    })?;
+    if target == "--list" {
+        if let Some(flag) = flags.first() {
+            return Err(CliError::Usage(format!(
+                "run --list takes no flags, got {flag:?}"
+            )));
+        }
+        return Ok(wsflow_harness::EXPERIMENTS
+            .iter()
+            .map(|e| format!("{:<18} {}\n", e.name, e.about))
+            .collect());
+    }
+    let selected = if target == "all" {
+        wsflow_harness::EXPERIMENTS
+    } else {
+        let experiment = wsflow_harness::EXPERIMENTS
+            .iter()
+            .find(|e| e.name == target.as_str())
+            .ok_or_else(|| {
+                CliError::Usage(format!(
+                    "unknown experiment {target:?}; try {}, all or --list",
+                    names()
+                ))
+            })?;
+        std::slice::from_ref(experiment)
+    };
+    let opts = wsflow_harness::cli::parse(flags.iter().cloned()).map_err(CliError::Usage)?;
+    let mut out = String::new();
+    for experiment in selected {
+        if target == "all" {
+            eprintln!("== {} ==", experiment.name);
+        }
+        out.push_str(&wsflow_harness::cli::run_one(&opts, experiment.run).render());
+    }
+    Ok(out)
 }
 
 /// `wsflow report <manifest.json | results-dir>`: pretty-print run
@@ -598,7 +618,7 @@ pub fn cmd_report(path: &str) -> Result<String, CliError> {
             if !plain.is_file() {
                 return Err(CliError::Input(format!(
                     "no manifest.json or *_manifest.json in {path}; run an \
-                     experiment binary (e.g. `fig6 --obs`) first"
+                     experiment (e.g. `wsflow run fig6 --obs`) first"
                 )));
             }
             vec![plain]
@@ -867,14 +887,13 @@ fn dispatch_command(args: &[String]) -> Result<String, CliError> {
                 .ok_or_else(|| CliError::Usage("explain needs a workflow file".into()))?;
             cmd_explain(path, &rest[1..])
         }
-        "dynamic" => cmd_dynamic(rest),
         "submit" => {
             let path = rest
                 .first()
                 .ok_or_else(|| CliError::Usage("submit needs a workflow file".into()))?;
             cmd_submit(path, &rest[1..])
         }
-        "loadgen" => cmd_loadgen(rest),
+        "run" => cmd_run(rest),
         "report" => {
             let path = rest.first().ok_or_else(|| {
                 CliError::Usage("report needs a manifest.json or results directory".into())
@@ -1352,7 +1371,8 @@ mod tests {
         wsflow_obs::set_enabled(false);
         wsflow_obs::reset();
         let dir = std::env::temp_dir().join(format!("wsflow-dynamic-test-{}", std::process::id()));
-        let out = cmd_dynamic(&strs(&[
+        let out = cmd_run(&strs(&[
+            "dyn_policies",
             "--quick",
             "--seeds",
             "2",
@@ -1381,7 +1401,7 @@ mod tests {
         };
         let p = Problem::new(w, pool.network().unwrap()).unwrap();
         let mut ctx = wsflow_core::SolveCtx::unlimited();
-        Portfolio::new(0).solve(&p, &mut ctx).unwrap();
+        wsflow_core::Portfolio::new(0).solve(&p, &mut ctx).unwrap();
         let manifest = wsflow_obs::Manifest::collect("anytime", 7, 1, 0.5);
         wsflow_obs::set_enabled(false);
         wsflow_obs::reset();
@@ -1487,7 +1507,8 @@ mod tests {
         wsflow_obs::set_enabled(false);
         wsflow_obs::reset();
         let dir = std::env::temp_dir().join(format!("wsflow-loadgen-test-{}", std::process::id()));
-        let out = cmd_loadgen(&strs(&[
+        let out = cmd_run(&strs(&[
+            "loadgen",
             "--quick",
             "--seeds",
             "2",
@@ -1506,9 +1527,67 @@ mod tests {
     #[test]
     fn dynamic_rejects_unknown_flags() {
         assert!(matches!(
-            cmd_dynamic(&strs(&["--bogus"])).unwrap_err(),
+            cmd_run(&strs(&["dyn_policies", "--bogus"])).unwrap_err(),
             CliError::Usage(_)
         ));
+    }
+
+    #[test]
+    fn run_rejects_unknown_and_missing_experiments_listing_the_names() {
+        for args in [&["fig9", "--quick"][..], &[], &["--quick"]] {
+            let err = cmd_run(&strs(args)).unwrap_err();
+            let CliError::Usage(msg) = &err else {
+                panic!("{args:?}: expected Usage, got {err:?}");
+            };
+            for e in wsflow_harness::EXPERIMENTS {
+                assert!(msg.contains(e.name), "{args:?}: {msg} omits {}", e.name);
+            }
+        }
+        assert!(matches!(
+            dispatch(&strs(&["run", "--list", "--quick"])).unwrap_err(),
+            CliError::Usage(_)
+        ));
+        // The deleted per-experiment subcommands stay unknown commands.
+        for cmd in ["dynamic", "loadgen"] {
+            assert!(matches!(
+                dispatch(&strs(&[cmd, "--quick"])).unwrap_err(),
+                CliError::Usage(_)
+            ));
+        }
+    }
+
+    #[test]
+    fn run_list_prints_every_experiment_once() {
+        let out = dispatch(&strs(&["run", "--list"])).unwrap();
+        let listed: Vec<&str> = out
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        let names: Vec<&str> = wsflow_harness::EXPERIMENTS.iter().map(|e| e.name).collect();
+        assert_eq!(listed, names);
+    }
+
+    /// The CLI and `wsflowd` resolve algorithms through one registry:
+    /// both accept exactly its names, in any case.
+    #[test]
+    fn cli_and_daemon_accept_exactly_the_registry_names() {
+        assert_eq!(wsflow_svc::ALGORITHM_NAMES, registry::NAMES);
+        for name in registry::NAMES {
+            let upper = name.to_ascii_uppercase();
+            for n in [*name, upper.as_str()] {
+                let cli = algorithm_by_name(n).unwrap_or_else(|e| panic!("cli {n}: {e}"));
+                let daemon =
+                    wsflow_svc::resolve_algorithm(n, 0).unwrap_or_else(|| panic!("daemon {n}"));
+                assert_eq!(cli.name(), daemon.name(), "{n}");
+            }
+        }
+        for name in ["all", "magic", ""] {
+            assert!(algorithm_by_name(name).is_err(), "cli {name:?}");
+            assert!(
+                wsflow_svc::resolve_algorithm(name, 0).is_none(),
+                "daemon {name:?}"
+            );
+        }
     }
 
     #[test]
