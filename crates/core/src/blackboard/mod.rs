@@ -27,7 +27,7 @@
 //!    share and its own child [`CancelToken`](crate::CancelToken). Proposals merge in
 //!    canonical order; strictly better ones advance the board. An
 //!    improver that completes a generation without beating the board
-//!    earns a strike; at [`Blackboard::dominated_after`] strikes it is
+//!    earns a strike; at `DOMINATED_AFTER` (2) strikes it is
 //!    *dominated* — its token is cancelled and it leaves the race. A
 //!    generation in which every improver completed and none improved is
 //!    quiescence: the solve has converged.
@@ -79,29 +79,25 @@ pub struct BlackboardStats {
     pub sources: Vec<SourceStats>,
 }
 
+/// Per-generation sweep cap for the improver sources.
+const IMPROVER_SWEEPS: usize = 50;
+/// Consecutive no-improvement generations before an improver is
+/// dominated (token cancelled, removed from the race).
+const DOMINATED_AFTER: u32 = 2;
+/// Safety cap on improvement generations.
+const MAX_GENERATIONS: usize = 64;
+
 /// The cooperative blackboard solver.
 #[derive(Debug, Clone)]
 pub struct Blackboard {
     /// Seed forwarded to the randomised constructive members.
     pub seed: u64,
-    /// Per-generation sweep cap for the improver sources.
-    pub max_sweeps: usize,
-    /// Consecutive no-improvement generations before an improver is
-    /// dominated (token cancelled, removed from the race).
-    pub dominated_after: u32,
-    /// Safety cap on improvement generations.
-    pub max_generations: usize,
 }
 
 impl Blackboard {
     /// Blackboard with the default source roster and generation limits.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            max_sweeps: 50,
-            dominated_after: 2,
-            max_generations: 64,
-        }
+        Self { seed }
     }
 
     /// The default roster, in canonical order: the paper's bus greedies
@@ -115,16 +111,16 @@ impl Blackboard {
             Box::new(Constructive::new(HeavyOpsLargeMsgs)),
             Box::new(Constructive::new(LineLine::new())),
             Box::new(Mover {
-                max_sweeps: self.max_sweeps,
+                max_sweeps: IMPROVER_SWEEPS,
             }),
             Box::new(Swapper {
-                max_sweeps: self.max_sweeps,
+                max_sweeps: IMPROVER_SWEEPS,
             }),
             Box::new(Repairer {
-                max_sweeps: self.max_sweeps,
+                max_sweeps: IMPROVER_SWEEPS,
             }),
             Box::new(Router {
-                max_sweeps: self.max_sweeps,
+                max_sweeps: IMPROVER_SWEEPS,
             }),
         ]
     }
@@ -258,7 +254,7 @@ impl Blackboard {
             .collect();
         let mut generations = 0u64;
         let mut quiescent = false;
-        while !live.is_empty() && (generations as usize) < self.max_generations {
+        while !live.is_empty() && (generations as usize) < MAX_GENERATIONS {
             if ctx.should_stop() {
                 break;
             }
@@ -311,7 +307,7 @@ impl Blackboard {
             // Dominated sources leave the race; their child tokens fire
             // so any (hypothetical) in-flight work stops cooperatively.
             live.retain(|entry| {
-                if entry.strikes >= self.dominated_after {
+                if entry.strikes >= DOMINATED_AFTER {
                     entry.token.cancel();
                     stats[entry.idx].cancelled = true;
                     false
@@ -382,20 +378,18 @@ impl DeploymentAlgorithm for Blackboard {
 /// is threaded straight through each member's `solve`, the trajectory —
 /// charges, offers, trajectory points — is bit-identical to the classic
 /// sequential portfolio loop.
-///
-/// Returns the outcome and the index of the winning member.
 pub fn race_sequential(
     problem: &Problem,
     ctx: &mut SolveCtx<'_>,
     members: &[Box<dyn DeploymentAlgorithm>],
-) -> Result<(SolveOutcome, usize), DeployError> {
+) -> Result<SolveOutcome, DeployError> {
     assert!(!members.is_empty(), "the member suite must be non-empty");
     let mark = ctx.mark();
-    let mut best: Option<(Mapping, usize, f64)> = None;
+    let mut best: Option<(Mapping, f64)> = None;
     let mut last_err: Option<DeployError> = None;
     let mut all_ran = true;
     let mut all_converged = true;
-    for (i, algo) in members.iter().enumerate() {
+    for algo in members {
         // Budget check at the member boundary: skip the rest once the
         // budget is gone, but never before an incumbent exists.
         if best.is_some() && ctx.should_stop() {
@@ -405,8 +399,8 @@ pub fn race_sequential(
         match Constructive::new(algo).propose_impl(problem, ctx) {
             Ok(Some(p)) => {
                 all_converged &= p.completed;
-                if best.as_ref().map(|(_, _, c)| p.cost < *c).unwrap_or(true) {
-                    best = Some((p.mapping, i, p.cost));
+                if best.as_ref().map(|(_, c)| p.cost < *c).unwrap_or(true) {
+                    best = Some((p.mapping, p.cost));
                 }
             }
             Ok(None) => {}
@@ -416,10 +410,7 @@ pub fn race_sequential(
         }
     }
     match best {
-        Some((mapping, winner, cost)) => {
-            let converged = all_ran && all_converged;
-            Ok((ctx.finish(mark, mapping, cost, converged), winner))
-        }
+        Some((mapping, cost)) => Ok(ctx.finish(mark, mapping, cost, all_ran && all_converged)),
         None => Err(last_err.expect("no winner implies at least one member error")),
     }
 }
@@ -570,9 +561,8 @@ mod tests {
         );
         assert_eq!(stubborn.accepts, 0);
         assert!(
-            stubborn.proposals >= bb.dominated_after as u64,
-            "it got its {} chances first",
-            bb.dominated_after
+            stubborn.proposals >= DOMINATED_AFTER as u64,
+            "it got its {DOMINATED_AFTER} chances first"
         );
     }
 
@@ -617,7 +607,7 @@ mod tests {
         for &budget in &[Some(0u64), Some(30), Some(100), Some(10_000), None] {
             let p = problem(1.0, 9);
             let mut race_ctx = SolveCtx::with_budget_opt(budget);
-            let (race_out, _) =
+            let race_out =
                 race_sequential(&p, &mut race_ctx, &crate::registry::paper_bus_algorithms(9))
                     .expect("ok");
             let mut ref_ctx = SolveCtx::with_budget_opt(budget);
@@ -654,5 +644,36 @@ mod tests {
             .expect("ok");
         assert_eq!(out.mapping.len(), 14);
         assert_eq!(out.termination, Termination::Converged);
+    }
+
+    #[test]
+    fn skips_failing_members_instead_of_aborting() {
+        // Regression: the portfolio used to `?` on each member, so one
+        // topology-mismatched member sank the whole race even when
+        // other members could deploy fine. LineLine fails on a bus
+        // network with RequiresLineNetwork; FairLoad succeeds.
+        let p = problem(10.0, 1);
+        let members: Vec<Box<dyn DeploymentAlgorithm>> = vec![
+            Box::new(crate::line_line::LineLine::new()),
+            Box::new(FairLoad),
+        ];
+        let out = race_sequential(&p, &mut SolveCtx::unlimited(), &members)
+            .expect("the failing member must be skipped");
+        assert_eq!(out.mapping, FairLoad.deploy(&p).unwrap(), "FairLoad wins");
+        assert_eq!(out.termination, Termination::Converged);
+    }
+
+    #[test]
+    fn errors_only_when_every_member_fails() {
+        let p = problem(10.0, 2);
+        let members: Vec<Box<dyn DeploymentAlgorithm>> = vec![
+            Box::new(crate::line_line::LineLine::new()),
+            Box::new(crate::line_line::LineLine {
+                direction: crate::line_line::Direction::BestOfBoth,
+                fix_bridges: false,
+            }),
+        ];
+        let err = race_sequential(&p, &mut SolveCtx::unlimited(), &members).unwrap_err();
+        assert_eq!(err, DeployError::RequiresLineNetwork);
     }
 }

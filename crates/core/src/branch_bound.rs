@@ -136,12 +136,10 @@ impl BnbStats {
 
     /// Publish one run's counters to `wsflow-obs` (when enabled).
     fn flush(&self) {
-        if wsflow_obs::enabled() {
-            wsflow_obs::counter_add("bnb.runs", 1);
-            wsflow_obs::counter_add("bnb.nodes_expanded", self.nodes);
-            wsflow_obs::counter_add("bnb.prunes", self.prunes);
-            wsflow_obs::counter_add("bnb.incumbent_updates", self.incumbent_updates);
-        }
+        wsflow_obs::counter_add("bnb.runs", 1);
+        wsflow_obs::counter_add("bnb.nodes_expanded", self.nodes);
+        wsflow_obs::counter_add("bnb.prunes", self.prunes);
+        wsflow_obs::counter_add("bnb.incumbent_updates", self.incumbent_updates);
     }
 }
 

@@ -60,22 +60,21 @@ pub fn violation(constraints: &UserConstraints, cost: &CostBreakdown, load: Seco
     v
 }
 
+/// Upper bound on [`ConstrainedDeploy`]'s repair sweeps, and on its
+/// polish sweeps (each tries every single-op move).
+const REPAIR_SWEEPS: usize = 50;
+
 /// Deploy under the problem's constraints: greedy start + repair search.
 #[derive(Debug, Clone)]
 pub struct ConstrainedDeploy<A> {
     /// The algorithm producing the starting mapping.
     pub inner: A,
-    /// Upper bound on repair sweeps (each tries every single-op move).
-    pub max_sweeps: usize,
 }
 
 impl<A> ConstrainedDeploy<A> {
     /// Repair with up to 50 sweeps.
     pub fn new(inner: A) -> Self {
-        Self {
-            inner,
-            max_sweeps: 50,
-        }
+        Self { inner }
     }
 }
 
@@ -100,7 +99,7 @@ impl<A: DeploymentAlgorithm> ConstrainedDeploy<A> {
         let mut current = start;
         let (mut cur_viol, mut cur_cost) = score(&mut ev, &current);
         let n = problem.num_servers() as u32;
-        for _ in 0..self.max_sweeps {
+        for _ in 0..REPAIR_SWEEPS {
             if cur_viol.is_zero() {
                 break;
             }
@@ -131,7 +130,7 @@ impl<A: DeploymentAlgorithm> ConstrainedDeploy<A> {
         }
         // Feasible: polish cost without breaking feasibility.
         if cur_viol.is_zero() {
-            for _ in 0..self.max_sweeps {
+            for _ in 0..REPAIR_SWEEPS {
                 let mut improved = false;
                 'polish: for op_idx in 0..problem.num_ops() {
                     let op = OpId::from(op_idx);
@@ -188,7 +187,7 @@ impl<A: DeploymentAlgorithm> DeploymentAlgorithm for ConstrainedDeploy<A> {
             Err(ConstrainedError::Infeasible { best_effort, .. }) => best_effort,
             Err(ConstrainedError::Deploy(e)) => return Err(e),
         };
-        let steps = construction_steps(problem).saturating_mul(self.max_sweeps.max(1) as u64);
+        let steps = construction_steps(problem).saturating_mul(REPAIR_SWEEPS as u64);
         Ok(constructive_outcome(problem, ctx, mapping, steps))
     }
 }

@@ -107,13 +107,11 @@ impl DeploymentAlgorithm for Exhaustive {
             scan_range(problem, r.start as u64, r.end as u64, &token)
         });
         ctx.charge(allowed);
-        if wsflow_obs::enabled() {
-            // Every index in the scanned prefix is evaluated exactly
-            // once, so the node count is the prefix size — flushed once,
-            // not per node.
-            wsflow_obs::counter_add("exhaustive.runs", 1);
-            wsflow_obs::counter_add("exhaustive.nodes_expanded", allowed);
-        }
+        // Every index in the scanned prefix is evaluated exactly once,
+        // so the node count is the prefix size — flushed once, not per
+        // node.
+        wsflow_obs::counter_add("exhaustive.runs", 1);
+        wsflow_obs::counter_add("exhaustive.nodes_expanded", allowed);
         // Merge in range order with a strict `<`: ties resolve to the
         // smallest enumeration index, exactly like a sequential scan.
         let mut best: Option<(Mapping, f64)> = None;
@@ -233,9 +231,7 @@ pub fn pareto_front_exhaustive(
 ) -> Result<Vec<wsflow_cost::ParetoPoint<Mapping>>, DeployError> {
     let total = checked_space(problem, limit)?;
     wsflow_obs::span_scope!("exhaustive.pareto");
-    if wsflow_obs::enabled() {
-        wsflow_obs::counter_add("exhaustive.nodes_expanded", total);
-    }
+    wsflow_obs::counter_add("exhaustive.nodes_expanded", total);
     let n = problem.num_servers() as u32;
     let m = problem.num_ops();
     let ranges = wsflow_par::split_ranges(total as usize, wsflow_par::num_threads());
@@ -356,5 +352,19 @@ mod tests {
         let p = Problem::new(b.build().unwrap(), net).unwrap();
         let m = Exhaustive::new().deploy(&p).unwrap();
         assert!(m.is_valid_for(2));
+    }
+
+    #[test]
+    fn obs_counters_and_span_flush_when_enabled() {
+        let p = small_problem(4, 2); // 16 mappings
+        let rec = wsflow_obs::Recorder::new();
+        {
+            let _obs = rec.install();
+            Exhaustive::new().deploy(&p).unwrap();
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("exhaustive.runs"), Some(1));
+        assert_eq!(snap.counter("exhaustive.nodes_expanded"), Some(16));
+        assert!(rec.spans().iter().any(|s| s.name == "exhaustive.scan"));
     }
 }

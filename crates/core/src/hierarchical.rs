@@ -36,6 +36,9 @@ use crate::algorithm::{DeployError, DeploymentAlgorithm};
 use crate::partition::{partition_ops, Partition};
 use crate::solve::{SolveCtx, SolveOutcome};
 
+/// Upper bound on [`Hierarchical`]'s boundary-repair sweeps.
+const REPAIR_SWEEPS: usize = 3;
+
 /// Hierarchical cluster-and-stitch wrapper around an inner algorithm.
 pub struct Hierarchical<A> {
     /// The algorithm solving each cluster sub-problem (and, at unlimited
@@ -44,8 +47,6 @@ pub struct Hierarchical<A> {
     /// Target operations per cluster (blocks are never split, so one
     /// oversized decision block can exceed this).
     pub target_cluster_size: usize,
-    /// Upper bound on boundary-repair sweeps.
-    pub repair_sweeps: usize,
 }
 
 impl<A> Hierarchical<A> {
@@ -57,7 +58,6 @@ impl<A> Hierarchical<A> {
         Self {
             inner,
             target_cluster_size: Self::DEFAULT_CLUSTER_SIZE,
-            repair_sweeps: 3,
         }
     }
 
@@ -159,7 +159,7 @@ impl<A: DeploymentAlgorithm + Sync> Hierarchical<A> {
         boundary.sort_unstable();
         boundary.dedup();
         let mut cost = delta.cost().combined.value();
-        for _ in 0..self.repair_sweeps {
+        for _ in 0..REPAIR_SWEEPS {
             let mut improved = false;
             for &op in &boundary {
                 let current = delta.mapping().server_of(op);

@@ -6,14 +6,21 @@
 //! winner under their weighting; this wrapper is that practice, and the
 //! harness's Pareto tables quantify how much it buys.
 
-use wsflow_cost::{Mapping, Problem};
+use wsflow_cost::Problem;
 
 use crate::algorithm::{DeployError, DeploymentAlgorithm};
 use crate::blackboard::race_sequential;
 use crate::registry::paper_bus_algorithms;
 use crate::solve::{SolveCtx, SolveOutcome};
 
-/// Best-of-the-paper's-five deployment.
+/// Best-of-the-paper's-five deployment: the five race in order through
+/// [`race_sequential`] on the shared context.
+///
+/// A member that errors (e.g. a topology-specific algorithm on the
+/// wrong topology) is skipped, not fatal; the solve errors only when
+/// *every* member fails. Once the budget is exhausted (or the token
+/// fires) the remaining members are skipped, but the first runnable
+/// member always runs — even at budget 0 — so an incumbent exists.
 #[derive(Debug, Clone)]
 pub struct Portfolio {
     /// Seed forwarded to the randomised members.
@@ -24,50 +31,6 @@ impl Portfolio {
     /// Portfolio with the given seed.
     pub fn new(seed: u64) -> Self {
         Self { seed }
-    }
-
-    /// Deploy and also report which member won.
-    ///
-    /// A member that errors (e.g. a topology-specific algorithm on the
-    /// wrong topology) is skipped, not fatal; the call errors only when
-    /// *every* member fails.
-    pub fn deploy_labelled(&self, problem: &Problem) -> Result<(Mapping, String), DeployError> {
-        self.solve_labelled(problem, &mut SolveCtx::unlimited())
-            .map(|(out, name)| (out.mapping, name))
-    }
-
-    /// Anytime deploy reporting the winning member's name.
-    ///
-    /// Members share `ctx`'s budget: each member's own charges count
-    /// against it, and once it is exhausted (or the token fires) the
-    /// remaining members are skipped. The first runnable member always
-    /// runs — even at budget 0 — so an incumbent exists.
-    pub fn solve_labelled(
-        &self,
-        problem: &Problem,
-        ctx: &mut SolveCtx<'_>,
-    ) -> Result<(SolveOutcome, String), DeployError> {
-        self.solve_labelled_over(problem, ctx, paper_bus_algorithms(self.seed))
-    }
-
-    /// [`solve_labelled`](Self::solve_labelled) over an explicit member
-    /// list (the portfolio's skip-failing-members semantics for any
-    /// algorithm suite).
-    ///
-    /// Since the blackboard refactor this is a thin configuration of
-    /// the runtime's sequential seeding race: members run as
-    /// constructive-only sources in one generation on the shared
-    /// context, which is bit-identical to the classic loop (see the
-    /// regression test in `blackboard::tests`).
-    pub fn solve_labelled_over(
-        &self,
-        problem: &Problem,
-        ctx: &mut SolveCtx<'_>,
-        members: Vec<Box<dyn DeploymentAlgorithm>>,
-    ) -> Result<(SolveOutcome, String), DeployError> {
-        let (out, winner) = race_sequential(problem, ctx, &members)?;
-        let name = members[winner].name().to_string();
-        Ok((out, name))
     }
 }
 
@@ -87,7 +50,7 @@ impl DeploymentAlgorithm for Portfolio {
         problem: &Problem,
         ctx: &mut SolveCtx<'_>,
     ) -> Result<SolveOutcome, DeployError> {
-        self.solve_labelled(problem, ctx).map(|(out, _)| out)
+        race_sequential(problem, ctx, &paper_bus_algorithms(self.seed))
     }
 }
 
@@ -131,19 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_the_winner() {
-        let p = problem(1.0, 3);
-        let (_, winner) = Portfolio::new(3).deploy_labelled(&p).expect("ok");
-        // On a 1 Mbps bus the winner is HOLM in practice, but any member
-        // name is acceptable here — just assert it is one of them.
-        let names: Vec<String> = paper_bus_algorithms(3)
-            .iter()
-            .map(|a| a.name().to_string())
-            .collect();
-        assert!(names.contains(&winner), "unknown winner {winner}");
-    }
-
-    #[test]
     fn works_on_graphs() {
         let class = ExperimentClass::class_c();
         let s = generate(
@@ -159,48 +109,13 @@ mod tests {
     }
 
     #[test]
-    fn skips_failing_members_instead_of_aborting() {
-        // Regression: `deploy_labelled` used to `?` on each member, so
-        // one topology-mismatched member sank the whole portfolio even
-        // when other members could deploy fine. LineLine fails on a bus
-        // network with RequiresLineNetwork; FairLoad succeeds.
-        let p = problem(10.0, 1);
-        let members: Vec<Box<dyn DeploymentAlgorithm>> = vec![
-            Box::new(crate::line_line::LineLine::new()),
-            Box::new(crate::fair_load::FairLoad),
-        ];
-        let (out, winner) = Portfolio::new(1)
-            .solve_labelled_over(&p, &mut SolveCtx::unlimited(), members)
-            .expect("the failing member must be skipped");
-        assert_eq!(winner, "FairLoad");
-        assert_eq!(out.mapping.len(), p.num_ops());
-        assert_eq!(out.termination, Termination::Converged);
-    }
-
-    #[test]
-    fn errors_only_when_every_member_fails() {
-        let p = problem(10.0, 2);
-        let members: Vec<Box<dyn DeploymentAlgorithm>> = vec![
-            Box::new(crate::line_line::LineLine::new()),
-            Box::new(crate::line_line::LineLine {
-                direction: crate::line_line::Direction::BestOfBoth,
-                fix_bridges: false,
-            }),
-        ];
-        let err = Portfolio::new(2)
-            .solve_labelled_over(&p, &mut SolveCtx::unlimited(), members)
-            .unwrap_err();
-        assert_eq!(err, DeployError::RequiresLineNetwork);
-    }
-
-    #[test]
     fn budget_skips_later_members_but_always_returns_a_mapping() {
         let p = problem(10.0, 4);
         // Budget 0: only the first member runs (atomically); the result
         // is still a full, valid mapping.
         let mut ctx = SolveCtx::with_budget(0);
-        let (out, _) = Portfolio::new(4)
-            .solve_labelled(&p, &mut ctx)
+        let out = Portfolio::new(4)
+            .solve(&p, &mut ctx)
             .expect("never no-mapping");
         assert_eq!(out.mapping.len(), p.num_ops());
         assert_eq!(out.termination, Termination::BudgetExhausted);

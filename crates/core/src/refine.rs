@@ -16,23 +16,21 @@ use wsflow_net::ServerId;
 use crate::algorithm::{DeployError, DeploymentAlgorithm};
 use crate::solve::{SolveCtx, SolveOutcome};
 
+/// Upper bound on [`HillClimb`]'s full improvement sweeps (each sweep
+/// tries every (operation, server) move once).
+const HILL_CLIMB_SWEEPS: usize = 50;
+
 /// First-improvement hill climbing over single-operation moves, started
 /// from an inner algorithm's mapping.
 pub struct HillClimb<A> {
     /// The algorithm producing the starting mapping.
     pub inner: A,
-    /// Upper bound on full improvement sweeps.
-    pub max_sweeps: usize,
 }
 
 impl<A> HillClimb<A> {
-    /// Refine `inner`'s result with up to 50 sweeps (each sweep tries
-    /// every (operation, server) move once).
+    /// Refine `inner`'s result with up to 50 sweeps.
     pub fn new(inner: A) -> Self {
-        Self {
-            inner,
-            max_sweeps: 50,
-        }
+        Self { inner }
     }
 }
 
@@ -111,7 +109,7 @@ impl<A: DeploymentAlgorithm> DeploymentAlgorithm for HillClimb<A> {
         // The inner construction charges its own steps against the same
         // context; the climb then spends whatever budget remains.
         let start = self.inner.solve(problem, ctx)?.mapping;
-        let (mapping, cost, finished) = hill_climb_ctx(problem, start, self.max_sweeps, ctx);
+        let (mapping, cost, finished) = hill_climb_ctx(problem, start, HILL_CLIMB_SWEEPS, ctx);
         Ok(ctx.finish(mark, mapping, cost, finished))
     }
 }
@@ -248,29 +246,25 @@ pub fn refine_moves_and_swaps(
     (current, cost)
 }
 
-/// Simulated annealing over single-operation moves.
+/// Number of [`SimulatedAnnealing`] proposal steps.
+const SA_STEPS: usize = 20_000;
+/// Initial annealing temperature as a fraction of the starting cost.
+const SA_INITIAL_TEMPERATURE: f64 = 0.2;
+/// Per-step geometric cooling factor.
+const SA_COOLING: f64 = 0.9995;
+
+/// Simulated annealing over single-operation moves: 20 000 steps,
+/// T₀ = 20 % of the starting cost, cooling 0.9995.
 #[derive(Debug, Clone)]
 pub struct SimulatedAnnealing {
     /// RNG seed.
     pub seed: u64,
-    /// Number of proposal steps.
-    pub steps: usize,
-    /// Initial temperature as a fraction of the starting cost.
-    pub initial_temperature: f64,
-    /// Per-step geometric cooling factor.
-    pub cooling: f64,
 }
 
 impl SimulatedAnnealing {
-    /// Reasonable defaults: 20 000 steps, T₀ = 20 % of the starting
-    /// cost, cooling 0.9995.
+    /// Annealing with the given seed.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            steps: 20_000,
-            initial_temperature: 0.2,
-            cooling: 0.9995,
-        }
+        Self { seed }
     }
 }
 
@@ -297,12 +291,12 @@ impl DeploymentAlgorithm for SimulatedAnnealing {
         let mut best = delta.mapping().clone();
         let mut best_cost = cost;
         ctx.offer(&best, best_cost);
-        let mut temperature = (cost * self.initial_temperature).max(1e-12);
+        let mut temperature = (cost * SA_INITIAL_TEMPERATURE).max(1e-12);
         let mut finished = true;
         // One logical step per proposal: a budget of B cuts the schedule
         // after exactly min(B, steps) proposals, the same prefix of the
         // seeded RNG stream on every run.
-        for _ in 0..self.steps {
+        for _ in 0..SA_STEPS {
             if !ctx.try_charge(1) {
                 finished = false;
                 break;
@@ -311,7 +305,7 @@ impl DeploymentAlgorithm for SimulatedAnnealing {
             let old = delta.mapping().server_of(op);
             let new = ServerId::new(rng.gen_range(0..n));
             if new == old {
-                temperature *= self.cooling;
+                temperature *= SA_COOLING;
                 continue;
             }
             let c = delta.probe(op, new).combined.value();
@@ -328,7 +322,7 @@ impl DeploymentAlgorithm for SimulatedAnnealing {
                     ctx.offer(&best, best_cost);
                 }
             }
-            temperature *= self.cooling;
+            temperature *= SA_COOLING;
         }
         Ok(ctx.finish(mark, best, best_cost, finished))
     }

@@ -607,15 +607,12 @@ mod tests {
 
     #[test]
     fn trajectory_records_improvements_only_while_obs_is_on() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
         let mut ctx = SolveCtx::with_budget(10);
         ctx.offer(&dummy_mapping(), 9.0);
         assert!(ctx.trajectory().is_empty(), "obs off records nothing");
 
-        wsflow_obs::set_enabled(true);
-        wsflow_obs::reset();
+        let rec = wsflow_obs::Recorder::new();
+        let _obs = rec.install();
         let mut ctx = SolveCtx::with_budget(10);
         let m = dummy_mapping();
         ctx.try_charge(2);
@@ -624,9 +621,7 @@ mod tests {
         ctx.offer(&m, 12.0); // worse: not on the trajectory
         ctx.offer(&m, 4.0);
         let traj: Vec<TrajectoryPoint> = ctx.trajectory().to_vec();
-        let spans = wsflow_obs::registry::spans();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
+        let spans = rec.spans();
 
         assert_eq!(traj.len(), 2);
         assert_eq!(traj[0].step, 2);
@@ -646,15 +641,12 @@ mod tests {
 
     #[test]
     fn solver_metrics_flush_when_obs_enabled() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(true);
-        wsflow_obs::reset();
+        let rec = wsflow_obs::Recorder::new();
+        let _obs = rec.install();
         let mut ctx = SolveCtx::with_budget(3);
         while ctx.try_charge(1) {}
         let out = ctx.finish(0, dummy_mapping(), 1.0, false);
-        let snap = wsflow_obs::snapshot();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
+        let snap = rec.snapshot();
 
         assert_eq!(out.steps, 3);
         assert_eq!(snap.counter("solver.runs"), Some(1));

@@ -20,21 +20,17 @@ fn problem(seed: u64) -> Problem {
 /// Run one budgeted hierarchical solve with `workers` and return the
 /// recorded span buffer.
 fn spans_for(workers: usize, seed: u64) -> Vec<wsflow_obs::SpanEvent> {
-    wsflow_obs::set_enabled(true);
-    wsflow_obs::reset();
+    let rec = wsflow_obs::Recorder::new();
+    let _obs = rec.install();
     let p = problem(seed);
     let algo = Hierarchical::new(HillClimb::new(FairLoad)).with_cluster_size(24);
     let mut ctx = SolveCtx::with_budget(5_000);
     wsflow_par::with_threads(workers, || algo.solve(&p, &mut ctx)).expect("hierarchical solve");
-    let spans = wsflow_obs::registry::spans();
-    wsflow_obs::set_enabled(false);
-    wsflow_obs::reset();
-    spans
+    rec.spans()
 }
 
 #[test]
 fn hierarchical_span_tree_is_well_formed_for_any_worker_count() {
-    let _guard = wsflow_obs::registry::test_lock();
     for workers in [1usize, 4] {
         let spans = spans_for(workers, 2007);
         assert!(
@@ -61,7 +57,6 @@ fn hierarchical_span_tree_is_well_formed_for_any_worker_count() {
 
 #[test]
 fn canonical_trace_is_byte_stable_across_workers_and_repeats() {
-    let _guard = wsflow_obs::registry::test_lock();
     let trace = |workers: usize| {
         let spans = spans_for(workers, 2007);
         let (json, stats) = wsflow_obs::chrome_trace(&spans).expect("trace export");
@@ -86,7 +81,6 @@ fn canonical_trace_is_byte_stable_across_workers_and_repeats() {
 
 #[test]
 fn incumbent_instants_ride_the_tree() {
-    let _guard = wsflow_obs::registry::test_lock();
     let spans = spans_for(4, 2007);
     let instants: Vec<_> = spans
         .iter()

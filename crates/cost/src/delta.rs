@@ -742,4 +742,31 @@ mod tests {
             direct.combined.value().to_bits()
         );
     }
+
+    #[test]
+    fn drop_flushes_delta_metrics_when_obs_enabled() {
+        let mut b = WorkflowBuilder::new("w");
+        b.line(
+            "o",
+            &[MCycles(10.0), MCycles(30.0), MCycles(20.0)],
+            Mbits(0.4),
+        );
+        let net = bus("b", homogeneous_servers(3, 1.0), MbitsPerSec(10.0)).unwrap();
+        let p = Problem::new(b.build().unwrap(), net).unwrap();
+        let rec = wsflow_obs::Recorder::new();
+        {
+            let _obs = rec.install();
+            let mut delta = DeltaEvaluator::new(&p, Mapping::all_on(p.num_ops(), ServerId::new(0)))
+                .with_staleness_threshold(2);
+            delta.probe(OpId::new(1), ServerId::new(1));
+            delta.probe(OpId::new(2), ServerId::new(2));
+            delta.apply(OpId::new(1), ServerId::new(1));
+            delta.apply(OpId::new(2), ServerId::new(2)); // hits the staleness resync
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("delta.probes"), Some(2));
+        assert_eq!(snap.counter("delta.applies"), Some(2));
+        assert_eq!(snap.counter("delta.resyncs"), Some(1));
+        assert_eq!(snap.histogram("delta.undo_depth").unwrap().count, 2);
+    }
 }

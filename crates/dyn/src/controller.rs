@@ -17,7 +17,7 @@
 //! any reported number (repair latency is observed only through
 //! `wsflow-obs` histograms, which never enter CSVs).
 
-use wsflow_core::{SolveCtx, Termination};
+use wsflow_core::{DeploymentAlgorithm, SolveCtx, Termination};
 use wsflow_cost::{
     plan_migration, CostBreakdown, DeltaEvaluator, Evaluator, Mapping, MigrationModel, Problem,
 };
@@ -216,8 +216,8 @@ pub fn run_policy(
 
     let nominal =
         Problem::new(workflow.clone(), base.clone()).expect("the nominal problem is valid");
-    let (start, _winner) = Portfolio::new(cfg.seed)
-        .deploy_labelled(&nominal)
+    let start = Portfolio::new(cfg.seed)
+        .deploy(&nominal)
         .expect("the portfolio always deploys");
     let initial = Evaluator::new(&nominal).evaluate(&start);
     let baseline = initial.combined.value();
@@ -290,8 +290,8 @@ pub fn run_policy(
         let (proposal, searched, exhausted) = match policy {
             Policy::Static => (None, false, false),
             Policy::FullResolve => {
-                let (out, _) = Portfolio::new(cfg.seed)
-                    .solve_labelled(&eff, &mut ctx)
+                let out = Portfolio::new(cfg.seed)
+                    .solve(&eff, &mut ctx)
                     .expect("the portfolio always deploys");
                 let ex = out.termination != Termination::Converged;
                 (Some(out.mapping), true, ex)
@@ -624,5 +624,38 @@ mod tests {
                 "repairing should not recover slower than waiting ({a} vs {b})"
             );
         }
+    }
+
+    #[test]
+    fn controller_epochs_form_a_span_tree_with_fault_instants() {
+        let rec = wsflow_obs::Recorder::new();
+        let r = {
+            let _obs = rec.install();
+            quick_run(Policy::IncrementalRepair, 2007)
+        };
+        let spans = rec.spans();
+
+        wsflow_obs::validate_spans(&spans).expect("controller spans must form a tree");
+        let epochs: Vec<_> = spans.iter().filter(|s| s.name == "dyn.epoch").collect();
+        assert_eq!(epochs.len(), r.steps, "one epoch span per event batch");
+        let faults: Vec<_> = spans.iter().filter(|s| s.name == "dyn.fault").collect();
+        assert_eq!(
+            faults.len(),
+            r.events_applied,
+            "one instant per applied event"
+        );
+        let epoch_ids: std::collections::HashSet<u64> = epochs.iter().map(|s| s.span_id).collect();
+        for f in &faults {
+            assert!(f.instant);
+            assert_eq!(f.dur_us, 0);
+            assert!(
+                epoch_ids.contains(&f.parent_id),
+                "fault instants must hang off their epoch"
+            );
+        }
+        // Epoch ordinals are dense from zero.
+        let mut idxs: Vec<u64> = epochs.iter().map(|s| s.idx).collect();
+        idxs.sort_unstable();
+        assert_eq!(idxs, (0..r.steps as u64).collect::<Vec<_>>());
     }
 }

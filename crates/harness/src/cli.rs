@@ -10,15 +10,17 @@
 //!
 //! `--seeds` and `--ops` apply on top of the chosen sizes, before or
 //! after `--quick`. Observability is `wsflow`'s global `--obs` (or
-//! `WSFLOW_OBS=1`). There is no worker-count flag: every fan-out takes
-//! [`wsflow_par::num_threads`], which `WSFLOW_THREADS` sets.
+//! `WSFLOW_OBS=1`): [`run_one`] records an experiment when its caller
+//! has a [`wsflow_obs::Recorder`] installed. There is no worker-count
+//! flag: every fan-out takes [`wsflow_par::num_threads`], which
+//! `WSFLOW_THREADS` sets.
 //!
 //! [`run_one`] also writes a `manifest.json` (and an
 //! `<experiment>_manifest.json` copy) next to the CSVs recording git
 //! rev, seed, thread count ([`wsflow_par::num_threads`]), wall time,
-//! per-phase timings, and — when observability is on — the full metric
-//! snapshot.
+//! per-phase timings, and — when recorded — the full metric snapshot.
 
+use std::fmt::Display;
 use std::path::Path;
 
 use crate::output::ExperimentOutput;
@@ -71,64 +73,76 @@ pub fn parse(mut args: impl Iterator<Item = String>) -> Result<CliOptions, Strin
 }
 
 /// Run one experiment end to end: run the obs spot-check, time the run
-/// with `phase.*` spans, write its CSVs and the run manifest (plus
-/// `spans.ndjson` with observability on), and return the output for the
-/// caller to render.
+/// with `phase.*` spans, write its CSVs and the run manifest (plus its
+/// span export when recorded), and return the output for the caller to
+/// render.
+///
+/// When the caller has a recorder installed, the experiment records
+/// into a fresh recorder of its own, so the manifests of a suite's
+/// entries never mix; what it recorded is then added to the caller's
+/// recorder.
 pub fn run_one(opts: &CliOptions, f: impl FnOnce(&Params) -> ExperimentOutput) -> ExperimentOutput {
     let started = std::time::Instant::now();
-    if wsflow_obs::enabled() {
-        wsflow_obs::reset();
-        crate::obs_diag::spot_check(&opts.params);
-    }
+    let recorder = wsflow_obs::enabled().then(wsflow_obs::Recorder::new);
     let output = {
-        wsflow_obs::span_scope!("phase.experiment");
-        f(&opts.params)
-    };
-    {
-        wsflow_obs::span_scope!("phase.emit");
-        match output.write_csv(&opts.out_dir) {
-            Ok(paths) => {
-                for p in paths {
-                    eprintln!("wrote {}", p.display());
+        let _obs = recorder.as_ref().map(wsflow_obs::Recorder::install);
+        crate::obs_diag::spot_check(&opts.params);
+        let output = {
+            wsflow_obs::span_scope!("phase.experiment");
+            f(&opts.params)
+        };
+        {
+            wsflow_obs::span_scope!("phase.emit");
+            match output.write_csv(&opts.out_dir) {
+                Ok(paths) => {
+                    for p in paths {
+                        eprintln!("wrote {}", p.display());
+                    }
                 }
+                Err(e) => eprintln!("warning: could not write CSVs: {e}"),
             }
-            Err(e) => eprintln!("warning: could not write CSVs: {e}"),
         }
+        if let Some(rec) = &recorder {
+            // `spans.ndjson` is what `wsflow trace` turns into a Chrome
+            // trace.
+            let nd = wsflow_obs::spans_ndjson(&rec.spans());
+            write_both(&opts.out_dir, &output.id, "spans.ndjson", nd);
+        }
+        write_manifest(&output.id, opts, started.elapsed().as_secs_f64());
+        output
+    };
+    if let Some(rec) = &recorder {
+        rec.merge_into_current();
     }
-    if wsflow_obs::enabled() {
-        write_spans(&opts.out_dir);
-    }
-    write_manifest(&output.id, opts, started.elapsed().as_secs_f64());
     output
 }
 
-/// Write the recorded span buffer as `spans.ndjson` into the output
-/// directory — the input `wsflow trace` turns into a Chrome trace.
-/// Only called with observability on; never fatal.
-fn write_spans(out_dir: &str) {
-    let spans = wsflow_obs::registry::spans();
-    let nd = match wsflow_obs::spans_ndjson(&spans) {
-        Ok(nd) => nd,
+/// Write `text` to `<out_dir>/<file>` and to an `<experiment>_<file>`
+/// copy, so a suite run keeps every experiment's. Never fatal.
+fn write_both(out_dir: &str, experiment: &str, file: &str, text: Result<String, impl Display>) {
+    let text = match text {
+        Ok(text) => text,
         Err(e) => {
-            eprintln!("warning: could not serialise spans: {e}");
+            eprintln!("warning: could not serialise {file}: {e}");
             return;
         }
     };
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        eprintln!("warning: could not create {out_dir}: {e}");
+    let dir = Path::new(out_dir);
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("warning: could not create {}: {e}", dir.display());
         return;
     }
-    let path = Path::new(out_dir).join("spans.ndjson");
-    match std::fs::write(&path, nd) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    for path in [dir.join(file), dir.join(format!("{experiment}_{file}"))] {
+        match std::fs::write(&path, &text) {
+            Ok(()) => eprintln!("wrote {}", path.display()),
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        }
     }
 }
 
-/// Write `manifest.json` (plus an `<experiment>_manifest.json` copy, so
-/// suite runs keep every experiment's manifest) into the output
-/// directory. Always written — provenance is worth having even without
-/// metrics; never fatal.
+/// Write `manifest.json` (and its `<experiment>_manifest.json` copy)
+/// into the output directory. Always written — provenance is worth
+/// having even without metrics; never fatal.
 fn write_manifest(experiment: &str, opts: &CliOptions, wall_secs: f64) {
     let manifest = wsflow_obs::Manifest::collect(
         experiment,
@@ -139,20 +153,8 @@ fn write_manifest(experiment: &str, opts: &CliOptions, wall_secs: f64) {
     if let Err(e) = manifest.validate() {
         eprintln!("warning: manifest failed validation, writing anyway: {e}");
     }
-    let dir = Path::new(&opts.out_dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: could not create {}: {e}", dir.display());
-        return;
-    }
-    for path in [
-        dir.join("manifest.json"),
-        dir.join(format!("{experiment}_manifest.json")),
-    ] {
-        match manifest.write(&path) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
+    let json = manifest.to_json().map(|json| json + "\n");
+    write_both(&opts.out_dir, experiment, "manifest.json", json);
 }
 
 #[cfg(test)]

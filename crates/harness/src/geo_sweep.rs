@@ -158,9 +158,7 @@ pub fn run(params: &Params) -> ExperimentOutput {
                         region_ops[sc.network.server(server).region.0 as usize] += 1;
                     }
                     solves += 1;
-                    if wsflow_obs::enabled() {
-                        wsflow_obs::observe("geo.money_dollars", cost.money.value());
-                    }
+                    wsflow_obs::observe("geo.money_dollars", cost.money.value());
                 }
             }
             for p in pareto_front(points) {

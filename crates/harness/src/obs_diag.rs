@@ -9,8 +9,8 @@
 //! climbing, and a contended simulation — so **every** `manifest.json`
 //! carries nonzero `exhaustive.nodes_expanded`, `bnb.*`, `delta.probes`
 //! and simulator queue/bus histograms alongside the experiment's own
-//! numbers. It does nothing (and costs nothing) when observability is
-//! disabled, keeping disabled runs bit-identical.
+//! numbers. It does nothing (and costs nothing) without a recorder,
+//! keeping unrecorded runs bit-identical.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -47,7 +47,7 @@ fn spot_problem() -> Problem {
     Problem::new(w, net).unwrap()
 }
 
-/// Run the spot-check. No-op unless observability is enabled.
+/// Run the spot-check. No-op without a recorder.
 pub fn spot_check(params: &Params) {
     if !wsflow_obs::enabled() {
         return;
@@ -92,23 +92,19 @@ mod tests {
 
     #[test]
     fn spot_check_is_a_noop_when_disabled() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
         spot_check(&Params::quick());
         assert!(wsflow_obs::snapshot().is_empty());
     }
 
     #[test]
     fn spot_check_populates_acceptance_metrics() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(true);
-        wsflow_obs::reset();
-        spot_check(&Params::quick());
-        let snap = wsflow_obs::snapshot();
-        let spans = wsflow_obs::registry::spans();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
+        let rec = wsflow_obs::Recorder::new();
+        {
+            let _obs = rec.install();
+            spot_check(&Params::quick());
+        }
+        let snap = rec.snapshot();
+        let spans = rec.spans();
 
         assert_eq!(snap.counter("exhaustive.nodes_expanded"), Some(243));
         assert!(snap.counter("bnb.nodes_expanded").unwrap() > 0);

@@ -123,8 +123,6 @@ mod tests {
 
     #[test]
     fn noop_while_obs_is_off() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(false);
         let (rec, points) = solve_once(2007);
         assert_eq!(points, 0, "obs off: the ctx records no trajectory");
         assert!(rec.is_empty());
@@ -134,13 +132,12 @@ mod tests {
 
     #[test]
     fn records_rows_and_anytime_metrics_when_obs_is_on() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(true);
-        wsflow_obs::reset();
-        let (rec, points) = solve_once(2007);
-        let snap = wsflow_obs::registry::snapshot();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
+        let recorder = wsflow_obs::Recorder::new();
+        let (rec, points) = {
+            let _obs = recorder.install();
+            solve_once(2007)
+        };
+        let snap = recorder.snapshot();
 
         assert!(points > 0, "a hill climb must improve at least once");
         assert_eq!(rec.solves(), 1);
@@ -184,9 +181,8 @@ mod tests {
 
     #[test]
     fn labels_with_commas_stay_single_column() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(true);
-        wsflow_obs::reset();
+        let recorder = wsflow_obs::Recorder::new();
+        let _obs = recorder.install();
         let class = ExperimentClass::class_c();
         let sc = generate(
             Configuration::LineBus(MbitsPerSec(10.0)),
@@ -200,8 +196,6 @@ mod tests {
         HillClimb::new(FairLoad).solve(&problem, &mut ctx).unwrap();
         let mut rec = TrajectoryRecorder::new();
         rec.record("algo,with,commas", &ctx);
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
         for line in rec.csv().lines().skip(1) {
             assert_eq!(line.split(',').count(), 4, "row grew columns: {line}");
             assert!(line.starts_with("algo;with;commas,"));

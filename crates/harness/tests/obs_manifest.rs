@@ -1,10 +1,8 @@
-//! End-to-end observability test: `run_one` with observability on (as
-//! `wsflow --obs` turns it on) must produce a valid, renderable manifest
-//! carrying the acceptance metrics, and an obs-disabled run must
-//! produce byte-identical CSVs.
-//!
-//! Lives in its own integration-test binary so flipping the global
-//! observability flag cannot race the library's unit tests.
+//! End-to-end observability tests: `run_one` under a recorder (as
+//! `wsflow --obs` installs one) must produce a valid, renderable
+//! manifest carrying the acceptance metrics, an unrecorded run must
+//! produce byte-identical CSVs, and the entries of a suite must keep
+//! their own span exports.
 
 use wsflow_harness::cli::{run_one, CliOptions};
 use wsflow_harness::Params;
@@ -51,16 +49,12 @@ fn read_csvs(dir: &std::path::Path) -> Vec<(String, String)> {
 
 #[test]
 fn obs_run_writes_valid_manifest_and_disabled_run_is_identical() {
-    let _guard = wsflow_obs::registry::test_lock();
-
     // Baseline: observability off.
     let off_dir = temp_dir("off");
     let off_opts = CliOptions {
         params: Params::quick(),
         out_dir: off_dir.to_str().unwrap().to_string(),
     };
-    wsflow_obs::set_enabled(false);
-    wsflow_obs::reset();
     run_one(&off_opts, wsflow_harness::fig6::run);
     assert!(
         off_dir.join("manifest.json").is_file(),
@@ -75,10 +69,16 @@ fn obs_run_writes_valid_manifest_and_disabled_run_is_identical() {
         params: Params::quick(),
         out_dir: on_dir.to_str().unwrap().to_string(),
     };
-    wsflow_obs::set_enabled(true);
-    run_one(&on_opts, wsflow_harness::fig6::run);
-    wsflow_obs::set_enabled(false);
-    wsflow_obs::reset();
+    let rec = wsflow_obs::Recorder::new();
+    {
+        let _obs = rec.install();
+        run_one(&on_opts, wsflow_harness::fig6::run);
+    }
+    // The caller's recorder receives what the run recorded.
+    assert_eq!(
+        rec.snapshot().counter("exhaustive.nodes_expanded"),
+        Some(243)
+    );
 
     // Observability must not change the experiment's results.
     let off_csvs = read_csvs(&off_dir);
@@ -119,4 +119,53 @@ fn obs_run_writes_valid_manifest_and_disabled_run_is_identical() {
 
     std::fs::remove_dir_all(&off_dir).ok();
     std::fs::remove_dir_all(&on_dir).ok();
+}
+
+/// The `phase.experiment` spans of a span export.
+fn experiment_roots(path: &std::path::Path) -> Vec<wsflow_obs::SpanEvent> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let spans = wsflow_obs::parse_spans_ndjson(&text).unwrap();
+    wsflow_obs::validate_spans(&spans).unwrap();
+    spans
+        .into_iter()
+        .filter(|s| s.name == "phase.experiment")
+        .collect()
+}
+
+#[test]
+fn suite_entries_keep_their_own_span_exports() {
+    let dir = temp_dir("suite");
+    let opts = CliOptions {
+        params: Params::quick(),
+        out_dir: dir.to_str().unwrap().to_string(),
+    };
+    let rec = wsflow_obs::Recorder::new();
+    {
+        let _obs = rec.install();
+        run_one(&opts, wsflow_harness::fig7::run);
+        run_one(&opts, wsflow_harness::line_line_exp::run);
+    }
+    let fig7 = experiment_roots(&dir.join("fig7_spans.ndjson"));
+    let line_line = experiment_roots(&dir.join("line_line_spans.ndjson"));
+    assert_eq!(fig7.len(), 1, "{fig7:?}");
+    assert_eq!(line_line.len(), 1, "{line_line:?}");
+    assert_eq!(fig7[0].parent_id, 0);
+    assert_ne!(fig7[0].span_id, line_line[0].span_id);
+    // `spans.ndjson` is the last entry's export, for `wsflow trace`.
+    assert_eq!(
+        std::fs::read(dir.join("spans.ndjson")).unwrap(),
+        std::fs::read(dir.join("line_line_spans.ndjson")).unwrap()
+    );
+    // Each manifest holds its own entry's metrics alone: the spot-check
+    // runs once per entry.
+    for name in ["fig7", "line_line"] {
+        let manifest =
+            wsflow_obs::Manifest::load(&dir.join(format!("{name}_manifest.json"))).unwrap();
+        assert_eq!(manifest.experiment, name);
+        assert_eq!(
+            manifest.metrics.counter("exhaustive.nodes_expanded"),
+            Some(243)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

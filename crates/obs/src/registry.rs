@@ -1,18 +1,18 @@
-//! The global metric registry: counters, gauges, and fixed-bucket
-//! histograms, plus the completed-span buffer the NDJSON exporter
-//! drains.
+//! The metric registry a [`Recorder`](crate::Recorder) owns: counters,
+//! gauges, and fixed-bucket histograms, plus the completed-span buffer
+//! the NDJSON exporter drains.
 //!
-//! Every mutating entry point checks [`crate::enabled`] first and
-//! returns immediately when observability is off — the registry mutex
-//! is never even touched. Hot paths that would otherwise contend on the
+//! Every mutating entry point acts on the calling thread's current
+//! recorder and returns at once when it has none — no registry is even
+//! touched. Hot paths that would otherwise contend on the recorder's
 //! mutex accumulate into a [`LocalHistogram`] (a plain array of
 //! integers) and merge once per run via [`merge_histogram`].
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
+use crate::recorder::{current_or_held, with_current};
 use crate::span::SpanEvent;
 
 /// Number of fixed histogram buckets.
@@ -195,91 +195,88 @@ impl LocalHistogram {
     }
 }
 
-#[derive(Default)]
-struct Registry {
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
-    spans: Vec<SpanEvent>,
-    spans_dropped: u64,
+    pub(crate) spans: Vec<SpanEvent>,
 }
 
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+impl Registry {
+    /// Buffer a completed span event.
+    pub(crate) fn push_span(&mut self, event: SpanEvent) {
+        if self.spans.len() >= MAX_SPANS {
+            *self.counters.entry("obs.spans_dropped".into()).or_insert(0) += 1;
+            return;
+        }
+        self.spans.push(event);
+    }
+
+    /// Record one observation into the named histogram.
+    pub(crate) fn observe(&mut self, name: &str, v: f64) {
+        self.histograms
+            .entry(name.to_string())
+            .or_default()
+            .record(v);
+    }
+
+    /// Add `other`'s counters and histograms to this registry's, and
+    /// take over its gauges.
+    pub(crate) fn merge(&mut self, other: Registry) {
+        for (name, v) in other.counters {
+            *self.counters.entry(name).or_insert(0) += v;
+        }
+        self.gauges.extend(other.gauges);
+        for (name, h) in other.histograms {
+            self.histograms.entry(name).or_default().merge(&h);
+        }
+    }
 }
 
-fn lock() -> MutexGuard<'static, Registry> {
-    registry().lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Add `delta` to the named counter. No-op when disabled.
+/// Add `delta` to the named counter. No-op without a recorder.
 pub fn counter_add(name: &str, delta: u64) {
-    if !crate::enabled() || delta == 0 {
+    if delta == 0 {
         return;
     }
-    let mut r = lock();
-    *r.counters.entry(name.to_string()).or_insert(0) += delta;
+    with_current(|r| *r.counters.entry(name.to_string()).or_insert(0) += delta);
 }
 
-/// Set the named gauge. Non-finite values are ignored. No-op when
-/// disabled.
+/// Set the named gauge. Non-finite values are ignored. No-op without a
+/// recorder.
 pub fn gauge_set(name: &str, v: f64) {
-    if !crate::enabled() || !v.is_finite() {
+    if !v.is_finite() {
         return;
     }
-    lock().gauges.insert(name.to_string(), v);
+    with_current(|r| {
+        r.gauges.insert(name.to_string(), v);
+    });
 }
 
-/// Record one observation into the named histogram. No-op when
-/// disabled.
+/// Record one observation into the named histogram. No-op without a
+/// recorder.
 pub fn observe(name: &str, v: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    lock()
-        .histograms
-        .entry(name.to_string())
-        .or_default()
-        .record(v);
+    with_current(|r| r.observe(name, v));
 }
 
-/// Merge a [`LocalHistogram`] into the named global histogram. No-op
-/// when disabled or when the local histogram is empty.
+/// Merge a [`LocalHistogram`] into the named histogram. No-op without a
+/// recorder or when the local histogram is empty.
 pub fn merge_histogram(name: &str, local: &LocalHistogram) {
-    if !crate::enabled() || local.0.count == 0 {
+    if local.0.count == 0 {
         return;
     }
-    lock()
-        .histograms
-        .entry(name.to_string())
-        .or_default()
-        .merge(&local.0);
+    with_current(|r| {
+        r.histograms
+            .entry(name.to_string())
+            .or_default()
+            .merge(&local.0)
+    });
 }
 
-/// Buffer a completed span event (called by [`crate::span::SpanGuard`]).
-pub(crate) fn push_span(event: SpanEvent) {
-    let mut r = lock();
-    if r.spans.len() >= MAX_SPANS {
-        r.spans_dropped += 1;
-        return;
-    }
-    r.spans.push(event);
-}
-
-/// Completed spans recorded so far, in completion order.
+/// Completed spans the current recorder holds, in completion order
+/// (empty without one).
 pub fn spans() -> Vec<SpanEvent> {
-    lock().spans.clone()
-}
-
-/// Clear every metric and span (start of a run; tests).
-pub fn reset() {
-    let mut r = lock();
-    r.counters.clear();
-    r.gauges.clear();
-    r.histograms.clear();
-    r.spans.clear();
-    r.spans_dropped = 0;
+    current_or_held().map(|r| r.spans()).unwrap_or_default()
 }
 
 // ---------------------------------------------------------------------
@@ -374,64 +371,60 @@ impl Snapshot {
     }
 }
 
-/// Snapshot the registry (works whether or not observability is
-/// enabled; disabled runs simply snapshot an empty registry).
+/// Snapshot the current recorder (an empty snapshot without one).
 pub fn snapshot() -> Snapshot {
-    let r = lock();
-    let counters = r
-        .counters
-        .iter()
-        .map(|(name, &value)| CounterSnap {
-            name: name.clone(),
-            value,
-        })
-        .collect();
-    let gauges = r
-        .gauges
-        .iter()
-        .map(|(name, &value)| GaugeSnap {
-            name: name.clone(),
-            value,
-        })
-        .collect();
-    let histograms = r
-        .histograms
-        .iter()
-        .map(|(name, h)| HistSnap {
-            name: name.clone(),
-            count: h.count,
-            sum: h.sum,
-            min: h.min,
-            max: h.max,
-            p50: h.quantile(0.50),
-            p90: h.quantile(0.90),
-            p99: h.quantile(0.99),
-            buckets: h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &count)| BucketSnap {
-                    le: bucket_upper(i),
-                    count,
-                })
-                .collect(),
-        })
-        .collect();
-    Snapshot {
-        counters,
-        gauges,
-        histograms,
-    }
+    current_or_held().map(|r| r.snapshot()).unwrap_or_default()
 }
 
-/// Serialise the global registry's obs-on tests: a process-wide lock so
-/// tests that flip [`crate::set_enabled`] and inspect the registry do
-/// not interleave. Test-only; not part of the public API contract.
-#[doc(hidden)]
-pub fn test_lock() -> MutexGuard<'static, ()> {
-    static TEST_MUTEX: Mutex<()> = Mutex::new(());
-    TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner())
+impl Registry {
+    /// A name-sorted copy of every metric.
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, &value)| CounterSnap {
+                name: name.clone(),
+                value,
+            })
+            .collect();
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(name, &value)| GaugeSnap {
+                name: name.clone(),
+                value,
+            })
+            .collect();
+        let histograms = self
+            .histograms
+            .iter()
+            .map(|(name, h)| HistSnap {
+                name: name.clone(),
+                count: h.count,
+                sum: h.sum,
+                min: h.min,
+                max: h.max,
+                p50: h.quantile(0.50),
+                p90: h.quantile(0.90),
+                p99: h.quantile(0.99),
+                buckets: h
+                    .buckets
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c > 0)
+                    .map(|(i, &count)| BucketSnap {
+                        le: bucket_upper(i),
+                        count,
+                    })
+                    .collect(),
+            })
+            .collect();
+        Snapshot {
+            counters,
+            gauges,
+            histograms,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -571,10 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let _guard = test_lock();
-        crate::set_enabled(false);
-        reset();
+    fn recording_without_a_recorder_is_a_no_op() {
         counter_add("x.count", 3);
         gauge_set("x.gauge", 1.0);
         observe("x.hist", 2.0);
@@ -582,22 +572,23 @@ mod tests {
     }
 
     #[test]
-    fn enabled_registry_snapshots_sorted() {
-        let _guard = test_lock();
-        crate::set_enabled(true);
-        reset();
-        counter_add("b.two", 2);
-        counter_add("a.one", 1);
-        counter_add("a.one", 4);
-        gauge_set("g", 2.5);
-        gauge_set("bad", f64::NAN); // ignored
-        observe("h", 3.0);
-        observe("h", 3.0);
-        let mut local = LocalHistogram::new();
-        local.record(7.0);
-        merge_histogram("h", &local);
-        let snap = snapshot();
-        crate::set_enabled(false);
+    fn recorded_metrics_snapshot_sorted() {
+        let rec = crate::Recorder::new();
+        let snap = {
+            let _obs = rec.install();
+            counter_add("b.two", 2);
+            counter_add("a.one", 1);
+            counter_add("a.one", 4);
+            gauge_set("g", 2.5);
+            gauge_set("bad", f64::NAN); // ignored
+            observe("h", 3.0);
+            observe("h", 3.0);
+            let mut local = LocalHistogram::new();
+            local.record(7.0);
+            merge_histogram("h", &local);
+            snapshot()
+        };
+        assert_eq!(snap, rec.snapshot());
 
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["a.one", "b.two"]);
@@ -608,7 +599,5 @@ mod tests {
         assert_eq!(h.count, 3);
         assert!((h.sum - 13.0).abs() < 1e-12);
         assert_eq!(h.buckets.iter().map(|b| b.count).sum::<u64>(), 3);
-        reset();
-        assert!(snapshot().is_empty());
     }
 }

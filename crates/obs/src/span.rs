@@ -15,10 +15,10 @@
 //! its causal parent (`0` for roots). Parents are tracked by a
 //! thread-local stack: opening a span pushes its id, dropping it pops,
 //! so nested scopes on one thread link up automatically. Work handed to
-//! another thread keeps its causal parent via [`current_parent`] /
-//! [`adopt_parent`]: capture the parent id before spawning and adopt it
-//! inside the worker closure (see `wsflow-par`). Zero-duration marks —
-//! faults, incumbent updates — are recorded with [`instant`].
+//! another thread keeps its causal parent through the
+//! [`capture`](crate::capture) / [`adopt`](crate::Context::adopt) pair
+//! that also carries the recorder (see `wsflow-par`). Zero-duration
+//! marks — faults, incumbent updates — are recorded with [`instant`].
 //!
 //! Spans additionally carry a structural index `idx` (cluster number,
 //! epoch number, member ordinal — `0` when there is only one): sibling
@@ -27,12 +27,12 @@
 //! them canonically and emit byte-identical output for any worker
 //! count.
 //!
-//! When observability is disabled the guard holds no timestamp and the
-//! drop is a no-op — opening a span costs one relaxed atomic load. When
-//! enabled, completion buffers a [`SpanEvent`] in the registry (for the
-//! NDJSON exporter, the trace exporter, and the manifest's per-phase
-//! table) and records the duration into the `span.<name>.secs`
-//! histogram.
+//! On a thread without a recorder the guard is inert and the drop is a
+//! no-op — opening a span costs one thread-local load. Otherwise the
+//! guard keeps the recorder it opened under, and completion buffers a
+//! [`SpanEvent`] there (for the NDJSON exporter, the trace exporter,
+//! and the manifest's per-phase table) and records the duration into
+//! the `span.<name>.secs` histogram.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +40,8 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+
+use crate::Recorder;
 
 /// Monotonic process epoch; all span timestamps are relative to the
 /// first span opened in the process.
@@ -75,48 +77,18 @@ thread_local! {
 }
 
 /// The `span_id` that a span opened right now would get as its parent
-/// (`0` when the stack is empty or observability is disabled). Capture
-/// this before handing work to another thread and pass it to
-/// [`adopt_parent`] inside the worker.
-pub fn current_parent() -> u64 {
+/// (`0` when the stack is empty or the thread has no recorder).
+pub(crate) fn current_parent() -> u64 {
     if !crate::enabled() {
         return 0;
     }
     PARENT_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
 }
 
-/// RAII guard that makes `parent` the ambient causal parent on the
-/// current thread (cross-thread propagation). Inert when observability
-/// is disabled or `parent` is `0`.
-#[derive(Debug)]
-pub struct ParentGuard {
-    adopted: u64,
-}
-
-/// Adopt `parent` (a [`current_parent`] captured on another thread) as
-/// the ambient causal parent for the lifetime of the returned guard.
-pub fn adopt_parent(parent: u64) -> ParentGuard {
-    if parent == 0 || !crate::enabled() {
-        return ParentGuard { adopted: 0 };
-    }
-    PARENT_STACK.with(|s| s.borrow_mut().push(parent));
-    ParentGuard { adopted: parent }
-}
-
-impl Drop for ParentGuard {
-    fn drop(&mut self) {
-        if self.adopted == 0 {
-            return;
-        }
-        // Tolerant pop: truncate at our own frame so a mid-scope
-        // enable/disable flip can never pop someone else's frame.
-        PARENT_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            if let Some(pos) = s.iter().rposition(|&id| id == self.adopted) {
-                s.truncate(pos);
-            }
-        });
-    }
+/// Swap this thread's open-span stack for `stack`, returning the old
+/// one (entering and leaving a [`Context`](crate::Context)).
+pub(crate) fn replace_stack(stack: Vec<u64>) -> Vec<u64> {
+    PARENT_STACK.with(|s| s.replace(stack))
 }
 
 /// A completed span or instant, as buffered in the registry and
@@ -151,10 +123,11 @@ impl SpanEvent {
 }
 
 /// RAII guard returned by [`span`]; completing (dropping) it records
-/// the span. Inert when observability is disabled.
+/// the span into the recorder it was opened under. Inert when that
+/// thread had no recorder.
 #[derive(Debug)]
 pub struct SpanGuard {
-    name: Option<String>,
+    open: Option<(Recorder, String)>,
     span_id: u64,
     parent_id: u64,
     idx: u64,
@@ -162,14 +135,9 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// The span's name, or `None` for an inert (disabled) guard.
-    pub fn name(&self) -> Option<&str> {
-        self.name.as_deref()
-    }
-
     /// The span's id, or `0` for an inert guard.
     pub fn id(&self) -> u64 {
-        if self.name.is_some() {
+        if self.open.is_some() {
             self.span_id
         } else {
             0
@@ -178,7 +146,7 @@ impl SpanGuard {
 }
 
 /// Open a timed span with structural index `0`. Returns an inert guard
-/// when observability is disabled.
+/// on a thread without a recorder.
 pub fn span(name: &str) -> SpanGuard {
     span_with(name, 0)
 }
@@ -188,17 +156,17 @@ pub fn span(name: &str) -> SpanGuard {
 /// under `WSFLOW_THREADS > 1` must carry distinct `(name, idx)` pairs —
 /// that is what makes the canonical trace sort total.
 pub fn span_with(name: &str, idx: u64) -> SpanGuard {
-    if !crate::enabled() {
+    let Some(recorder) = crate::recorder::current() else {
         // `start` is unused on the inert path; `Instant::now()` would
         // also be fine but a lazily-shared epoch avoids the syscall.
         return SpanGuard {
-            name: None,
+            open: None,
             span_id: 0,
             parent_id: 0,
             idx: 0,
             start: epoch(),
         };
-    }
+    };
     let span_id = next_span_id();
     let parent_id = PARENT_STACK.with(|s| {
         let mut s = s.borrow_mut();
@@ -207,7 +175,7 @@ pub fn span_with(name: &str, idx: u64) -> SpanGuard {
         parent
     });
     SpanGuard {
-        name: Some(name.to_string()),
+        open: Some((recorder, name.to_string())),
         span_id,
         parent_id,
         idx,
@@ -216,7 +184,7 @@ pub fn span_with(name: &str, idx: u64) -> SpanGuard {
 }
 
 /// Record a zero-duration mark (fault applied, incumbent improved)
-/// under the current causal parent. No-op when disabled.
+/// under the current causal parent. No-op without a recorder.
 pub fn instant(name: &str, idx: u64) {
     if !crate::enabled() {
         return;
@@ -231,14 +199,17 @@ pub fn instant(name: &str, idx: u64) {
         dur_us: 0,
         instant: true,
     };
-    crate::registry::push_span(event);
+    crate::recorder::with_current(|r| r.push_span(event));
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(name) = self.name.take() else { return };
-        // Tolerant pop (see ParentGuard::drop): truncate at our own
-        // frame rather than blindly popping the top.
+        let Some((recorder, name)) = self.open.take() else {
+            return;
+        };
+        // Tolerant pop: truncate at our own frame rather than blindly
+        // popping the top, so a guard dropped out of order never pops
+        // someone else's frame.
         PARENT_STACK.with(|s| {
             let mut s = s.borrow_mut();
             if let Some(pos) = s.iter().rposition(|&id| id == self.span_id) {
@@ -257,8 +228,9 @@ impl Drop for SpanGuard {
             dur_us,
             instant: false,
         };
-        crate::registry::observe(&format!("span.{}.secs", event.name), event.secs());
-        crate::registry::push_span(event);
+        let mut registry = recorder.lock();
+        registry.observe(&format!("span.{}.secs", event.name), event.secs());
+        registry.push_span(event);
     }
 }
 
@@ -267,13 +239,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_span_is_inert() {
-        let _guard = crate::registry::test_lock();
-        crate::set_enabled(false);
-        crate::registry::reset();
+    fn span_without_a_recorder_is_inert() {
         {
             let s = span("noop.scope");
-            assert_eq!(s.name(), None);
             assert_eq!(s.id(), 0);
             assert_eq!(current_parent(), 0);
             instant("noop.mark", 0);
@@ -283,26 +251,22 @@ mod tests {
     }
 
     #[test]
-    fn enabled_span_records_event_and_histogram() {
-        let _guard = crate::registry::test_lock();
-        crate::set_enabled(true);
-        crate::registry::reset();
+    fn recorded_span_records_event_and_histogram() {
+        let rec = Recorder::new();
         {
+            let _obs = rec.install();
             let s = span("unit.work");
-            assert_eq!(s.name(), Some("unit.work"));
+            assert_ne!(s.id(), 0);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let spans = crate::registry::spans();
-        let snap = crate::registry::snapshot();
-        crate::set_enabled(false);
-        crate::registry::reset();
-
+        let spans = rec.spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "unit.work");
         assert!(spans[0].span_id > 0);
         assert_eq!(spans[0].parent_id, 0);
         assert!(!spans[0].instant);
         assert!(spans[0].dur_us >= 1_000, "dur_us = {}", spans[0].dur_us);
+        let snap = rec.snapshot();
         let h = snap.histogram("span.unit.work.secs").expect("histogram");
         assert_eq!(h.count, 1);
         assert!(h.max > 0.0);
@@ -310,10 +274,9 @@ mod tests {
 
     #[test]
     fn nested_spans_link_parent_ids() {
-        let _guard = crate::registry::test_lock();
-        crate::set_enabled(true);
-        crate::registry::reset();
+        let rec = Recorder::new();
         {
+            let _obs = rec.install();
             let outer = span("tree.outer");
             let outer_id = outer.id();
             assert_eq!(current_parent(), outer_id);
@@ -324,9 +287,7 @@ mod tests {
             }
             assert_eq!(current_parent(), outer_id);
         }
-        let spans = crate::registry::spans();
-        crate::set_enabled(false);
-        crate::registry::reset();
+        let spans = rec.spans();
 
         // Completion order: mark (instant), inner, outer.
         assert_eq!(spans.len(), 3);
@@ -343,31 +304,14 @@ mod tests {
     }
 
     #[test]
-    fn adopt_parent_links_across_threads() {
-        let _guard = crate::registry::test_lock();
-        crate::set_enabled(true);
-        crate::registry::reset();
-        let root_id;
-        {
-            let root = span("xthread.root");
-            root_id = root.id();
-            let parent = current_parent();
-            assert_eq!(parent, root_id);
-            std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    // Fresh thread: no ambient parent until adopted.
-                    assert_eq!(current_parent(), 0);
-                    let _adopt = adopt_parent(parent);
-                    assert_eq!(current_parent(), parent);
-                    let _child = span_with("xthread.child", 1);
-                });
-            });
-        }
-        let spans = crate::registry::spans();
-        crate::set_enabled(false);
-        crate::registry::reset();
-
-        let child = spans.iter().find(|s| s.name == "xthread.child").unwrap();
-        assert_eq!(child.parent_id, root_id);
+    fn a_span_completes_into_the_recorder_it_opened_under() {
+        let (first, second) = (Recorder::new(), Recorder::new());
+        let guard = first.install();
+        let s = span("late.close");
+        drop(guard);
+        let _second = second.install();
+        drop(s);
+        assert_eq!(first.spans().len(), 1);
+        assert!(second.spans().is_empty());
     }
 }

@@ -93,10 +93,10 @@ where
     }
 
     let next = AtomicUsize::new(0);
-    // Causal trace propagation: tasks spawned here are children of
-    // whatever span is open on the calling thread, even though they run
-    // elsewhere. Capturing the parent is a no-op when obs is off.
-    let parent = wsflow_obs::current_parent();
+    // Workers record into the caller's recorder, and their spans are
+    // children of whatever span is open on the calling thread, even
+    // though they run elsewhere.
+    let obs = wsflow_obs::capture();
     // Workers inherit a `with_threads` override the same way, so nested
     // fan-outs size themselves like the caller's.
     let threads = THREADS_OVERRIDE.with(Cell::get);
@@ -104,7 +104,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let _causal = wsflow_obs::adopt_parent(parent);
+                    let _obs = obs.adopt();
                     THREADS_OVERRIDE.with(|c| c.set(threads));
                     let mut local = Vec::new();
                     loop {
@@ -128,19 +128,13 @@ where
         wsflow_obs::counter_add("par.jobs", 1);
         wsflow_obs::counter_add("par.tasks", n as u64);
         wsflow_obs::counter_add("par.worker_spawns", workers as u64);
-        // Per-worker task counts come free from the fan-in buffers; the
-        // max-min spread is the steal balance achieved by the shared
-        // counter (0 = perfectly even).
+        // Per-worker task counts come free from the fan-in buffers; their
+        // spread is the balance the shared counter achieved.
         let mut per_worker = wsflow_obs::LocalHistogram::new();
-        let (mut min_tasks, mut max_tasks) = (u64::MAX, 0u64);
         for local in &collected {
-            let t = local.len() as u64;
-            per_worker.record(t as f64);
-            min_tasks = min_tasks.min(t);
-            max_tasks = max_tasks.max(t);
+            per_worker.record(local.len() as f64);
         }
         wsflow_obs::merge_histogram("par.tasks_per_worker", &per_worker);
-        wsflow_obs::counter_add("par.steal_imbalance", max_tasks - min_tasks);
     }
 
     // Fan-in: place every result at its index. Each index was claimed by
@@ -300,12 +294,11 @@ mod tests {
 
     #[test]
     fn tasks_inherit_the_callers_causal_parent_for_any_worker_count() {
-        let _guard = wsflow_obs::registry::test_lock();
         for workers in [1usize, 4] {
-            wsflow_obs::set_enabled(true);
-            wsflow_obs::reset();
+            let rec = wsflow_obs::Recorder::new();
             let root_id;
             {
+                let _obs = rec.install();
                 let root = wsflow_obs::span("par.test_root");
                 root_id = root.id();
                 with_threads(workers, || {
@@ -315,9 +308,7 @@ mod tests {
                     })
                 });
             }
-            let spans = wsflow_obs::registry::spans();
-            wsflow_obs::set_enabled(false);
-            wsflow_obs::reset();
+            let spans = rec.spans();
 
             let probes: Vec<_> = spans
                 .iter()
@@ -332,5 +323,51 @@ mod tests {
             }
             wsflow_obs::validate_spans(&spans).expect("well-formed tree");
         }
+    }
+
+    /// Record `with_threads(4, || parallel_map(64, …))` under a fresh
+    /// recorder.
+    fn recorded_fan_out() -> wsflow_obs::Snapshot {
+        let rec = wsflow_obs::Recorder::new();
+        let _obs = rec.install();
+        let out = with_threads(4, || parallel_map(64, |i| i));
+        assert_eq!(out.len(), 64);
+        rec.snapshot()
+    }
+
+    #[test]
+    fn parallel_map_flushes_worker_metrics_when_recorded() {
+        let snap = recorded_fan_out();
+        assert_eq!(snap.counter("par.jobs"), Some(1));
+        assert_eq!(snap.counter("par.tasks"), Some(64));
+        assert_eq!(snap.counter("par.worker_spawns"), Some(4));
+        let h = snap.histogram("par.tasks_per_worker").unwrap();
+        assert_eq!(h.count, 4);
+        assert_eq!(h.sum, 64.0);
+    }
+
+    #[test]
+    fn fan_out_metric_names_do_not_depend_on_scheduling() {
+        let names = |snap: &wsflow_obs::Snapshot| {
+            let counters = snap.counters.iter().map(|c| c.name.clone());
+            let gauges = snap.gauges.iter().map(|g| g.name.clone());
+            let hists = snap.histograms.iter().map(|h| h.name.clone());
+            counters.chain(gauges).chain(hists).collect::<Vec<_>>()
+        };
+        let first = names(&recorded_fan_out());
+        for run in 1..20 {
+            assert_eq!(names(&recorded_fan_out()), first, "run {run}");
+        }
+    }
+
+    #[test]
+    fn workers_without_a_recorder_record_nothing() {
+        let rec = wsflow_obs::Recorder::new();
+        let _obs = rec.install();
+        {
+            let _off = wsflow_obs::Context::default().adopt();
+            with_threads(4, || parallel_map(64, |i| i));
+        }
+        assert!(rec.snapshot().is_empty());
     }
 }

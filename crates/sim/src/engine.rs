@@ -1325,4 +1325,21 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn sim_flushes_metrics_when_obs_enabled() {
+        let (p, m) = contended_problem_and_mapping();
+        let rec = wsflow_obs::Recorder::new();
+        {
+            let _obs = rec.install();
+            simulate(&p, &m, SimConfig::contended(), &mut rng(0));
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("sim.runs"), Some(1));
+        assert!(snap.counter("sim.events").unwrap() > 0);
+        assert!(snap.histogram("sim.queue_depth").unwrap().count > 0);
+        assert!(snap.histogram("sim.queue_wait_secs").unwrap().count > 0);
+        assert!(snap.histogram("sim.link_busy_secs").unwrap().count > 0);
+        assert!(snap.histogram("sim.server_utilization").unwrap().count > 0);
+    }
 }

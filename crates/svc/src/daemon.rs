@@ -49,7 +49,7 @@ use wsflow_core::CancelToken;
 
 use crate::config::SvcConfig;
 use crate::proto::{self, ProblemSpec, Reply, Request};
-use crate::sched::{Job, JobEvent, SchedStats, Scheduler};
+use crate::sched::{Job, JobEvent, Scheduler};
 use crate::{resolve_algorithm, PoolMemo};
 
 /// Longest a connection thread waits on its job before it checks the
@@ -94,16 +94,6 @@ impl DaemonHandle {
         self.addr
     }
 
-    /// Always-on scheduling counters, for tests and smoke checks.
-    pub fn stats(&self) -> &SchedStats {
-        self.scheduler.stats()
-    }
-
-    /// `(admitted, rejected, completed, cancelled, failed)`.
-    pub fn stats_snapshot(&self) -> (u64, u64, u64, u64, u64) {
-        self.scheduler.stats_snapshot()
-    }
-
     /// Jobs admitted but not yet picked up by a worker.
     pub fn queue_depth(&self) -> usize {
         self.scheduler.queue_depth()
@@ -130,7 +120,8 @@ impl Drop for DaemonHandle {
     }
 }
 
-/// Bind, start the scheduler, and spawn the accept loop.
+/// Bind, start the scheduler, and spawn the accept loop. The daemon's
+/// threads record into the calling thread's recorder, if it has one.
 pub fn spawn(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
     let addr = listener.local_addr()?;
@@ -141,9 +132,13 @@ pub fn spawn(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
     let accept_thread = {
         let scheduler = Arc::clone(&scheduler);
         let stop = Arc::clone(&stop);
+        let obs = wsflow_obs::capture();
         std::thread::Builder::new()
             .name("wsflowd-accept".to_string())
-            .spawn(move || accept_loop(listener, &scheduler, &stop, &pools))?
+            .spawn(move || {
+                let _obs = obs.adopt();
+                accept_loop(listener, &scheduler, &stop, &pools)
+            })?
     };
 
     Ok(DaemonHandle {
@@ -172,9 +167,13 @@ fn accept_loop(
                 let scheduler = Arc::clone(scheduler);
                 let stop = Arc::clone(stop);
                 let pools = Arc::clone(pools);
+                let obs = wsflow_obs::capture();
                 let _ = std::thread::Builder::new()
                     .name("wsflowd-conn".to_string())
-                    .spawn(move || handle_connection(stream, &scheduler, &stop, &pools));
+                    .spawn(move || {
+                        let _obs = obs.adopt();
+                        handle_connection(stream, &scheduler, &stop, &pools)
+                    });
             }
             // E.g. out of file descriptors: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),

@@ -39,7 +39,7 @@ pub use config::{port_from_env, SvcConfig};
 pub use daemon::{DaemonConfig, DaemonHandle};
 pub use proto::{ProblemSpec, RejectReason, Reply, Request};
 pub use queue::FairQueue;
-pub use sched::{JobEvent, JobReport, SchedStats, Scheduler};
+pub use sched::{JobEvent, JobReport, Scheduler};
 pub use virt::{Arrival, RequestReport, VirtualService};
 pub use wsflow_core::registry::BoxedAlgorithm;
 

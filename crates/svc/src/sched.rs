@@ -8,12 +8,12 @@
 //! returns the typed [`RejectReason`] instead of queueing — callers
 //! turn that into a `Reply::Rejected` backpressure frame.
 //!
-//! The scheduler keeps its own always-on [`SchedStats`] counters
-//! (admitted / rejected / completed / cancelled) so tests can assert on
-//! scheduling behaviour without enabling observability; the `svc.*`
-//! obs metrics are recorded additionally while obs is on.
+//! Workers record into the recorder of the thread that started the
+//! scheduler: the `svc.admitted`, `svc.rejected`, `svc.completed`,
+//! `svc.cancelled` and `svc.failed` counters and the `svc.*` latency
+//! histograms.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -25,33 +25,6 @@ use crate::config::SvcConfig;
 use crate::proto::RejectReason;
 use crate::queue::FairQueue;
 use crate::BoxedAlgorithm;
-
-/// Always-on scheduling counters (independent of the obs gate).
-#[derive(Debug, Default)]
-pub struct SchedStats {
-    /// Requests admitted to the queue.
-    pub admitted: AtomicU64,
-    /// Requests refused by admission control.
-    pub rejected: AtomicU64,
-    /// Completed solves (any termination).
-    pub completed: AtomicU64,
-    /// Completed solves that terminated [`Termination::Cancelled`].
-    pub cancelled: AtomicU64,
-    /// Solves that failed with an algorithm error.
-    pub failed: AtomicU64,
-}
-
-impl SchedStats {
-    fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.admitted.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
-            self.completed.load(Ordering::Relaxed),
-            self.cancelled.load(Ordering::Relaxed),
-            self.failed.load(Ordering::Relaxed),
-        )
-    }
-}
 
 /// Final accounting for one serviced job.
 #[derive(Debug, Clone)]
@@ -132,7 +105,6 @@ struct Shared {
     queue: Mutex<FairQueue<Job>>,
     available: Condvar,
     shutdown: AtomicBool,
-    stats: SchedStats,
 }
 
 /// Fixed worker pool over a [`FairQueue`].
@@ -144,20 +116,25 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Start `cfg.workers` worker threads.
+    /// Start `cfg.workers` worker threads, recording into the calling
+    /// thread's recorder.
     pub fn start(cfg: &SvcConfig) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(FairQueue::new(cfg)),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            stats: SchedStats::default(),
         });
+        let obs = wsflow_obs::capture();
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                let obs = obs.clone();
                 std::thread::Builder::new()
                     .name(format!("wsflow-svc-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        let _obs = obs.adopt();
+                        worker_loop(&shared)
+                    })
                     .expect("spawn worker thread")
             })
             .collect();
@@ -174,32 +151,16 @@ impl Scheduler {
         match queue.push(&tenant, job) {
             Ok(()) => {
                 drop(queue);
-                self.shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                if wsflow_obs::enabled() {
-                    wsflow_obs::counter_add("svc.admitted", 1);
-                }
+                wsflow_obs::counter_add("svc.admitted", 1);
                 self.shared.available.notify_one();
                 Ok(())
             }
             Err(reason) => {
                 drop(queue);
-                self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                if wsflow_obs::enabled() {
-                    wsflow_obs::counter_add("svc.rejected", 1);
-                }
+                wsflow_obs::counter_add("svc.rejected", 1);
                 Err(reason)
             }
         }
-    }
-
-    /// Always-on scheduling counters.
-    pub fn stats(&self) -> &SchedStats {
-        &self.shared.stats
-    }
-
-    /// `(admitted, rejected, completed, cancelled, failed)`.
-    pub fn stats_snapshot(&self) -> (u64, u64, u64, u64, u64) {
-        self.shared.stats.snapshot()
     }
 
     /// Jobs currently queued (not yet picked up by a worker).
@@ -252,27 +213,24 @@ fn worker_loop(shared: &Shared) {
                 queue = shared.available.wait(queue).unwrap();
             }
         };
-        service_one(shared, job);
+        service_one(job);
     }
 }
 
 /// Run one job to completion, streaming events. Send failures are
 /// ignored: a vanished submitter must not kill the worker, and its
 /// cancel token already stops the solve early.
-fn service_one(shared: &Shared, job: Job) {
+fn service_one(job: Job) {
     let queue_wait = job.enqueued_at.elapsed();
     let service_start = Instant::now();
-    let obs = wsflow_obs::enabled();
-    if obs {
-        wsflow_obs::observe("svc.queue_wait_us", queue_wait.as_micros() as f64);
-    }
+    wsflow_obs::observe("svc.queue_wait_us", queue_wait.as_micros() as f64);
 
     let events = job.events;
     let mut seq = 0u64;
     let mut ctx = SolveCtx::with_budget_opt(job.budget)
         .cancel_token(job.cancel)
         .on_incumbent(|_, cost| {
-            if seq == 0 && obs {
+            if seq == 0 {
                 // Wall-clock TTFI; the deterministic step-based TTFI is
                 // the virtual-time engine's job.
                 wsflow_obs::observe(
@@ -292,20 +250,14 @@ fn service_one(shared: &Shared, job: Job) {
 
     match outcome {
         Ok(out) => {
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+            wsflow_obs::counter_add("svc.completed", 1);
             if out.termination == Termination::Cancelled {
-                shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+                wsflow_obs::counter_add("svc.cancelled", 1);
             }
-            if obs {
-                wsflow_obs::counter_add("svc.completed", 1);
-                if out.termination == Termination::Cancelled {
-                    wsflow_obs::counter_add("svc.cancelled", 1);
-                }
-                wsflow_obs::observe(
-                    "svc.ttfinal_us",
-                    (queue_wait + service_start.elapsed()).as_micros() as f64,
-                );
-            }
+            wsflow_obs::observe(
+                "svc.ttfinal_us",
+                (queue_wait + service_start.elapsed()).as_micros() as f64,
+            );
             let mapping = out
                 .mapping
                 .as_slice()
@@ -321,10 +273,7 @@ fn service_one(shared: &Shared, job: Job) {
             }));
         }
         Err(e) => {
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-            if obs {
-                wsflow_obs::counter_add("svc.failed", 1);
-            }
+            wsflow_obs::counter_add("svc.failed", 1);
             let _ = events.send(JobEvent::Failed(e.to_string()));
         }
     }
@@ -392,6 +341,11 @@ mod tests {
         (token, rx)
     }
 
+    /// A `svc.*` counter of `rec`, zero when never bumped.
+    fn counter(rec: &wsflow_obs::Recorder, name: &str) -> u64 {
+        rec.snapshot().counter(name).unwrap_or(0)
+    }
+
     /// The job's final report, skipping streamed incumbents.
     fn wait_done(rx: &mpsc::Receiver<JobEvent>) -> JobReport {
         loop {
@@ -406,6 +360,8 @@ mod tests {
     #[test]
     fn jobs_complete_and_stream_improving_incumbents() {
         let cfg = SvcConfig::default().with_workers(2);
+        let rec = wsflow_obs::Recorder::new();
+        let _obs = rec.install();
         let sched = Scheduler::start(&cfg);
         let (job, rx) = job_for("t", "portfolio", Some(50_000), 7);
         sched.submit(job).unwrap();
@@ -425,7 +381,7 @@ mod tests {
         assert!(costs.windows(2).all(|w| w[1] < w[0]), "strictly improving");
         assert_eq!(report.cost, *costs.last().unwrap());
         assert_eq!(report.mapping.len(), 8);
-        assert_eq!(sched.stats_snapshot().2, 1);
+        assert_eq!(counter(&rec, "svc.completed"), 1);
         sched.shutdown();
     }
 
@@ -433,6 +389,8 @@ mod tests {
     fn cancelled_job_reports_cancelled_termination() {
         // One worker; the blocker occupies it while the victim queues.
         let cfg = SvcConfig::default().with_workers(1);
+        let rec = wsflow_obs::Recorder::new();
+        let _obs = rec.install();
         let sched = Scheduler::start(&cfg);
         let (blocker_token, blocker_rx) = hold_worker(&sched);
         let (victim, victim_rx) = job_for("b", "sa", Some(5_000_000), 2);
@@ -448,15 +406,16 @@ mod tests {
             assert_eq!(report.termination, Termination::Cancelled);
             assert!(!report.mapping.is_empty());
         }
-        let (_, _, completed, cancelled, _) = sched.stats_snapshot();
-        assert_eq!(completed, 2);
-        assert_eq!(cancelled, 2);
+        assert_eq!(counter(&rec, "svc.completed"), 2);
+        assert_eq!(counter(&rec, "svc.cancelled"), 2);
         sched.shutdown();
     }
 
     #[test]
     fn full_queues_reject_with_typed_backpressure() {
         let cfg = SvcConfig::default().with_workers(1).with_queue_caps(1, 2);
+        let rec = wsflow_obs::Recorder::new();
+        let _obs = rec.install();
         let sched = Scheduler::start(&cfg);
         // Occupy the worker so pushes stay queued.
         let (blocker_token, _blocker_rx) = hold_worker(&sched);
@@ -470,7 +429,7 @@ mod tests {
         let (j4, _r4) = job_for("c", "fairload", None, 5);
         let err = sched.submit(j4).unwrap_err();
         assert_eq!(err, RejectReason::ServiceQueueFull { cap: 2 });
-        assert_eq!(sched.stats_snapshot().1, 2);
+        assert_eq!(counter(&rec, "svc.rejected"), 2);
         blocker_token.cancel();
         sched.shutdown();
     }

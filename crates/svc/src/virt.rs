@@ -77,8 +77,8 @@ pub struct RequestReport {
     pub termination: String,
 }
 
-/// Aggregate counters of one virtual run (mirrors
-/// [`crate::sched::SchedStats`]).
+/// Aggregate counters of one virtual run (the `svc.*` counters the
+/// threaded [`Scheduler`](crate::sched::Scheduler) records).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VirtualStats {
     /// Requests admitted to the queue.
@@ -117,7 +117,6 @@ impl VirtualService {
     /// Run every arrival to completion; reports come back ordered by
     /// arrival index.
     pub fn run(&self, arrivals: &[Arrival]) -> (Vec<RequestReport>, VirtualStats) {
-        let obs = wsflow_obs::enabled();
         let mut stats = VirtualStats::default();
         let mut reports: Vec<RequestReport> = arrivals
             .iter()
@@ -154,15 +153,11 @@ impl VirtualService {
             match queue.push(&arrivals[id].tenant, VJob { id }) {
                 Ok(()) => {
                     stats.admitted += 1;
-                    if obs {
-                        wsflow_obs::counter_add("svc.admitted", 1);
-                    }
+                    wsflow_obs::counter_add("svc.admitted", 1);
                 }
                 Err(reason) => {
                     stats.rejected += 1;
-                    if obs {
-                        wsflow_obs::counter_add("svc.rejected", 1);
-                    }
+                    wsflow_obs::counter_add("svc.rejected", 1);
                     reports[id].outcome = reason.name().to_string();
                 }
             }
@@ -206,22 +201,18 @@ impl VirtualService {
                     }
                 };
                 stats.completed += 1;
+                wsflow_obs::counter_add("svc.completed", 1);
                 report.outcome = "done".to_string();
                 report.ttfinal_us = queue_wait + service_us;
                 if report.termination == Termination::Cancelled.name() {
                     stats.cancelled += 1;
+                    wsflow_obs::counter_add("svc.cancelled", 1);
                 }
-                if obs {
-                    wsflow_obs::counter_add("svc.completed", 1);
-                    if report.termination == Termination::Cancelled.name() {
-                        wsflow_obs::counter_add("svc.cancelled", 1);
-                    }
-                    wsflow_obs::observe("svc.queue_wait_us", queue_wait as f64);
-                    if report.ttfi_us > 0 {
-                        wsflow_obs::observe("svc.ttfi_us", report.ttfi_us as f64);
-                    }
-                    wsflow_obs::observe("svc.ttfinal_us", report.ttfinal_us as f64);
+                wsflow_obs::observe("svc.queue_wait_us", queue_wait as f64);
+                if report.ttfi_us > 0 {
+                    wsflow_obs::observe("svc.ttfi_us", report.ttfi_us as f64);
                 }
+                wsflow_obs::observe("svc.ttfinal_us", report.ttfinal_us as f64);
                 worker_free[slot] = start + service_us;
             } else if next < order.len() {
                 // Queue empty: idle this slot forward to the next

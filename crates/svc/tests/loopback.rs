@@ -4,7 +4,7 @@
 //! Covers the service acceptance criteria: concurrent clients receive
 //! monotonically improving incumbent streams and a final outcome; a
 //! client that disconnects while queued cancels its server-side solve
-//! (observed as a `cancelled` termination in the scheduler stats); a
+//! (observed in the `svc.cancelled` counter of the daemon's recorder); a
 //! saturated queue answers with typed backpressure; malformed frames
 //! get a `protocol_error` reply, never a crash; shutdown is prompt and
 //! hangs up on in-flight clients; a repeated inline pool, reused from
@@ -12,20 +12,59 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::ops::{Deref, DerefMut};
 use std::time::{Duration, Instant};
 
 use wsflow_svc::daemon::{spawn, DaemonConfig, DaemonHandle};
 use wsflow_svc::proto::{self, ProblemSpec, RejectReason, Reply, Request};
 use wsflow_svc::{build_problem, resolve_algorithm, submit, ClientError, SvcConfig};
 
-fn daemon_with(workers: usize, per_tenant: usize, total: usize) -> DaemonHandle {
-    spawn(DaemonConfig {
+/// A daemon started under a recorder of its own.
+struct Daemon {
+    handle: DaemonHandle,
+    rec: wsflow_obs::Recorder,
+}
+
+impl Daemon {
+    /// `(admitted, rejected, completed, cancelled, failed)`, from the
+    /// `svc.*` counters of the daemon's recorder.
+    fn stats(&self) -> (u64, u64, u64, u64, u64) {
+        let snap = self.rec.snapshot();
+        let c = |name: &str| snap.counter(name).unwrap_or(0);
+        (
+            c("svc.admitted"),
+            c("svc.rejected"),
+            c("svc.completed"),
+            c("svc.cancelled"),
+            c("svc.failed"),
+        )
+    }
+}
+
+impl Deref for Daemon {
+    type Target = DaemonHandle;
+    fn deref(&self) -> &DaemonHandle {
+        &self.handle
+    }
+}
+
+impl DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut DaemonHandle {
+        &mut self.handle
+    }
+}
+
+fn daemon_with(workers: usize, per_tenant: usize, total: usize) -> Daemon {
+    let rec = wsflow_obs::Recorder::new();
+    let _obs = rec.install();
+    let handle = spawn(DaemonConfig {
         svc: SvcConfig::default()
             .with_workers(workers)
             .with_queue_caps(per_tenant, total),
         port: 0,
     })
-    .expect("bind ephemeral port")
+    .expect("bind ephemeral port");
+    Daemon { handle, rec }
 }
 
 fn request(tenant: &str, algo: &str, ops: u32, seed: u64, budget: Option<u64>) -> Request {
@@ -45,7 +84,7 @@ fn request(tenant: &str, algo: &str, ops: u32, seed: u64, budget: Option<u64>) -
 }
 
 /// Block until `pred` on the daemon holds (or panic after 60 s).
-fn wait_until(daemon: &DaemonHandle, what: &str, pred: impl Fn(&DaemonHandle) -> bool) {
+fn wait_until(daemon: &Daemon, what: &str, pred: impl Fn(&Daemon) -> bool) {
     let deadline = Instant::now() + Duration::from_secs(60);
     while Instant::now() < deadline {
         if pred(daemon) {
@@ -55,14 +94,14 @@ fn wait_until(daemon: &DaemonHandle, what: &str, pred: impl Fn(&DaemonHandle) ->
     }
     panic!(
         "timed out waiting for {what}; stats {:?}, queue depth {}",
-        daemon.stats_snapshot(),
+        daemon.stats(),
         daemon.queue_depth()
     );
 }
 
 /// Block until `pred` on the stats snapshot holds (or panic after 60 s).
-fn wait_stats(daemon: &DaemonHandle, what: &str, pred: impl Fn((u64, u64, u64, u64, u64)) -> bool) {
-    wait_until(daemon, what, |d| pred(d.stats_snapshot()));
+fn wait_stats(daemon: &Daemon, what: &str, pred: impl Fn((u64, u64, u64, u64, u64)) -> bool) {
+    wait_until(daemon, what, |d| pred(d.stats()));
 }
 
 #[test]
@@ -90,7 +129,7 @@ fn concurrent_clients_stream_improving_incumbents_then_final() {
         assert_eq!(out.mapping.len(), 10);
         assert_eq!(out.termination, "converged");
     }
-    let (admitted, rejected, completed, cancelled, failed) = daemon.stats_snapshot();
+    let (admitted, rejected, completed, cancelled, failed) = daemon.stats();
     assert_eq!((admitted, completed), (4, 4));
     assert_eq!((rejected, cancelled, failed), (0, 0, 0));
 }
@@ -114,11 +153,11 @@ impl Blocker {
     /// Submit a [`scan_request`] and wait until a worker has taken it
     /// off the queue, so everything submitted afterwards queues behind
     /// it. The test ends the scan early with [`release`](Self::release).
-    fn hold(daemon: &DaemonHandle) -> Self {
+    fn hold(daemon: &Daemon) -> Self {
         let mut stream = TcpStream::connect(daemon.addr()).unwrap();
         proto::write_frame(&mut stream, &scan_request("blocker")).unwrap();
         wait_until(daemon, "the blocker to reach a worker", |d| {
-            d.stats_snapshot().0 == 1 && d.queue_depth() == 0
+            d.stats().0 == 1 && d.queue_depth() == 0
         });
         Self(stream)
     }
@@ -151,7 +190,7 @@ fn disconnect_while_queued_cancels_the_server_side_solve() {
     wait_stats(&daemon, "all four serviced", |(_, _, completed, ..)| {
         completed == 4
     });
-    let (_, _, _, cancelled, failed) = daemon.stats_snapshot();
+    let (_, _, _, cancelled, failed) = daemon.stats();
     assert_eq!(
         cancelled, 4,
         "every disconnected client's solve must observe Cancelled"
@@ -212,7 +251,7 @@ fn saturated_queue_answers_with_typed_backpressure() {
             }
         }
     }
-    let (admitted, rejected, completed, _, failed) = daemon.stats_snapshot();
+    let (admitted, rejected, completed, _, failed) = daemon.stats();
     assert_eq!((admitted, rejected), (4, 2));
     assert_eq!(completed, 4);
     assert_eq!(failed, 0);
@@ -290,7 +329,7 @@ fn shutdown_with_no_client_is_prompt_and_admits_nothing_after() {
             Ok(Some(_))
         ));
     }
-    assert_eq!(daemon.stats_snapshot(), (0, 0, 0, 0, 0));
+    assert_eq!(daemon.stats(), (0, 0, 0, 0, 0));
 
     // Dropping an idle daemon is just as prompt.
     let daemon = daemon_with(1, 4, 8);
@@ -363,5 +402,5 @@ fn a_repeated_inline_pool_replies_as_a_fresh_build_does() {
         let mapping: Vec<u32> = expected.mapping.as_slice().iter().map(|s| s.0).collect();
         assert_eq!(out.mapping, mapping);
     }
-    assert_eq!(daemon.stats_snapshot(), (4, 0, 4, 0, 0));
+    assert_eq!(daemon.stats(), (4, 0, 4, 0, 0));
 }

@@ -77,8 +77,9 @@ five greedies). `submit` sends the request to a running `wsflowd` (default
 CSVs and a manifest to --out (default results/); `run --list` names them.
 --servers 1.0,2.0,3.0 declares three servers with those GHz ratings;
 --bus sets the shared bus speed in Mbps (default 100).
---obs (global, or WSFLOW_OBS=1) collects metrics during the command and
-appends them as NDJSON to the output.";
+--obs (global) collects metrics during the command and appends them as
+NDJSON to the output; WSFLOW_OBS=1 collects them without appending
+(experiment manifests and span exports carry them).";
 
 /// A parsed server pool + bus speed.
 #[derive(Debug, Clone, PartialEq)]
@@ -822,27 +823,41 @@ pub fn cmd_trace(path: &str, flags: &[String]) -> Result<String, CliError> {
 
 /// Dispatch a full argument vector (without `argv[0]`).
 ///
-/// A `--obs` flag anywhere in the arguments enables observability for
-/// the command (equivalent to `WSFLOW_OBS=1`) and appends the collected
-/// metric snapshot to the output as NDJSON.
+/// A `--obs` flag anywhere in the arguments, or `WSFLOW_OBS=1`, runs the
+/// command under a [`wsflow_obs::Recorder`]. With `--obs`, the recorded
+/// metric snapshot is appended to the output as NDJSON.
 pub fn dispatch(args: &[String]) -> Result<String, CliError> {
-    let obs_requested = args.iter().any(|a| a == "--obs");
-    if obs_requested {
-        wsflow_obs::set_enabled(true);
-        wsflow_obs::reset();
-    }
+    let obs_flag = args.iter().any(|a| a == "--obs");
+    let recorder = (obs_flag || obs_from_env()).then(wsflow_obs::Recorder::new);
     let args: Vec<String> = args.iter().filter(|a| *a != "--obs").cloned().collect();
-    let mut result = dispatch_command(&args);
-    if obs_requested {
-        if let Ok(out) = &mut result {
-            let snap = wsflow_obs::snapshot();
-            if !snap.is_empty() {
-                out.push_str("# metrics\n");
-                out.push_str(&wsflow_obs::snapshot_ndjson(&snap).unwrap_or_default());
-            }
+    let mut result = {
+        let _obs = recorder.as_ref().map(wsflow_obs::Recorder::install);
+        dispatch_command(&args)
+    };
+    if let (true, Some(rec), Ok(out)) = (obs_flag, &recorder, &mut result) {
+        let snap = rec.snapshot();
+        if !snap.is_empty() {
+            out.push_str("# metrics\n");
+            out.push_str(&wsflow_obs::snapshot_ndjson(&snap).unwrap_or_default());
         }
     }
     result
+}
+
+/// Whether `WSFLOW_OBS` asks for observability; an unparseable value
+/// warns once and counts as off.
+fn obs_from_env() -> bool {
+    wsflow_obs::env_knob("WSFLOW_OBS", parse_obs).unwrap_or(false)
+}
+
+/// Interpret a `WSFLOW_OBS` value (case-insensitive): `1 / true / on /
+/// yes` enable, `0 / false / off / no` and the empty string disable.
+fn parse_obs(raw: &str) -> Result<bool, String> {
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "" | "0" | "false" | "off" | "no" => Ok(false),
+        "1" | "true" | "on" | "yes" => Ok(true),
+        _ => Err("1/0/true/false/on/off".to_string()),
+    }
 }
 
 fn dispatch_command(args: &[String]) -> Result<String, CliError> {
@@ -1343,10 +1358,19 @@ mod tests {
     }
 
     #[test]
+    fn parse_obs_accepts_documented_spellings() {
+        for on in ["1", "true", "TRUE", "on", "yes", " 1 "] {
+            assert_eq!(parse_obs(on), Ok(true), "{on:?}");
+        }
+        for off in ["", "0", "false", "off", "No"] {
+            assert_eq!(parse_obs(off), Ok(false), "{off:?}");
+        }
+        assert!(parse_obs("2").is_err());
+        assert!(parse_obs("maybe").is_err());
+    }
+
+    #[test]
     fn obs_flag_appends_metrics_to_deploy_output() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
         let path = temp_workflow(DEMO);
         let out = dispatch(&strs(&[
             "deploy",
@@ -1358,8 +1382,6 @@ mod tests {
             "--obs",
         ]))
         .unwrap();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
         assert!(out.contains("# metrics"));
         assert!(out.contains("\"name\":\"exhaustive.nodes_expanded\""));
         std::fs::remove_file(path).ok();
@@ -1367,9 +1389,6 @@ mod tests {
 
     #[test]
     fn dynamic_runs_quick_and_writes_outputs() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
         let dir = std::env::temp_dir().join(format!("wsflow-dynamic-test-{}", std::process::id()));
         let out = cmd_run(&strs(&[
             "dyn_policies",
@@ -1390,9 +1409,8 @@ mod tests {
 
     #[test]
     fn report_renders_solver_section_from_obs_run() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(true);
-        wsflow_obs::reset();
+        let rec = wsflow_obs::Recorder::new();
+        let _obs = rec.install();
         // A solve flushes solver.* metrics into the registry…
         let w = dsl::parse(DEMO).unwrap();
         let pool = PoolSpec {
@@ -1403,8 +1421,6 @@ mod tests {
         let mut ctx = wsflow_core::SolveCtx::unlimited();
         wsflow_core::Portfolio::new(0).solve(&p, &mut ctx).unwrap();
         let manifest = wsflow_obs::Manifest::collect("anytime", 7, 1, 0.5);
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
         // …and the rendered report lists them under a solver: section.
         let dir = std::env::temp_dir().join(format!("wsflow-solver-report-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1419,9 +1435,8 @@ mod tests {
 
     #[test]
     fn report_renders_geo_section_from_obs_run() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(true);
-        wsflow_obs::reset();
+        let rec = wsflow_obs::Recorder::new();
+        let _obs = rec.install();
         // The metrics the geo_sweep experiment emits under --obs…
         wsflow_obs::counter_add("geo.solves", 48);
         wsflow_obs::gauge_set("geo.region_share.r0", 0.625);
@@ -1429,8 +1444,6 @@ mod tests {
         wsflow_obs::gauge_set("geo.front_size", 9.0);
         wsflow_obs::observe("geo.money_dollars", 0.42);
         let manifest = wsflow_obs::Manifest::collect("geo_sweep", 7, 1, 0.5);
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
         // …render under a geo: section in the report.
         let dir = std::env::temp_dir().join(format!("wsflow-geo-report-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1503,9 +1516,6 @@ mod tests {
 
     #[test]
     fn loadgen_runs_quick_and_writes_outputs() {
-        let _guard = wsflow_obs::registry::test_lock();
-        wsflow_obs::set_enabled(false);
-        wsflow_obs::reset();
         let dir = std::env::temp_dir().join(format!("wsflow-loadgen-test-{}", std::process::id()));
         let out = cmd_run(&strs(&[
             "loadgen",

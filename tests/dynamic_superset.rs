@@ -89,20 +89,17 @@ fn empty_timeline_controller_keeps_the_initial_deployment() {
 
 #[test]
 fn dyn_policies_csv_is_identical_with_observability_on_and_off() {
-    let _guard = wsflow_obs::registry::test_lock();
     let mut params = wsflow::harness::Params::quick();
     params.seeds = 2;
 
-    wsflow_obs::set_enabled(false);
-    wsflow_obs::reset();
     let off = wsflow::harness::dyn_policies::run(&params);
 
-    wsflow_obs::set_enabled(true);
-    wsflow_obs::reset();
-    let on = wsflow::harness::dyn_policies::run(&params);
-    let snap = wsflow_obs::snapshot();
-    wsflow_obs::set_enabled(false);
-    wsflow_obs::reset();
+    let rec = wsflow_obs::Recorder::new();
+    let on = {
+        let _obs = rec.install();
+        wsflow::harness::dyn_policies::run(&params)
+    };
+    let snap = rec.snapshot();
 
     assert_eq!(
         off.extra_csvs, on.extra_csvs,

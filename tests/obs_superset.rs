@@ -4,25 +4,46 @@
 //! run. The extra signal rides exclusively in the span buffer and in
 //! `obs_csvs` (`trajectory.csv`), which is excluded from determinism
 //! comparisons because it contains wall-clock values.
+//!
+//! The two runs of each comparison run at the same time, on two
+//! threads of one process: recording is scoped to the thread that
+//! installed a recorder, so the unrecorded run must record nothing and
+//! the recorded one must hold its own run's metrics alone.
 
-use wsflow::harness::Params;
+use wsflow::harness::{ExperimentOutput, Params};
+use wsflow_obs::Recorder;
+
+/// Run `experiment` twice concurrently, without and with a recorder;
+/// return both outputs and the recorder.
+fn off_and_on(
+    experiment: fn(&Params) -> ExperimentOutput,
+) -> (ExperimentOutput, ExperimentOutput, Recorder) {
+    let params = Params::quick();
+    let rec = Recorder::new();
+    let start = std::sync::Barrier::new(2);
+    let (off, on) = std::thread::scope(|scope| {
+        let off = scope.spawn(|| {
+            start.wait();
+            let out = experiment(&params);
+            assert!(!wsflow_obs::enabled());
+            assert!(wsflow_obs::snapshot().is_empty(), "the off run recorded");
+            out
+        });
+        let on = scope.spawn(|| {
+            let _obs = rec.install();
+            start.wait();
+            experiment(&params)
+        });
+        (off.join().unwrap(), on.join().unwrap())
+    });
+    (off, on, rec)
+}
 
 #[test]
 fn quality_vs_budget_csvs_are_identical_with_tracing_on() {
-    let _guard = wsflow_obs::registry::test_lock();
-    let params = Params::quick();
-
-    wsflow_obs::set_enabled(false);
-    wsflow_obs::reset();
-    let off = wsflow::harness::quality_vs_budget::run(&params);
-
-    wsflow_obs::set_enabled(true);
-    wsflow_obs::reset();
-    let on = wsflow::harness::quality_vs_budget::run(&params);
-    let spans = wsflow_obs::registry::spans();
-    let snap = wsflow_obs::snapshot();
-    wsflow_obs::set_enabled(false);
-    wsflow_obs::reset();
+    let (off, on, rec) = off_and_on(wsflow::harness::quality_vs_budget::run);
+    let spans = rec.spans();
+    let snap = rec.snapshot();
 
     assert_eq!(
         off.extra_csvs, on.extra_csvs,
@@ -55,7 +76,8 @@ fn quality_vs_budget_csvs_are_identical_with_tracing_on() {
     solve_idxs.dedup();
     assert_eq!(solve_idxs.len(), total, "solve span idx must be unique");
 
-    // …and the anytime trajectory histograms.
+    // …the solver metrics, and the anytime trajectory histograms.
+    assert!(snap.counter("solver.runs").unwrap_or(0) > 0);
     assert!(snap.counter("trajectory.solves").unwrap_or(0) > 0);
     for h in [
         "trajectory.time_to_first_incumbent_secs",
@@ -71,18 +93,7 @@ fn quality_vs_budget_csvs_are_identical_with_tracing_on() {
 
 #[test]
 fn scale_sweep_csvs_are_identical_with_tracing_on() {
-    let _guard = wsflow_obs::registry::test_lock();
-    let params = Params::quick();
-
-    wsflow_obs::set_enabled(false);
-    wsflow_obs::reset();
-    let off = wsflow::harness::scale_sweep::run(&params);
-
-    wsflow_obs::set_enabled(true);
-    wsflow_obs::reset();
-    let on = wsflow::harness::scale_sweep::run(&params);
-    wsflow_obs::set_enabled(false);
-    wsflow_obs::reset();
+    let (off, on, _) = off_and_on(wsflow::harness::scale_sweep::run);
 
     assert_eq!(off.extra_csvs, on.extra_csvs);
     assert_eq!(off.render(), on.render());
@@ -90,4 +101,24 @@ fn scale_sweep_csvs_are_identical_with_tracing_on() {
     let (name, csv) = &on.obs_csvs[0];
     assert_eq!(name, "trajectory.csv");
     assert!(csv.lines().count() > 1);
+}
+
+#[test]
+fn wsflow_obs_env_records_without_appending_metrics() {
+    let dir = std::env::temp_dir().join(format!("wsflow-obs-env-{}", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wsflow"))
+        .args(["run", "fig6", "--quick", "--out"])
+        .arg(&dir)
+        .env("WSFLOW_OBS", "1")
+        .output()
+        .expect("run the wsflow binary");
+    assert!(out.status.success(), "{out:?}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("# metrics"));
+    let manifest = wsflow_obs::Manifest::load(&dir.join("fig6_manifest.json")).unwrap();
+    assert_eq!(
+        manifest.metrics.counter("exhaustive.nodes_expanded"),
+        Some(243)
+    );
+    assert!(dir.join("fig6_spans.ndjson").is_file());
+    std::fs::remove_dir_all(&dir).ok();
 }
