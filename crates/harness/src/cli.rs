@@ -20,7 +20,6 @@
 //! rev, seed, thread count ([`wsflow_par::num_threads`]), wall time,
 //! per-phase timings, and — when recorded — the full metric snapshot.
 
-use std::fmt::Display;
 use std::path::Path;
 
 use crate::output::ExperimentOutput;
@@ -74,8 +73,8 @@ pub fn parse(mut args: impl Iterator<Item = String>) -> Result<CliOptions, Strin
 
 /// Run one experiment end to end: run the obs spot-check, time the run
 /// with `phase.*` spans, write its CSVs and the run manifest (plus its
-/// span export when recorded), and return the output for the caller to
-/// render.
+/// obs CSVs and span export when recorded), and return the output for
+/// the caller to render.
 ///
 /// When the caller has a recorder installed, the experiment records
 /// into a fresh recorder of its own, so the manifests of a suite's
@@ -101,12 +100,17 @@ pub fn run_one(opts: &CliOptions, f: impl FnOnce(&Params) -> ExperimentOutput) -
                 }
                 Err(e) => eprintln!("warning: could not write CSVs: {e}"),
             }
+            for (name, contents) in &output.obs_csvs {
+                write_both(&opts.out_dir, &output.id, name, contents);
+            }
         }
         if let Some(rec) = &recorder {
             // `spans.ndjson` is what `wsflow trace` turns into a Chrome
             // trace.
-            let nd = wsflow_obs::spans_ndjson(&rec.spans());
-            write_both(&opts.out_dir, &output.id, "spans.ndjson", nd);
+            match wsflow_obs::spans_ndjson(&rec.spans()) {
+                Ok(nd) => write_both(&opts.out_dir, &output.id, "spans.ndjson", &nd),
+                Err(e) => eprintln!("warning: could not serialise spans.ndjson: {e}"),
+            }
         }
         write_manifest(&output.id, opts, started.elapsed().as_secs_f64());
         output
@@ -119,21 +123,14 @@ pub fn run_one(opts: &CliOptions, f: impl FnOnce(&Params) -> ExperimentOutput) -
 
 /// Write `text` to `<out_dir>/<file>` and to an `<experiment>_<file>`
 /// copy, so a suite run keeps every experiment's. Never fatal.
-fn write_both(out_dir: &str, experiment: &str, file: &str, text: Result<String, impl Display>) {
-    let text = match text {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("warning: could not serialise {file}: {e}");
-            return;
-        }
-    };
+fn write_both(out_dir: &str, experiment: &str, file: &str, text: &str) {
     let dir = Path::new(out_dir);
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: could not create {}: {e}", dir.display());
         return;
     }
     for path in [dir.join(file), dir.join(format!("{experiment}_{file}"))] {
-        match std::fs::write(&path, &text) {
+        match std::fs::write(&path, text) {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
         }
@@ -153,8 +150,10 @@ fn write_manifest(experiment: &str, opts: &CliOptions, wall_secs: f64) {
     if let Err(e) = manifest.validate() {
         eprintln!("warning: manifest failed validation, writing anyway: {e}");
     }
-    let json = manifest.to_json().map(|json| json + "\n");
-    write_both(&opts.out_dir, experiment, "manifest.json", json);
+    match manifest.to_json() {
+        Ok(json) => write_both(&opts.out_dir, experiment, "manifest.json", &(json + "\n")),
+        Err(e) => eprintln!("warning: could not serialise manifest.json: {e}"),
+    }
 }
 
 #[cfg(test)]

@@ -22,9 +22,11 @@ pub struct ExperimentOutput {
     /// `dyn_policies`) emit their own files here.
     pub extra_csvs: Vec<(String, String)>,
     /// Observability side-channel CSVs: `(file name, contents)`.
-    /// Written like `extra_csvs` but *excluded* from determinism
-    /// comparisons — these may contain wall-clock values (e.g.
-    /// `trajectory.csv`) and are only emitted when observability is on.
+    /// *Excluded* from determinism comparisons — these may contain
+    /// wall-clock values (e.g. `trajectory.csv`) and are only emitted
+    /// when observability is on. [`write_csv`](Self::write_csv) skips
+    /// them; `cli::run_one` writes each under its own name and an
+    /// `<id>_` copy, so a suite keeps every experiment's.
     pub obs_csvs: Vec<(String, String)>,
 }
 
@@ -50,8 +52,8 @@ impl ExperimentOutput {
         out
     }
 
-    /// Write tables (one CSV each) and raw records into `dir`.
-    /// Returns the written paths.
+    /// Write tables (one CSV each), raw records and the extra CSVs into
+    /// `dir`. Returns the written paths.
     pub fn write_csv(&self, dir: impl AsRef<Path>) -> std::io::Result<Vec<PathBuf>> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
@@ -84,7 +86,7 @@ impl ExperimentOutput {
             }
             written.push(path);
         }
-        for (name, contents) in self.extra_csvs.iter().chain(&self.obs_csvs) {
+        for (name, contents) in &self.extra_csvs {
             let path = dir.join(name);
             fs::write(&path, contents)?;
             written.push(path);

@@ -80,15 +80,23 @@ impl Table {
         out
     }
 
-    /// Render as CSV (headers first; no quoting — cells must not contain
-    /// commas, which ours never do).
+    /// Render as CSV, headers first. A cell holding a comma, a quote or
+    /// a line break is quoted, its quotes doubled (RFC 4180).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            debug_assert!(row.iter().all(|c| !c.contains(',')));
-            out.push_str(&row.join(","));
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
+            for (i, cell) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if cell.contains([',', '"', '\n', '\r']) {
+                    out.push('"');
+                    out.push_str(&cell.replace('"', "\"\""));
+                    out.push('"');
+                } else {
+                    out.push_str(cell);
+                }
+            }
             out.push('\n');
         }
         out
@@ -144,6 +152,14 @@ mod tests {
         let mut t = Table::new("x", &["a", "b"]);
         t.push_row(vec!["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn csv_quotes_cells_with_commas_and_quotes() {
+        let mut t = Table::new("x", &["name", "v"]);
+        t.push_row(vec!["f(a,b)".into(), "1".into()]);
+        t.push_row(vec!["say \"hi\"".into(), "2".into()]);
+        assert_eq!(t.to_csv(), "name,v\n\"f(a,b)\",1\n\"say \"\"hi\"\"\",2\n");
     }
 
     #[test]

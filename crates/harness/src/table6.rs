@@ -67,4 +67,35 @@ mod tests {
         assert!(rendered.contains("3 GHz"));
         assert!(rendered.contains("50%"));
     }
+
+    /// The fields of one CSV record (RFC 4180 quoting, no line breaks
+    /// inside fields).
+    fn fields(line: &str) -> Vec<String> {
+        let mut fields = vec![String::new()];
+        let mut quoted = false;
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match (c, quoted) {
+                ('"', true) if chars.peek() == Some(&'"') => {
+                    chars.next();
+                    fields.last_mut().unwrap().push('"');
+                }
+                ('"', _) => quoted = !quoted,
+                (',', false) => fields.push(String::new()),
+                (c, _) => fields.last_mut().unwrap().push(c),
+            }
+        }
+        fields
+    }
+
+    #[test]
+    fn csv_reads_back_three_fields_per_row() {
+        let csv = run().tables[0].to_csv();
+        let rows: Vec<Vec<String>> = csv.lines().map(fields).collect();
+        assert_eq!(rows.len(), 13);
+        assert_eq!(rows[0], ["parameter", "value", "probability"]);
+        assert!(rows.iter().all(|r| r.len() == 3), "{csv}");
+        assert_eq!(rows[1][0], "MsgSize(Oi,Oi+1)");
+        assert_eq!(rows[4][0], "Line_Speed(Si,Si+1)");
+    }
 }

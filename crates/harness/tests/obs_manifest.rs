@@ -2,7 +2,7 @@
 //! `wsflow --obs` installs one) must produce a valid, renderable
 //! manifest carrying the acceptance metrics, an unrecorded run must
 //! produce byte-identical CSVs, and the entries of a suite must keep
-//! their own span exports.
+//! their own span exports and trajectories.
 
 use wsflow_harness::cli::{run_one, CliOptions};
 use wsflow_harness::Params;
@@ -167,5 +167,38 @@ fn suite_entries_keep_their_own_span_exports() {
             Some(243)
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `scale_sweep`, the third entry with a trajectory, writes it the same
+/// way and takes seconds in a debug build.
+#[test]
+fn suite_entries_keep_their_own_trajectories() {
+    let dir = temp_dir("trajectories");
+    let opts = CliOptions {
+        params: Params::quick(),
+        out_dir: dir.to_str().unwrap().to_string(),
+    };
+    let names = ["quality_vs_budget", "geo_sweep"];
+    let rec = wsflow_obs::Recorder::new();
+    {
+        let _obs = rec.install();
+        for name in names {
+            let entry = wsflow_harness::EXPERIMENTS
+                .iter()
+                .find(|e| e.name == name)
+                .unwrap();
+            run_one(&opts, entry.run);
+        }
+    }
+    let read = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap();
+    let [budget, geo] = names.map(|name| read(&format!("{name}_trajectory.csv")));
+    for csv in [&budget, &geo] {
+        assert!(csv.starts_with(wsflow_harness::trajectory::CSV_HEADER));
+        assert!(csv.lines().count() > 1, "{csv}");
+    }
+    assert_ne!(budget, geo);
+    // `trajectory.csv` is the last entry's.
+    assert_eq!(read("trajectory.csv"), geo);
     std::fs::remove_dir_all(&dir).ok();
 }

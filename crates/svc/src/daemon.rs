@@ -1,11 +1,22 @@
 //! `wsflowd`: the TCP daemon serving the `wsflow-proto/1` protocol.
 //!
-//! One connection = one request = one thread. The accept loop blocks in
-//! `accept` and hands each connection, with Nagle's algorithm off (the
-//! daemon writes several small frames per request), to a thread that
-//! decodes the [`Request`], materialises the problem, and submits it to
-//! the shared [`Scheduler`]; incumbents stream back as they are found,
-//! then the final frame, then the server closes.
+//! One connection = one request. A connection thread takes the turn to
+//! accept, blocks in `accept`, hands the turn on, and serves the
+//! connection it got, with Nagle's algorithm off (the daemon writes
+//! several small frames per request): it decodes the [`Request`],
+//! materialises the problem, and submits it to the shared
+//! [`Scheduler`]; incumbents stream back as they are found, then the
+//! final frame, then the server closes.
+//!
+//! The connection threads are reused (leader/follower). The turn is a
+//! mutex that owns the listener, so one thread at a time accepts. The
+//! thread that accepts a connection releases the turn and spawns a
+//! successor only if no other thread is waiting for the turn. After
+//! serving, it waits for the turn again while fewer than
+//! [`MAX_WAITING`] threads do, and exits otherwise. Under sequential
+//! load two or three threads take turns and no thread is spawned per
+//! request; a client that connects and never sends holds one thread,
+//! not the turn.
 //!
 //! The network is fixed infrastructure while workflows change, so
 //! clients tend to send the same inline pool again and again. The daemon
@@ -19,10 +30,13 @@
 //! Generated specs never consult it.
 //!
 //! [`DaemonHandle::shutdown`] sets a stop flag and then wakes the
-//! blocked `accept` by connecting to the daemon's own address; the loop
-//! drops that connection unserviced and exits. If the wake-up connect
-//! fails, the accept thread is detached rather than joined, so shutdown
-//! never hangs.
+//! blocked `accept` by connecting to the daemon's own address; the
+//! thread drops that connection unserviced and exits, as does every
+//! thread that gets the turn after it. Shutdown then takes the turn
+//! itself and closes the listener, so the port is closed when it
+//! returns, even while a thread still waits for a silent client's
+//! request. If the wake-up connect fails, shutdown does not wait for
+//! the turn, so it never hangs.
 //!
 //! There is no monitor thread. While its job is queued or solving, the
 //! connection thread waits on the job's event channel, and once every
@@ -39,10 +53,9 @@
 
 use std::io::{ErrorKind, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use wsflow_core::CancelToken;
@@ -59,6 +72,13 @@ const PEER_CHECK_INTERVAL: Duration = Duration::from_millis(10);
 /// How long [`DaemonHandle::shutdown`] tries to connect to its own
 /// listener to wake the blocked `accept`.
 const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// A connection thread that has served its connection waits for the
+/// turn again while fewer than this many threads wait; otherwise it
+/// exits. One waiting thread takes the next connection; the other is a
+/// spare for a client that reconnects before the thread that served its
+/// previous request is back. More idle threads would only hold memory.
+const MAX_WAITING: usize = 2;
 
 /// How the daemon binds and schedules.
 #[derive(Debug, Clone)]
@@ -78,14 +98,27 @@ impl Default for DaemonConfig {
     }
 }
 
+/// What the connection threads share.
+struct Shared {
+    scheduler: Scheduler,
+    stop: AtomicBool,
+    pools: PoolMemo,
+    /// The turn to accept: its holder alone blocks in `accept`. `None`
+    /// once shutdown has closed the listener. Nothing panics while
+    /// holding it and `take` is its only update, so a poisoned turn is
+    /// still valid.
+    turn: Mutex<Option<TcpListener>>,
+    /// Threads waiting for the turn, counting a spawned thread from its
+    /// spawn until it holds the turn.
+    waiting: AtomicUsize,
+}
+
 /// A running daemon; dropping it (or calling
-/// [`shutdown`](Self::shutdown)) stops the accept loop and joins the
+/// [`shutdown`](Self::shutdown)) closes the listener and joins the
 /// worker pool.
 pub struct DaemonHandle {
     addr: SocketAddr,
-    scheduler: Arc<Scheduler>,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
 }
 
 impl DaemonHandle {
@@ -96,21 +129,26 @@ impl DaemonHandle {
 
     /// Jobs admitted but not yet picked up by a worker.
     pub fn queue_depth(&self) -> usize {
-        self.scheduler.queue_depth()
+        self.shared.scheduler.queue_depth()
     }
 
-    /// Stop accepting connections, cancel in-flight solves and close
-    /// their connections, and join the accept loop and worker pool.
+    /// Stop accepting connections, close the listener, cancel in-flight
+    /// solves and close their connections, and join the worker pool.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            // Wake the blocked `accept` so the loop sees the flag. If the
-            // connect fails, dropping the handle detaches the thread.
+        let shared = &self.shared;
+        if !shared.stop.swap(true, Ordering::SeqCst) {
+            // Wake the thread blocked in `accept` so it sees the flag,
+            // then take the turn and close the listener. If the connect
+            // fails, the turn may never come back: leave the threads.
             if TcpStream::connect_timeout(&self.addr, WAKE_TIMEOUT).is_ok() {
-                let _ = handle.join();
+                shared
+                    .turn
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take();
             }
         }
-        self.scheduler.shutdown();
+        shared.scheduler.shutdown();
     }
 }
 
@@ -120,61 +158,79 @@ impl Drop for DaemonHandle {
     }
 }
 
-/// Bind, start the scheduler, and spawn the accept loop. The daemon's
-/// threads record into the calling thread's recorder, if it has one.
+/// Bind, start the scheduler, and spawn the first connection thread.
+/// The daemon's threads record into the calling thread's recorder, if
+/// it has one.
 pub fn spawn(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
     let addr = listener.local_addr()?;
-    let scheduler = Arc::new(Scheduler::start(&cfg.svc));
-    let stop = Arc::new(AtomicBool::new(false));
-    let pools = Arc::new(PoolMemo::default());
-
-    let accept_thread = {
-        let scheduler = Arc::clone(&scheduler);
-        let stop = Arc::clone(&stop);
-        let obs = wsflow_obs::capture();
-        std::thread::Builder::new()
-            .name("wsflowd-accept".to_string())
-            .spawn(move || {
-                let _obs = obs.adopt();
-                accept_loop(listener, &scheduler, &stop, &pools)
-            })?
-    };
-
-    Ok(DaemonHandle {
-        addr,
-        scheduler,
-        stop,
-        accept_thread: Some(accept_thread),
-    })
+    let shared = Arc::new(Shared {
+        scheduler: Scheduler::start(&cfg.svc),
+        stop: AtomicBool::new(false),
+        pools: PoolMemo::default(),
+        turn: Mutex::new(Some(listener)),
+        waiting: AtomicUsize::new(1),
+    });
+    spawn_conn_thread(&shared)?;
+    Ok(DaemonHandle { addr, shared })
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    scheduler: &Arc<Scheduler>,
-    stop: &Arc<AtomicBool>,
-    pools: &Arc<PoolMemo>,
-) {
-    loop {
-        let accepted = accept(&listener);
-        // `shutdown` sets the flag before its wake-up connect, so that
-        // connection (or any that raced it) is dropped unserviced.
-        if stop.load(Ordering::SeqCst) {
+/// Spawn a connection thread, already counted in `waiting`, and count
+/// it in `svc.conn_threads`.
+fn spawn_conn_thread(shared: &Arc<Shared>) -> std::io::Result<()> {
+    let shared = Arc::clone(shared);
+    let obs = wsflow_obs::capture();
+    std::thread::Builder::new()
+        .name("wsflowd-conn".to_string())
+        .spawn(move || {
+            let _obs = obs.adopt();
+            conn_thread(&shared)
+        })?;
+    wsflow_obs::counter_add("svc.conn_threads", 1);
+    Ok(())
+}
+
+/// Take turns accepting and serve each connection accepted, until the
+/// daemon stops or enough other threads wait for the turn.
+fn conn_thread(shared: &Arc<Shared>) {
+    while let Some(stream) = accept_turn(shared) {
+        // Hand on the turn: with no thread waiting, nobody would accept
+        // the next connection while this one is served.
+        if shared
+            .waiting
+            .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+            && spawn_conn_thread(shared).is_err()
+        {
+            shared.waiting.fetch_sub(1, Ordering::SeqCst);
+        }
+        handle_connection(stream, &shared.scheduler, &shared.stop, &shared.pools);
+        let rejoin = shared
+            .waiting
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |w| {
+                (w < MAX_WAITING).then_some(w + 1)
+            });
+        if rejoin.is_err() {
             return;
         }
-        match accepted {
-            Ok(stream) => {
-                let scheduler = Arc::clone(scheduler);
-                let stop = Arc::clone(stop);
-                let pools = Arc::clone(pools);
-                let obs = wsflow_obs::capture();
-                let _ = std::thread::Builder::new()
-                    .name("wsflowd-conn".to_string())
-                    .spawn(move || {
-                        let _obs = obs.adopt();
-                        handle_connection(stream, &scheduler, &stop, &pools)
-                    });
-            }
+    }
+}
+
+/// Wait for the turn (the caller is counted in `waiting`) and accept
+/// one connection with it. `None` once the daemon is stopping.
+fn accept_turn(shared: &Shared) -> Option<TcpStream> {
+    let turn = shared.turn.lock().unwrap_or_else(PoisonError::into_inner);
+    shared.waiting.fetch_sub(1, Ordering::SeqCst);
+    let listener = turn.as_ref()?;
+    loop {
+        if shared.stop.load(Ordering::SeqCst) {
+            return None;
+        }
+        match accept(listener) {
+            // `shutdown` sets the flag before its wake-up connect, so
+            // that connection (or any that raced it) is dropped
+            // unserviced.
+            Ok(stream) => return (!shared.stop.load(Ordering::SeqCst)).then_some(stream),
             // E.g. out of file descriptors: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }

@@ -8,7 +8,9 @@
 //! saturated queue answers with typed backpressure; malformed frames
 //! get a `protocol_error` reply, never a crash; shutdown is prompt and
 //! hangs up on in-flight clients; a repeated inline pool, reused from
-//! the daemon's pool memo, gives the replies a fresh build would.
+//! the daemon's pool memo, gives the replies a fresh build would; a
+//! client that connects and never sends stalls neither later requests
+//! nor shutdown; sequential requests reuse the connection threads.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -38,6 +40,11 @@ impl Daemon {
             c("svc.cancelled"),
             c("svc.failed"),
         )
+    }
+
+    /// Connection threads the daemon has spawned (`svc.conn_threads`).
+    fn conn_threads(&self) -> u64 {
+        self.rec.snapshot().counter("svc.conn_threads").unwrap_or(0)
     }
 }
 
@@ -403,4 +410,80 @@ fn a_repeated_inline_pool_replies_as_a_fresh_build_does() {
         assert_eq!(out.mapping, mapping);
     }
     assert_eq!(daemon.stats(), (4, 0, 4, 0, 0));
+}
+
+/// A fairload request on a generated 8-op line, checked to converge.
+fn fairload_converges(addr: std::net::SocketAddr, seed: u64) {
+    let out =
+        submit(addr, &request("t", "fairload", 8, seed, None), |_, _| {}).expect("submit succeeds");
+    assert_eq!(out.mapping.len(), 8);
+    assert_eq!(out.termination, "converged");
+}
+
+#[test]
+fn a_silent_client_does_not_stall_later_requests() {
+    let daemon = daemon_with(1, 16, 64);
+    let addr = daemon.addr();
+    // Connects and never sends: the thread that accepts it waits for a
+    // request frame that never comes.
+    let silent = TcpStream::connect(addr).unwrap();
+    within(Duration::from_secs(30), move || {
+        for seed in 0..5 {
+            fairload_converges(addr, seed);
+        }
+    });
+    assert_eq!(daemon.stats(), (5, 0, 5, 0, 0));
+    drop(silent);
+}
+
+#[test]
+fn shutdown_with_a_silent_client_connected_is_prompt_and_closes_the_port() {
+    let mut daemon = daemon_with(1, 4, 8);
+    let addr = daemon.addr();
+    let silent = TcpStream::connect(addr).unwrap();
+    // Connections are accepted in order, so once this request is served
+    // the silent one has been accepted too.
+    fairload_converges(addr, 1);
+    let daemon = within(Duration::from_secs(1), move || {
+        daemon.shutdown();
+        daemon
+    });
+    // The listener is closed although a thread still waits on the
+    // silent client: a late request cannot connect or is closed
+    // unanswered, without a hang.
+    within(Duration::from_secs(5), move || {
+        let Ok(mut stream) = TcpStream::connect(addr) else {
+            return;
+        };
+        let _ = proto::write_frame(&mut stream, &request("late", "fairload", 8, 2, None));
+        // A read that times out would mean the connection was left open.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(4)))
+            .unwrap();
+        let t0 = Instant::now();
+        let reply = proto::read_message::<Reply>(&mut stream);
+        assert!(!matches!(reply, Ok(Some(_))), "late request answered");
+        assert!(t0.elapsed() < Duration::from_secs(2), "left open");
+    });
+    assert_eq!(daemon.stats(), (1, 0, 1, 0, 0));
+    drop(silent);
+}
+
+#[test]
+fn sequential_requests_reuse_the_connection_threads() {
+    let daemon = daemon_with(1, 16, 64);
+    // A 2 ms think time between requests: with the CPUs shared with the
+    // other tests, a serving thread can otherwise stay descheduled
+    // before it rejoins the turn for longer than a whole request, and
+    // the daemon rightly spawns a thread to cover it.
+    for seed in 0..30 {
+        fairload_converges(daemon.addr(), seed);
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // One thread takes the next connection while another serves the
+    // last; a third may cover a reconnect that beats the serving
+    // thread back. Spawning per request would count 30.
+    let threads = daemon.conn_threads();
+    assert!((1..=4).contains(&threads), "{threads} connection threads");
+    assert_eq!(daemon.stats(), (30, 0, 30, 0, 0));
 }
