@@ -159,8 +159,9 @@ pub fn network_traffic(problem: &Problem, mapping: &Mapping) -> wsflow_model::Mb
         })
         .map(|m| problem.probabilities().of_msg(m) * w.message(m).size)
         .sum();
-    // An empty f64 sum is -0.0; traffic is non-negative by construction.
-    wsflow_model::Mbits(total.value().max(0.0))
+    // An empty f64 sum is -0.0. Adding +0.0 makes it +0.0 and is exact
+    // for every other sum; `f64::max(-0.0, 0.0)` may return either zero.
+    wsflow_model::Mbits(total.value() + 0.0)
 }
 
 #[cfg(test)]
@@ -170,6 +171,16 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
     use wsflow_model::{Mbits, MbitsPerSec, Seconds};
     use wsflow_net::topology::{bus, homogeneous_servers, line_uniform};
+
+    #[test]
+    fn traffic_of_a_one_server_mapping_is_positive_zero() {
+        let mut b = wsflow_model::WorkflowBuilder::new("w");
+        b.line("o", &[wsflow_model::MCycles(10.0); 3], Mbits(1.0));
+        let net = bus("b", homogeneous_servers(2, 1.0), MbitsPerSec(100.0)).unwrap();
+        let p = Problem::new(b.build().unwrap(), net).unwrap();
+        let m = Mapping::all_on(3, ServerId::new(1));
+        assert_eq!(network_traffic(&p, &m).value().to_bits(), 0);
+    }
 
     #[test]
     fn coefficients_match_routed_paths() {

@@ -132,35 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn records_are_identical_for_any_thread_count() {
-        let class = ExperimentClass::class_c();
-        let scenarios = generate_batch(
-            Configuration::LineBus(MbitsPerSec(100.0)),
-            10,
-            3,
-            &class,
-            5,
-            6,
-        );
-        let run = |threads| {
-            let records = wsflow_par::with_threads(threads, || {
-                run_batch(&scenarios, || paper_bus_algorithms(0))
-            });
-            // Everything but the wall-clock runtime.
-            records
-                .into_iter()
-                .map(|r| Record {
-                    runtime_micros: 0,
-                    ..r
-                })
-                .collect::<Vec<_>>()
-        };
-        let sequential = run(1);
-        assert_eq!(sequential.len(), 6 * paper_bus_algorithms(0).len());
-        assert_eq!(run(3), sequential);
-    }
-
-    #[test]
     fn empty_scenario_list_yields_no_records() {
         assert!(run_batch(&[], || paper_bus_algorithms(0)).is_empty());
     }

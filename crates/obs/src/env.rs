@@ -1,12 +1,12 @@
 //! Warn-once environment-knob parsing, shared by every `WSFLOW_*` knob.
 //!
 //! The workspace's tuning knobs (`WSFLOW_THREADS`, `WSFLOW_OBS`,
-//! `WSFLOW_SVC_WORKERS`, …) share a contract: an *unset* variable means
+//! `WSFLOW_SVC_PORT`) share a contract: an *unset* variable means
 //! "use the default", a *valid* value overrides it, and an *invalid*
 //! value warns **once** on stderr and then behaves as unset — never a
 //! silent fallback, never a hard failure. This module is the one
-//! implementation of that contract; `wsflow_par::num_threads` and the
-//! `wsflow-svc` knobs both go through it.
+//! implementation of that contract; `wsflow_par::num_threads` and
+//! `wsflow-svc`'s port knob both go through it.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
@@ -62,7 +62,7 @@ pub fn env_knob<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>) ->
     }
 }
 
-/// A positive-integer knob (`>= 1`): worker counts, queue depths.
+/// A positive-integer knob (`>= 1`), such as a worker count.
 /// Zero, negatives, and non-numeric values warn once and read as unset.
 pub fn env_positive_usize(name: &str) -> Option<usize> {
     env_knob(name, |raw| match raw.trim().parse::<usize>() {

@@ -1,14 +1,10 @@
-//! Service configuration and the `WSFLOW_SVC_*` environment knobs.
+//! Service configuration and the `WSFLOW_SVC_PORT` environment knob.
 //!
-//! Every knob follows the workspace contract implemented by
-//! [`wsflow_obs::env_knob`]: unset = default, valid = override, invalid
-//! = one stderr warning then the default.
-//!
-//! | Variable | Meaning | Default |
-//! |---|---|---|
-//! | `WSFLOW_SVC_WORKERS` | solver worker threads | min(4, cores) |
-//! | `WSFLOW_SVC_QUEUE` | per-tenant queue bound | 64 |
-//! | `WSFLOW_SVC_PORT` | daemon TCP port (0 = ephemeral) | 7407 |
+//! `wsflowd --workers`/`--queue` size the scheduler; the daemon's port
+//! is `WSFLOW_SVC_PORT` (0 = ephemeral, default 7407), which
+//! `wsflow submit` also reads. The knob follows the workspace contract
+//! implemented by [`wsflow_obs::env_knob`]: unset = default, valid =
+//! override, invalid = one stderr warning then the default.
 
 use std::collections::BTreeMap;
 
@@ -52,19 +48,6 @@ impl Default for SvcConfig {
 }
 
 impl SvcConfig {
-    /// Defaults overridden by the `WSFLOW_SVC_*` environment knobs.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(w) = wsflow_obs::env_positive_usize("WSFLOW_SVC_WORKERS") {
-            cfg.workers = w;
-        }
-        if let Some(q) = wsflow_obs::env_positive_usize("WSFLOW_SVC_QUEUE") {
-            cfg.queue_cap = q;
-            cfg.total_cap = q * 8;
-        }
-        cfg
-    }
-
     /// The fair-queueing weight of `tenant`.
     pub fn weight_of(&self, tenant: &str) -> u32 {
         self.weights
@@ -127,25 +110,6 @@ mod tests {
         // starved outright.
         let cfg = cfg.with_weight("zero", 0);
         assert_eq!(cfg.weight_of("zero"), 1);
-    }
-
-    #[test]
-    fn env_knobs_override_and_warn_on_garbage() {
-        // Valid overrides.
-        std::env::set_var("WSFLOW_SVC_WORKERS", "3");
-        std::env::set_var("WSFLOW_SVC_QUEUE", "5");
-        let cfg = SvcConfig::from_env();
-        assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.queue_cap, 5);
-        assert_eq!(cfg.total_cap, 40);
-        // Garbage reads as unset (warns once on stderr).
-        std::env::set_var("WSFLOW_SVC_WORKERS", "lots");
-        wsflow_obs::env::reset_warn_once("WSFLOW_SVC_WORKERS");
-        let cfg = SvcConfig::from_env();
-        assert_eq!(cfg.workers, SvcConfig::default().workers);
-        std::env::remove_var("WSFLOW_SVC_WORKERS");
-        std::env::remove_var("WSFLOW_SVC_QUEUE");
-        wsflow_obs::env::reset_warn_once("WSFLOW_SVC_WORKERS");
     }
 
     #[test]

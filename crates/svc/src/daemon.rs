@@ -13,7 +13,7 @@
 //! thread that accepts a connection releases the turn and spawns a
 //! successor only if no other thread is waiting for the turn. After
 //! serving, it waits for the turn again while fewer than
-//! [`MAX_WAITING`] threads do, and exits otherwise. Under sequential
+//! `MAX_WAITING` (two) threads do, and exits otherwise. Under sequential
 //! load two or three threads take turns and no thread is spawned per
 //! request; a client that connects and never sends holds one thread,
 //! not the turn.
@@ -92,7 +92,7 @@ pub struct DaemonConfig {
 impl Default for DaemonConfig {
     fn default() -> Self {
         Self {
-            svc: SvcConfig::from_env(),
+            svc: SvcConfig::default(),
             port: crate::config::port_from_env(),
         }
     }

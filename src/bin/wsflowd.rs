@@ -15,9 +15,9 @@ fn main() {
         eprintln!(
             "usage: wsflowd [--port P] [--port-file FILE] [--workers N] [--queue N]\n\
              \n\
-             Defaults come from WSFLOW_SVC_PORT, WSFLOW_SVC_WORKERS, and\n\
-             WSFLOW_SVC_QUEUE; --port 0 binds an ephemeral port (written to\n\
-             --port-file if given)."
+             The port defaults to WSFLOW_SVC_PORT, else 7407; --port 0 binds\n\
+             an ephemeral port (written to --port-file if given). --workers\n\
+             defaults to min(4, cores), --queue (per tenant) to 64."
         );
         return;
     }

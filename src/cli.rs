@@ -416,7 +416,7 @@ pub fn cmd_explain(path: &str, flags: &[String]) -> Result<String, CliError> {
     out.push_str(&format!(
         "\ntime penalty {:.3} ms, expected bus traffic {:.4} Mbit\n",
         time_penalty_of_loads(&loads).value() * 1e3,
-        network_traffic(&problem, &mapping).value().max(0.0)
+        network_traffic(&problem, &mapping).value()
     ));
     Ok(out)
 }

@@ -1,72 +1,67 @@
 //! Observability is a strict side channel: with span trees, incumbent
-//! instants, and trajectory recording all on, every deterministic CSV
-//! and rendered table must stay *bit-identical* to an observability-off
-//! run. The extra signal rides exclusively in the span buffer and in
-//! `obs_csvs` (`trajectory.csv`), which is excluded from determinism
-//! comparisons because it contains wall-clock values.
+//! instants, and trajectory recording all on, the anytime experiments
+//! must write exactly the committed, unrecorded bytes under
+//! `tests/golden/` (neither writes a wall-clock column). The extra
+//! signal rides in the recorder and in `obs_csvs` (`trajectory.csv`),
+//! which holds wall-clock values and is never compared.
+//! `tests/golden.rs` checks the same for every experiment at once;
+//! these tests check what each anytime run records.
 //!
-//! The two runs of each comparison run at the same time, on two
-//! threads of one process: recording is scoped to the thread that
-//! installed a recorder, so the unrecorded run must record nothing and
-//! the recorded one must hold its own run's metrics alone.
+//! `WSFLOW_OBS=1` records a `wsflow` command like `--obs` does, without
+//! appending the metrics snapshot to its output.
+
+use std::fs;
+use std::path::Path;
 
 use wsflow::harness::{ExperimentOutput, Params};
 use wsflow_obs::Recorder;
 
-/// Run `experiment` twice concurrently, without and with a recorder;
-/// return both outputs and the recorder.
-fn off_and_on(
+/// Run `experiment` on four worker threads under a fresh recorder,
+/// require each CSV it writes to equal its committed golden file, and
+/// return the output and the recorder.
+fn recorded_matches_golden(
+    name: &str,
     experiment: fn(&Params) -> ExperimentOutput,
-) -> (ExperimentOutput, ExperimentOutput, Recorder) {
-    let params = Params::quick();
+) -> (ExperimentOutput, Recorder) {
     let rec = Recorder::new();
-    let start = std::sync::Barrier::new(2);
-    let (off, on) = std::thread::scope(|scope| {
-        let off = scope.spawn(|| {
-            start.wait();
-            let out = experiment(&params);
-            assert!(!wsflow_obs::enabled());
-            assert!(wsflow_obs::snapshot().is_empty(), "the off run recorded");
-            out
-        });
-        let on = scope.spawn(|| {
-            let _obs = rec.install();
-            start.wait();
-            experiment(&params)
-        });
-        (off.join().unwrap(), on.join().unwrap())
+    let out = wsflow_par::with_threads(4, || {
+        let _obs = rec.install();
+        experiment(&Params::quick())
     });
-    (off, on, rec)
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("obs-superset-{name}-{}", std::process::id()));
+    let written = out.write_csv(&dir).expect("write the CSVs");
+    assert!(!written.is_empty(), "{name} writes no CSV");
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for path in written {
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        let want = fs::read_to_string(golden.join(&file))
+            .unwrap_or_else(|e| panic!("{file} has no golden file: {e}"));
+        let got = fs::read_to_string(&path).expect("read a written CSV");
+        assert!(
+            want == got,
+            "{file} differs from tests/golden/{file} with tracing on"
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
+
+    // The recorded run carries the trajectory side channel.
+    let (file, csv) = &out.obs_csvs[0];
+    assert_eq!(file, "trajectory.csv");
+    let mut lines = csv.lines();
+    assert_eq!(lines.next(), Some(wsflow::harness::trajectory::CSV_HEADER));
+    assert!(lines.next().is_some(), "at least one incumbent row");
+    wsflow_obs::validate_spans(&rec.spans()).expect("span tree must be well-formed");
+    (out, rec)
 }
 
 #[test]
 fn quality_vs_budget_csvs_are_identical_with_tracing_on() {
-    let (off, on, rec) = off_and_on(wsflow::harness::quality_vs_budget::run);
-    let spans = rec.spans();
-    let snap = rec.snapshot();
+    let (_, rec) =
+        recorded_matches_golden("quality_vs_budget", wsflow::harness::quality_vs_budget::run);
 
-    assert_eq!(
-        off.extra_csvs, on.extra_csvs,
-        "deterministic CSV bytes must not depend on tracing"
-    );
-    assert_eq!(off.render(), on.render());
-    assert!(
-        off.obs_csvs.is_empty(),
-        "obs off: no trajectory side channel"
-    );
-
-    // The obs run carries the trajectory side channel…
-    let (name, csv) = &on.obs_csvs[0];
-    assert_eq!(name, "trajectory.csv");
-    let lines: Vec<&str> = csv.lines().collect();
-    assert_eq!(lines[0], wsflow::harness::trajectory::CSV_HEADER);
-    assert!(lines.len() > 1, "at least one incumbent row");
-
-    // …a well-formed span tree with one qvb.solve span per solve, each
-    // with a unique (name, idx)…
-    wsflow_obs::validate_spans(&spans).expect("span tree must be well-formed");
-    let mut solve_idxs: Vec<u64> = spans
-        .iter()
+    // One qvb.solve span per solve, each with a unique idx…
+    let mut solve_idxs: Vec<u64> = (rec.spans().iter())
         .filter(|s| s.name == "qvb.solve")
         .map(|s| s.idx)
         .collect();
@@ -77,6 +72,7 @@ fn quality_vs_budget_csvs_are_identical_with_tracing_on() {
     assert_eq!(solve_idxs.len(), total, "solve span idx must be unique");
 
     // …the solver metrics, and the anytime trajectory histograms.
+    let snap = rec.snapshot();
     assert!(snap.counter("solver.runs").unwrap_or(0) > 0);
     assert!(snap.counter("trajectory.solves").unwrap_or(0) > 0);
     for h in [
@@ -93,14 +89,7 @@ fn quality_vs_budget_csvs_are_identical_with_tracing_on() {
 
 #[test]
 fn scale_sweep_csvs_are_identical_with_tracing_on() {
-    let (off, on, _) = off_and_on(wsflow::harness::scale_sweep::run);
-
-    assert_eq!(off.extra_csvs, on.extra_csvs);
-    assert_eq!(off.render(), on.render());
-    assert!(off.obs_csvs.is_empty());
-    let (name, csv) = &on.obs_csvs[0];
-    assert_eq!(name, "trajectory.csv");
-    assert!(csv.lines().count() > 1);
+    recorded_matches_golden("scale_sweep", wsflow::harness::scale_sweep::run);
 }
 
 #[test]
