@@ -255,9 +255,10 @@ impl KnowledgeSource for Repairer {
 }
 
 /// Dijkstra-guided route improver: ranks the incumbent's cross-server
-/// transfers by their routed time (`RoutingTable` shortest paths) and
-/// tries to re-home the endpoints of the costliest ones — onto each
-/// other's server, or onto any intermediate server along the route.
+/// transfers by their time over the `RoutingTable`'s shortest paths (as
+/// the problem's `CommMatrix` prices them) and tries to re-home the
+/// endpoints of the costliest ones — onto each other's server, or onto
+/// any intermediate server along the route.
 /// First-improvement throughout, one probe per logical step.
 #[derive(Debug, Clone)]
 pub struct Router {
@@ -285,6 +286,7 @@ impl KnowledgeSource for Router {
         };
         let net = problem.network();
         let routing = problem.routing();
+        let comm = problem.comm();
         let wf = problem.workflow();
         let mut delta = DeltaEvaluator::new(problem, start.clone());
         let mut cost = delta.cost().combined.value();
@@ -301,9 +303,7 @@ impl KnowledgeSource for Router {
                 if sf == st {
                     continue;
                 }
-                if let Some(t) = routing.transfer_time(net, sf, st, msg.size) {
-                    ranked.push((t.value(), i));
-                }
+                ranked.push((comm.comm_secs(sf, st, msg.size.value()), i));
             }
             ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
             let mut improved = false;

@@ -1,10 +1,12 @@
-//! Shared server-pair communication coefficients.
+//! Shared server-pair communication coefficients: the one place the
+//! cost model prices a transfer.
 //!
 //! Every transfer time in the cost model is affine in the message size:
 //! `t = size · Σ 1/speed + Σ propagation` over the routed path. The
 //! [`CommMatrix`] precomputes those two terms for every ordered server
-//! pair into one flat row-major arena, so evaluators index a pair in
-//! O(1) instead of chasing the routed path per query.
+//! pair into one flat row-major arena, so every caller (the evaluators,
+//! the critical path, the blackboard Router, migration pricing) indexes
+//! a pair in O(1) instead of walking the routed path per query.
 //!
 //! The matrix depends only on the network and its routing table, never
 //! on the workflow — so a [`Problem`] computes
@@ -13,15 +15,16 @@
 //! drops from `O(N² · path length)` to `O(M · N)`, which is what makes
 //! per-cluster sub-solves affordable at 10³ servers.
 //!
-//! What agrees with the routed path bit for bit, and what does not:
-//! [`RoutingTable::transfer_time`] computes `size / speed` per link,
-//! while [`CommMatrix::comm_secs`] computes `size · (Σ 1/speed)`, which
-//! rounds once more. The two can differ in the last bit. On one-hop
-//! routes and the class-C message sizes they agree at 10 and 100 Mbps
-//! but not at 1000 Mbps (0.00666 and 0.057838 Mbit); multi-hop routes
-//! add one more rounding per hop. [`CommMatrix::mean_unit_transfer`] is
-//! a 1-Mbit transfer, where `1 · (1/speed)` is exact, so it does match
-//! the routed fold bit for bit.
+//! What agrees with the [`reference`](crate::reference) oracle bit for
+//! bit, and what does not: the oracle folds `size / speed +
+//! propagation` link by link along the route, while
+//! [`CommMatrix::comm_secs`] computes `size · (Σ 1/speed)`, which rounds
+//! once more. The two can differ in the last bit. On one-hop routes and
+//! the class-C message sizes they agree at 10 and 100 Mbps but not at
+//! 1000 Mbps (0.00666 and 0.057838 Mbit); multi-hop routes add one more
+//! rounding per hop. [`CommMatrix::mean_unit_transfer`] is a 1-Mbit
+//! transfer, where `1 · (1/speed)` is exact, so it does match the
+//! per-link fold bit for bit.
 //!
 //! [`network_traffic`] lives here too: the expected Mbits a mapping puts
 //! on the network, the quantity the greedy heuristics try to shrink.
@@ -34,23 +37,24 @@ use crate::problem::Problem;
 /// Per-(from, to) affine communication coefficients:
 /// `t = size · bw_term + fixed_term`.
 #[derive(Debug, Clone, Copy)]
-pub struct PairCoeff {
+struct PairCoeff {
     /// Σ 1/speed over the routed path (seconds per Mbit).
-    pub bw_term: f64,
-    /// Σ propagation over the routed path (seconds).
-    pub fixed_term: f64,
+    bw_term: f64,
+    /// Σ propagation over the routed path, plus any region surcharge
+    /// (seconds).
+    fixed_term: f64,
 }
 
-/// Flat row-major `[from][to]` arena of [`PairCoeff`]s plus summary
-/// statistics the greedy heuristics consume.
+/// Flat row-major `[from][to]` arena of per-pair transfer coefficients
+/// plus summary statistics the greedy heuristics consume.
 #[derive(Debug, Clone)]
 pub struct CommMatrix {
     n: usize,
     pair: Vec<PairCoeff>,
     /// Mean one-Mbit transfer time over ordered distinct pairs (0.0 for
-    /// single-server networks). Computed from the routed paths with the
-    /// exact summation the routing layer uses, so heuristics that used
-    /// to fold `transfer_time` per pair see bit-identical values.
+    /// single-server networks). Each pair's time is summed link by link
+    /// in the reference oracle's order, so the mean is bit-identical to
+    /// a per-pair fold of the routed paths.
     mean_unit_transfer: f64,
 }
 
@@ -73,7 +77,7 @@ impl CommMatrix {
                     .path(from, to)
                     .expect("problem networks are fully routable");
                 // One walk folds all three sums. `unit` is the 1-Mbit
-                // transfer time in `Path::transfer_time`'s order — per
+                // transfer time in the reference oracle's order — per
                 // link `1/speed + prop`, summed along the path — not
                 // `bw_term + fixed_term`, whose different association
                 // could differ in the last bit.
@@ -89,10 +93,10 @@ impl CommMatrix {
                 }
                 if from != to {
                     // Geo model: the inter-region surcharge is a fixed
-                    // per-transfer latency, mirroring the endpoint-based
-                    // add-on in `RoutingTable::transfer_time`. Networks
-                    // without a region matrix skip it, so the legacy
-                    // coefficients are untouched bit for bit.
+                    // per-transfer latency that depends only on the
+                    // endpoints, never on the route. Networks without a
+                    // region matrix skip it, so the legacy coefficients
+                    // are untouched bit for bit.
                     if regions {
                         let surcharge = net.server_region_latency(from, to).value();
                         fixed_term += surcharge;
@@ -125,14 +129,9 @@ impl CommMatrix {
         self.n
     }
 
-    /// The coefficients for an ordered pair.
-    #[inline]
-    pub fn coeff(&self, from: ServerId, to: ServerId) -> PairCoeff {
-        self.pair[from.index() * self.n + to.index()]
-    }
-
-    /// Transfer seconds for `size_mbits` from `from` to `to`: equal to
-    /// the routed transfer time up to rounding (see the module docs).
+    /// Transfer seconds for `size_mbits` from `from` to `to`: Table 1's
+    /// `Tcomm`, zero for a self-pair, and equal to the reference's
+    /// per-link fold up to rounding (see the module docs).
     #[inline]
     pub fn comm_secs(&self, from: ServerId, to: ServerId, size_mbits: f64) -> f64 {
         let c = self.pair[from.index() * self.n + to.index()];
@@ -167,6 +166,7 @@ pub fn network_traffic(problem: &Problem, mapping: &Mapping) -> wsflow_model::Mb
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::path_tcomm;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use wsflow_model::{Mbits, MbitsPerSec, Seconds};
@@ -189,9 +189,9 @@ mod tests {
         let comm = CommMatrix::new(&net, &routing);
         assert_eq!(comm.num_servers(), 3);
         // Self-pairs are free.
-        let c = comm.coeff(ServerId::new(1), ServerId::new(1));
-        assert_eq!(c.bw_term, 0.0);
-        assert_eq!(c.fixed_term, 0.0);
+        for s in net.server_ids() {
+            assert_eq!(comm.comm_secs(s, s, 5.0), 0.0);
+        }
         // One hop at 10 Mbps = 0.1 s/Mbit; two hops double it.
         assert!((comm.comm_secs(ServerId::new(0), ServerId::new(1), 1.0) - 0.1).abs() < 1e-12);
         assert!((comm.comm_secs(ServerId::new(0), ServerId::new(2), 1.0) - 0.2).abs() < 1e-12);
@@ -200,7 +200,18 @@ mod tests {
     }
 
     #[test]
-    fn region_surcharge_agrees_with_routing() {
+    fn bus_pairwise_costs_are_uniform() {
+        // The paper's bus assumption: same communication cost per pair.
+        let net = bus("b", homogeneous_servers(4, 1.0), MbitsPerSec(10.0)).unwrap();
+        let comm = CommMatrix::new(&net, &RoutingTable::new(&net));
+        let t01 = comm.comm_secs(ServerId::new(0), ServerId::new(1), 0.5);
+        let t23 = comm.comm_secs(ServerId::new(2), ServerId::new(3), 0.5);
+        assert_eq!(t01, t23);
+        assert!((t01 - 0.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn region_surcharge_agrees_with_the_reference_fold() {
         use wsflow_net::RegionId;
 
         let mut servers = homogeneous_servers(3, 1.0);
@@ -219,28 +230,28 @@ mod tests {
         for from in net.server_ids() {
             for to in net.server_ids() {
                 for size in [0.0, 0.5, 2.0] {
-                    let direct = routing
-                        .transfer_time(&net, from, to, Mbits(size))
-                        .unwrap()
-                        .value();
+                    let oracle = path_tcomm(&net, &routing, from, to, Mbits(size)).value();
                     let fast = comm.comm_secs(from, to, size);
                     assert!(
-                        (direct - fast).abs() < 1e-12,
-                        "{from}->{to} size {size}: routing {direct} vs comm {fast}"
+                        (oracle - fast).abs() < 1e-12,
+                        "{from}->{to} size {size}: reference {oracle} vs comm {fast}"
                     );
                 }
             }
         }
-        // Intra-region pair is surcharge-free, cross-region pays 50 ms.
-        let intra = comm.comm_secs(ServerId::new(0), ServerId::new(1), 1.0);
-        let cross = comm.comm_secs(ServerId::new(1), ServerId::new(2), 1.0);
-        assert!((intra - 0.1).abs() < 1e-12);
+        // Intra-region pair is surcharge-free, cross-region pays 50 ms
+        // in both directions, and a self-pair stays free.
+        let (s0, s1, s2) = (ServerId::new(0), ServerId::new(1), ServerId::new(2));
+        assert!((comm.comm_secs(s0, s1, 1.0) - 0.1).abs() < 1e-12);
+        let cross = comm.comm_secs(s1, s2, 1.0);
         assert!((cross - 0.15).abs() < 1e-12);
+        assert_eq!(comm.comm_secs(s2, s1, 1.0), cross);
+        assert_eq!(comm.comm_secs(s2, s2, 1.0), 0.0);
     }
 
     /// The two-walk fold [`CommMatrix::new`] replaced: the coefficients
     /// from one walk of each path, the mean from a second walk through
-    /// [`RoutingTable::transfer_time`]. Returns every pair's
+    /// the reference's per-link fold. Returns every pair's
     /// `(bw_term, fixed_term)` bits and the mean's bits.
     fn oracle_fold(net: &Network, routing: &RoutingTable) -> (Vec<[u64; 2]>, u64) {
         let mut pair = Vec::new();
@@ -260,10 +271,8 @@ mod tests {
                 }
                 pair.push([bw_term.to_bits(), fixed_term.to_bits()]);
                 if from != to {
-                    if let Some(t) = routing.transfer_time(net, from, to, Mbits(1.0)) {
-                        total += t.value();
-                        count += 1;
-                    }
+                    total += path_tcomm(net, routing, from, to, Mbits(1.0)).value();
+                    count += 1;
                 }
             }
         }

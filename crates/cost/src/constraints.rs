@@ -7,7 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsflow_model::Seconds;
 
 use crate::objective::CostBreakdown;
@@ -28,7 +27,7 @@ use crate::objective::CostBreakdown;
 /// let slow = CostBreakdown::new(Seconds(0.3), Seconds(0.01), &CostWeights::EQUAL);
 /// assert!(slo.check(&slow, Seconds(0.1)).is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct UserConstraints {
     /// Upper bound on `Texecute`.
     pub max_execution_time: Option<Seconds>,
@@ -39,7 +38,7 @@ pub struct UserConstraints {
 }
 
 /// Which constraint a mapping violated, and by how much.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConstraintViolation {
     /// `Texecute` exceeded the bound.
     ExecutionTime {

@@ -38,7 +38,7 @@ pub mod pareto;
 pub mod problem;
 pub mod reference;
 
-pub use comm::{network_traffic, CommMatrix, PairCoeff};
+pub use comm::{network_traffic, CommMatrix};
 pub use constraints::{ConstraintViolation, UserConstraints};
 pub use critical_path::{critical_path, CriticalPath, CriticalStep};
 pub use delta::{DeltaEvaluator, MoveProposal};

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsflow_model::OpId;
 use wsflow_net::ServerId;
 
@@ -22,7 +21,7 @@ use wsflow_net::ServerId;
 /// assert_eq!(m.ops_on(ServerId::new(1)).len(), 3);
 /// assert_eq!(m.to_string(), "{O0→S0, O1→S1, O2→S1, O3→S1}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Mapping {
     /// `assignment[i]` = server hosting operation `OpId(i)`.
     assignment: Vec<ServerId>,
@@ -281,13 +280,5 @@ mod tests {
         let p = PartialMapping::from_full(&m);
         assert_eq!(p.num_assigned(), 2);
         assert_eq!(p.complete().unwrap(), m);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = Mapping::new(vec![s(0), s(1), s(2)]);
-        let json = serde_json::to_string(&m).unwrap();
-        let back: Mapping = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, m);
     }
 }

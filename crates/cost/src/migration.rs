@@ -6,7 +6,9 @@
 //! from the old server to the new one over the current routes. This
 //! module prices that — [`MigrationModel`] maps an operation to a state
 //! size, and [`plan_migration`] diffs two mappings into a
-//! [`MigrationPlan`] with per-move and total transfer times.
+//! [`MigrationPlan`] with per-move and total transfer times. A move is
+//! priced exactly like a message of the same size: by the network's
+//! [`CommMatrix`], so migration and the cost model never disagree.
 //!
 //! The plan charges moves serially (one state stream at a time), which
 //! upper-bounds the disruption window and keeps the figure independent
@@ -14,8 +16,9 @@
 
 use wsflow_model::units::{MCycles, Mbits, Seconds};
 use wsflow_model::{OpId, Workflow};
-use wsflow_net::{Network, RoutingTable, ServerId};
+use wsflow_net::ServerId;
 
+use crate::comm::CommMatrix;
 use crate::mapping::Mapping;
 
 /// Prices an operation's migratable state.
@@ -92,20 +95,15 @@ impl MigrationPlan {
     }
 }
 
-/// Diff `old → new` and price every move over `routes` (which must have
-/// been computed for `net`'s current state).
-///
-/// Returns `None` if some move's endpoints are unroutable — a network
-/// partition; the caller decides whether that re-deployment is allowed
-/// to happen at all.
+/// Diff `old → new` and price every move with `comm`, which must have
+/// been built for the network's current state.
 pub fn plan_migration(
     workflow: &Workflow,
-    net: &Network,
-    routes: &RoutingTable,
+    comm: &CommMatrix,
     old: &Mapping,
     new: &Mapping,
     model: &MigrationModel,
-) -> Option<MigrationPlan> {
+) -> MigrationPlan {
     let mut plan = MigrationPlan::default();
     for op in workflow.op_ids() {
         let from = old.server_of(op);
@@ -114,7 +112,7 @@ pub fn plan_migration(
             continue;
         }
         let state = model.state_size(workflow.op(op).cost);
-        let transfer = routes.transfer_time(net, from, to, state)?;
+        let transfer = Seconds(comm.comm_secs(from, to, state.value()));
         plan.total_state = Mbits(plan.total_state.value() + state.value());
         plan.total_transfer += transfer;
         plan.moves.push(MigrationMove {
@@ -125,29 +123,72 @@ pub fn plan_migration(
             transfer,
         });
     }
-    Some(plan)
+    plan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsflow_model::{MCycles, MbitsPerSec, WorkflowBuilder};
+    use crate::reference::path_tcomm;
+    use wsflow_model::{MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::{bus, homogeneous_servers};
+    use wsflow_net::{Link, Network, RegionId, RoutingTable, TopologyKind, ZoneId};
 
-    fn fixture() -> (Workflow, Network, RoutingTable) {
+    /// Two operations of 10 and 30 MCycles: 2 and 4 Mbit of state under
+    /// the default model.
+    fn workflow() -> Workflow {
         let mut b = WorkflowBuilder::new("w");
         b.line("o", &[MCycles(10.0), MCycles(30.0)], Mbits(0.5));
-        let w = b.build().unwrap();
-        let net = bus("n", homogeneous_servers(3, 1.0), MbitsPerSec(10.0)).unwrap();
-        let routes = RoutingTable::new(&net);
-        (w, net, routes)
+        b.build().unwrap()
+    }
+
+    fn bus3() -> Network {
+        bus("n", homogeneous_servers(3, 1.0), MbitsPerSec(10.0)).unwrap()
+    }
+
+    /// A five-server line with mixed link speeds and 2 ms of
+    /// propagation per hop, whose last two servers sit in a region
+    /// 30 ms from the first three.
+    fn geo_line() -> Network {
+        let mut servers = homogeneous_servers(5, 1.0);
+        for s in &mut servers[3..] {
+            *s = s.clone().in_region(RegionId::new(1), ZoneId::new(0));
+        }
+        let links = [10.0, 100.0, 3.0, 1000.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &mbps)| {
+                Link::new(ServerId::from(i), ServerId::from(i + 1), MbitsPerSec(mbps))
+                    .with_propagation(Seconds(0.002))
+            })
+            .collect();
+        Network::new("geo-line", servers, links, TopologyKind::Line)
+            .unwrap()
+            .with_region_latency(vec![
+                vec![Seconds::ZERO, Seconds(0.03)],
+                vec![Seconds(0.03), Seconds::ZERO],
+            ])
+            .unwrap()
+    }
+
+    fn comm(net: &Network) -> CommMatrix {
+        CommMatrix::new(net, &RoutingTable::new(net))
+    }
+
+    fn on(servers: &[u32]) -> Mapping {
+        Mapping::new(servers.iter().map(|&s| ServerId::new(s)).collect())
     }
 
     #[test]
     fn identical_mappings_cost_nothing() {
-        let (w, net, routes) = fixture();
         let m = Mapping::all_on(2, ServerId::new(0));
-        let plan = plan_migration(&w, &net, &routes, &m, &m, &MigrationModel::default()).unwrap();
+        let plan = plan_migration(
+            &workflow(),
+            &comm(&bus3()),
+            &m,
+            &m,
+            &MigrationModel::default(),
+        );
         assert!(plan.is_empty());
         assert_eq!(plan.total_state, Mbits::ZERO);
         assert_eq!(plan.total_transfer, Seconds::ZERO);
@@ -155,34 +196,60 @@ mod tests {
 
     #[test]
     fn moves_are_priced_over_current_routes() {
-        let (w, net, routes) = fixture();
-        let old = Mapping::all_on(2, ServerId::new(0));
-        let mut new = Mapping::all_on(2, ServerId::new(0));
-        new.assign(OpId::new(1), ServerId::new(2));
-        let model = MigrationModel::default();
-        let plan = plan_migration(&w, &net, &routes, &old, &new, &model).unwrap();
-        assert_eq!(plan.num_moves(), 1);
-        let mv = plan.moves[0];
-        assert_eq!(mv.op, OpId::new(1));
-        assert_eq!((mv.from, mv.to), (ServerId::new(0), ServerId::new(2)));
-        // op1 costs 30 MCycles → 1 + 0.1·30 = 4 Mbit over a 10 Mbps bus
-        // hop = 0.4 s.
-        assert!((mv.state.value() - 4.0).abs() < 1e-12);
-        assert!((mv.transfer.value() - 0.4).abs() < 1e-12);
-        assert_eq!(plan.total_state, mv.state);
-        assert_eq!(plan.total_transfer, mv.transfer);
+        // On the geo line: `mbit / speed + 2 ms` per hop, plus 30 ms.
+        let cross_region = |mbit: f64, inv_speeds: &[f64]| {
+            inv_speeds.iter().map(|inv| mbit * inv + 0.002).sum::<f64>() + 0.03
+        };
+        let cases = [
+            // op1 costs 30 MCycles → 1 + 0.1·30 = 4 Mbit over a 10 Mbps
+            // bus hop = 0.4 s.
+            (bus3(), on(&[0, 0]), on(&[0, 2]), vec![(1, 4.0, 0.4)]),
+            // Both ops cross the line and the regions: 0 → 4 is four
+            // hops, 4 → 1 three.
+            (
+                geo_line(),
+                on(&[0, 4]),
+                on(&[4, 1]),
+                vec![
+                    (0, 2.0, cross_region(2.0, &[0.1, 0.01, 1.0 / 3.0, 0.001])),
+                    (1, 4.0, cross_region(4.0, &[0.01, 1.0 / 3.0, 0.001])),
+                ],
+            ),
+        ];
+        for (net, old, new, want) in cases {
+            let routing = RoutingTable::new(&net);
+            let comm = CommMatrix::new(&net, &routing);
+            let plan = plan_migration(&workflow(), &comm, &old, &new, &MigrationModel::default());
+            assert_eq!(plan.num_moves(), want.len(), "{}", net.name());
+            for (mv, &(op, state, transfer)) in plan.moves.iter().zip(&want) {
+                assert_eq!(mv.op, OpId::new(op));
+                assert_eq!(
+                    (mv.from, mv.to),
+                    (old.server_of(mv.op), new.server_of(mv.op))
+                );
+                assert!((mv.state.value() - state).abs() < 1e-12, "{mv:?}");
+                assert!((mv.transfer.value() - transfer).abs() < 1e-12, "{mv:?}");
+                // Priced exactly like a message of the same size, and
+                // within rounding of the reference's per-link fold.
+                let priced = comm.comm_secs(mv.from, mv.to, mv.state.value());
+                assert_eq!(mv.transfer.value().to_bits(), priced.to_bits(), "{mv:?}");
+                let folded = path_tcomm(&net, &routing, mv.from, mv.to, mv.state);
+                assert!((mv.transfer - folded).value().abs() < 1e-12, "{mv:?}");
+            }
+            let total: f64 = plan.moves.iter().map(|m| m.state.value()).sum();
+            assert!((plan.total_state.value() - total).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn totals_sum_serially_in_op_order() {
-        let (w, net, routes) = fixture();
         let old = Mapping::all_on(2, ServerId::new(0));
         let new = Mapping::all_on(2, ServerId::new(1));
         let model = MigrationModel {
             fixed: Mbits(2.0),
             per_mcycle: 0.0,
         };
-        let plan = plan_migration(&w, &net, &routes, &old, &new, &model).unwrap();
+        let plan = plan_migration(&workflow(), &comm(&bus3()), &old, &new, &model);
         assert_eq!(plan.num_moves(), 2);
         assert_eq!(plan.moves[0].op, OpId::new(0), "moves are in op-id order");
         assert!((plan.total_state.value() - 4.0).abs() < 1e-12);

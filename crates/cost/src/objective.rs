@@ -16,11 +16,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wsflow_model::{Dollars, Seconds};
 
 /// Weights for combining the antagonistic measures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Weight of the workflow execution time `Texecute`.
     pub execution: f64,
@@ -114,7 +113,7 @@ impl Default for CostWeights {
 }
 
 /// The evaluated cost of a mapping, in all its components.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// `Texecute`: expected time from workflow start to completion.
     pub execution: Seconds,

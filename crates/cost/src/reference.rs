@@ -5,10 +5,12 @@
 //! the flat [`Evaluator`](crate::evaluator::Evaluator) (and the
 //! [`DeltaEvaluator`](crate::delta::DeltaEvaluator) built on it). This
 //! module keeps a second, deliberately naive implementation that shares
-//! none of the evaluator's prepared tables: every transfer is routed
-//! through [`RoutingTable::transfer_time`](wsflow_net::RoutingTable::transfer_time)
-//! and every processing time is divided out of the model structs, so a
-//! slip in the kernel shows up as a disagreement with this module.
+//! none of the evaluator's prepared tables: every transfer is folded
+//! link by link along its routed path (`Σ size / speed + propagation`,
+//! plus the endpoint regions' surcharge) instead of read from the
+//! [`CommMatrix`](crate::comm::CommMatrix), and every processing time
+//! is divided out of the model structs, so a slip in the kernel shows
+//! up as a disagreement with this module.
 //! Tests, property tests and the `scale_sweep` throughput bench use it;
 //! nothing re-exports it at the crate top level.
 //!
@@ -44,8 +46,8 @@
 
 use wsflow_model::structure::BlockTree;
 use wsflow_model::traversal::topo_sort;
-use wsflow_model::{DecisionKind, MsgId, OpId, OpKind, Seconds};
-use wsflow_net::ServerId;
+use wsflow_model::{DecisionKind, Mbits, MsgId, OpId, OpKind, Seconds};
+use wsflow_net::{Network, RoutingTable, ServerId};
 
 use crate::load::time_penalty_of_loads;
 use crate::mapping::Mapping;
@@ -86,10 +88,40 @@ pub fn tcomm(problem: &Problem, m: MsgId, mapping: &Mapping) -> Seconds {
     let msg = problem.workflow().message(m);
     let from = mapping.server_of(msg.from);
     let to = mapping.server_of(msg.to);
-    problem
-        .routing()
-        .transfer_time(problem.network(), from, to, msg.size)
+    path_tcomm(problem.network(), problem.routing(), from, to, msg.size)
+}
+
+/// Time to push `size` from `from` to `to`, folded link by link along
+/// the routed path: `Σ (size / speed + propagation)`, plus the
+/// endpoint regions' one-way surcharge on a cross-region transfer. Zero
+/// when `from == to`, matching the paper's assumption that co-located
+/// operations communicate at no cost.
+///
+/// # Panics
+///
+/// Panics if the pair has no route.
+pub(crate) fn path_tcomm(
+    net: &Network,
+    routing: &RoutingTable,
+    from: ServerId,
+    to: ServerId,
+    size: Mbits,
+) -> Seconds {
+    let base: Seconds = routing
+        .path(from, to)
         .expect("problem networks are fully routable")
+        .links()
+        .iter()
+        .map(|&l| {
+            let link = net.link(l);
+            size / link.speed + link.propagation
+        })
+        .sum();
+    if net.has_region_latency() && from != to {
+        base + net.server_region_latency(from, to)
+    } else {
+        base
+    }
 }
 
 /// Expected execution time of the workflow under `mapping`, by forward

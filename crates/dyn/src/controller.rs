@@ -345,15 +345,7 @@ pub fn run_policy(
         let mut batch_transfer = 0.0f64;
         if let Some(next) = proposal {
             if next != current {
-                let plan = plan_migration(
-                    workflow,
-                    eff.network(),
-                    eff.routing(),
-                    &current,
-                    &next,
-                    &cfg.migration,
-                )
-                .expect("effective networks stay routable");
+                let plan = plan_migration(workflow, eff.comm(), &current, &next, &cfg.migration);
                 migrations += plan.num_moves();
                 migrated_state += plan.total_state.value();
                 migration_time += plan.total_transfer.value();

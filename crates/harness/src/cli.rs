@@ -50,7 +50,10 @@ pub fn parse(mut args: impl Iterator<Item = String>) -> Result<CliOptions, Strin
             }
             "--ops" => {
                 let v = args.next().ok_or("--ops needs a value")?;
-                ops = Some(v.parse().map_err(|_| format!("bad --ops value {v:?}"))?);
+                let m: std::num::NonZeroUsize = v
+                    .parse()
+                    .map_err(|_| format!("bad --ops value {v:?} (need ≥ 1)"))?;
+                ops = Some(m.get());
             }
             "--out" => {
                 out_dir = args.next().ok_or("--out needs a value")?;
@@ -202,6 +205,9 @@ mod tests {
         assert!(parse_vec(&["--workers", "3"]).is_err());
         assert!(parse_vec(&["--seeds"]).is_err());
         assert!(parse_vec(&["--seeds", "x"]).is_err());
+        // A workflow needs at least one operation.
+        assert!(parse_vec(&["--ops", "0"]).is_err());
+        assert!(parse_vec(&["--quick", "--ops", "0"]).is_err());
         assert!(parse_vec(&["--help"]).is_err());
         // `wsflow --obs` turns observability on before these flags parse.
         assert!(parse_vec(&["--obs"]).is_err());

@@ -3,13 +3,12 @@
 
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
 use wsflow_core::DeploymentAlgorithm;
 use wsflow_cost::{network_traffic, Evaluator, Problem};
 use wsflow_workload::Scenario;
 
 /// One (algorithm, scenario) measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Algorithm name.
     pub algorithm: String,

@@ -2,13 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::runner::Record;
 use crate::table::{ms, Table};
 
 /// Per-algorithm aggregate over a set of records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Aggregate {
     /// Algorithm name.
     pub algorithm: String,

@@ -2,14 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of an operation within its [`Workflow`](crate::Workflow).
 ///
 /// Operation ids are dense (`0..workflow.num_ops()`), which lets cost
 /// evaluators and algorithms use plain vectors instead of hash maps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub u32);
 
 impl OpId {
@@ -47,8 +44,7 @@ impl From<usize> for OpId {
 /// Index of a message (edge) within its [`Workflow`](crate::Workflow).
 ///
 /// Like [`OpId`], message ids are dense (`0..workflow.num_messages()`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgId(pub u32);
 
 impl MsgId {
@@ -105,12 +101,5 @@ mod tests {
     fn ordering_is_by_index() {
         assert!(OpId::new(1) < OpId::new(2));
         assert!(MsgId::new(0) < MsgId::new(9));
-    }
-
-    #[test]
-    fn serde_transparent() {
-        assert_eq!(serde_json::to_string(&OpId::new(5)).unwrap(), "5");
-        let id: MsgId = serde_json::from_str("9").unwrap();
-        assert_eq!(id, MsgId::new(9));
     }
 }

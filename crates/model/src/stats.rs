@@ -3,14 +3,12 @@
 //! Used by the experiment harness to verify that generated random graphs
 //! actually match the paper's bushy / lengthy / hybrid profiles (§4.2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::traversal::{longest_path_len, max_fan_out};
 use crate::units::MCycles;
 use crate::workflow::Workflow;
 
 /// Shape statistics of a workflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowStats {
     /// Total number of operations (nodes).
     pub num_ops: usize,

@@ -16,13 +16,10 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! unit {
     ($(#[$doc:meta])* $name:ident, $suffix:expr) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
 
         impl $name {
@@ -300,8 +297,7 @@ impl Mul<DollarsPerHour> for Seconds {
 /// probabilities. Construction clamps silently only through
 /// [`Probability::clamped`]; [`Probability::new`] panics on out-of-range
 /// input to surface modelling bugs early.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Probability(f64);
 
 impl Probability {
@@ -499,12 +495,5 @@ mod tests {
         assert_eq!(format!("{:.2}", Seconds(1.2345)), "1.23 s");
         assert_eq!(format!("{}", MCycles(10.0)), "10 Mcycles");
         assert_eq!(format!("{}", Probability::new(0.5)), "0.500");
-    }
-
-    #[test]
-    fn serde_transparent() {
-        let s: Seconds = serde_json::from_str("2.5").unwrap();
-        assert_eq!(s, Seconds(2.5));
-        assert_eq!(serde_json::to_string(&MCycles(7.0)).unwrap(), "7.0");
     }
 }

@@ -2,14 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a server within its [`Network`](crate::Network).
 ///
 /// Server ids are dense (`0..network.num_servers()`), so mappings and
 /// load accounting can use flat vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerId(pub u32);
 
 impl ServerId {
@@ -45,8 +42,7 @@ impl From<usize> for ServerId {
 }
 
 /// Index of a link within its [`Network`](crate::Network).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 impl LinkId {
@@ -181,12 +177,5 @@ mod tests {
         assert_eq!(RegionId::from(2usize), RegionId::new(2));
         assert_eq!(ZoneId::from(1u32), ZoneId::new(1));
         assert_eq!(ZoneId::from(1usize).index(), 1);
-    }
-
-    #[test]
-    fn serde_transparent() {
-        assert_eq!(serde_json::to_string(&ServerId::new(4)).unwrap(), "4");
-        let id: LinkId = serde_json::from_str("6").unwrap();
-        assert_eq!(id, LinkId::new(6));
     }
 }

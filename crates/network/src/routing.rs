@@ -2,9 +2,10 @@
 //!
 //! The cost model (Table 1 of the paper) defines `Path(s, s')` as the
 //! path a message follows and charges each traversed link its
-//! transmission plus propagation time. For line networks the path is
-//! forced; for bus networks every pair is one hop; star/ring/mesh get
-//! genuine shortest-path routing.
+//! transmission plus propagation time. This module answers only which
+//! links that path takes; `wsflow_cost::CommMatrix` prices it. For line
+//! networks the path is forced; for bus networks every pair is one hop;
+//! star/ring/mesh get genuine shortest-path routing.
 //!
 //! Routes are chosen by Dijkstra with link weight
 //! `propagation + 1 Mbit / speed` (a reference message), with ties broken
@@ -56,7 +57,7 @@
 
 use std::collections::BinaryHeap;
 
-use wsflow_model::units::{Mbits, Seconds};
+use wsflow_model::units::Mbits;
 
 use crate::ids::{LinkId, ServerId};
 use crate::network::Network;
@@ -80,21 +81,6 @@ impl<'a> Path<'a> {
     #[inline]
     pub fn hops(&self) -> usize {
         self.links.len()
-    }
-
-    /// Time to push a message of `size` along this path:
-    /// `Σ (size / speed + propagation)` over the traversed links.
-    ///
-    /// Intra-server messages (empty path) are free, matching the paper's
-    /// assumption that co-located operations communicate at no cost.
-    pub fn transfer_time(&self, net: &Network, size: Mbits) -> Seconds {
-        self.links
-            .iter()
-            .map(|&l| {
-                let link = net.link(l);
-                size / link.speed + link.propagation
-            })
-            .sum()
     }
 
     /// The servers visited by this path, in order, starting at `from`.
@@ -140,15 +126,13 @@ impl<'a> Path<'a> {
 /// ```
 /// use wsflow_net::topology::{homogeneous_servers, line_uniform};
 /// use wsflow_net::{RoutingTable, ServerId};
-/// use wsflow_model::{Mbits, MbitsPerSec};
+/// use wsflow_model::MbitsPerSec;
 ///
 /// let net = line_uniform("l", homogeneous_servers(3, 1.0), MbitsPerSec(10.0)).unwrap();
 /// let routes = RoutingTable::new(&net);
-/// // End-to-end over two 10 Mbps hops: 1 Mbit takes 0.2 s.
-/// let t = routes
-///     .transfer_time(&net, ServerId::new(0), ServerId::new(2), Mbits(1.0))
-///     .unwrap();
-/// assert!((t.value() - 0.2).abs() < 1e-12);
+/// // A line forces the route: server 0 reaches server 2 in two hops.
+/// let path = routes.path(ServerId::new(0), ServerId::new(2)).unwrap();
+/// assert_eq!(path.hops(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
@@ -199,30 +183,6 @@ impl RoutingTable {
         // range is an unreachable pair.
         let empty = self.offsets.windows(2).filter(|w| w[0] == w[1]).count();
         empty == self.n
-    }
-
-    /// Transfer time for a message of `size` from `from` to `to`;
-    /// `None` if unreachable. Zero when `from == to`.
-    ///
-    /// When the network carries an inter-region latency matrix, every
-    /// cross-region transfer additionally pays the one-way surcharge of
-    /// its endpoint regions on top of the per-link path time. The
-    /// surcharge depends only on the endpoints — never on the chosen
-    /// route — so route selection is unaffected, and networks without a
-    /// matrix take the exact legacy arithmetic.
-    pub fn transfer_time(
-        &self,
-        net: &Network,
-        from: ServerId,
-        to: ServerId,
-        size: Mbits,
-    ) -> Option<Seconds> {
-        let base = self.path(from, to).map(|p| p.transfer_time(net, size))?;
-        if net.has_region_latency() && from != to {
-            Some(base + net.server_region_latency(from, to))
-        } else {
-            Some(base)
-        }
     }
 }
 
@@ -435,7 +395,7 @@ mod tests {
     use super::*;
     use crate::test_rng::Rng;
     use crate::topology::{bus, homogeneous_servers, line_uniform, ring, star};
-    use wsflow_model::units::MbitsPerSec;
+    use wsflow_model::units::{MbitsPerSec, Seconds};
 
     #[test]
     fn line_routes_are_forced() {
@@ -444,23 +404,15 @@ mod tests {
         assert!(rt.fully_connected());
         let p = rt.path(ServerId::new(0), ServerId::new(3)).unwrap();
         assert_eq!(p.hops(), 3);
-        // 1 Mbit over three 10 Mbps hops = 0.3 s.
-        let t = p.transfer_time(&net, Mbits(1.0));
-        assert!((t.value() - 0.3).abs() < 1e-12);
     }
 
     #[test]
-    fn same_server_is_free() {
+    fn same_server_route_is_empty() {
         let net = bus("b", homogeneous_servers(3, 1.0), MbitsPerSec(100.0)).unwrap();
         let rt = RoutingTable::new(&net);
-        let t = rt
-            .transfer_time(&net, ServerId::new(1), ServerId::new(1), Mbits(5.0))
-            .unwrap();
-        assert_eq!(t, Seconds::ZERO);
-        assert_eq!(
-            rt.path(ServerId::new(2), ServerId::new(2)).unwrap().hops(),
-            0
-        );
+        for s in net.server_ids() {
+            assert!(rt.path(s, s).unwrap().links().is_empty());
+        }
     }
 
     #[test]
@@ -474,21 +426,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bus_pairwise_costs_are_uniform() {
-        // The paper's bus assumption: same communication cost per pair.
-        let net = bus("b", homogeneous_servers(4, 1.0), MbitsPerSec(10.0)).unwrap();
-        let rt = RoutingTable::new(&net);
-        let t01 = rt
-            .transfer_time(&net, ServerId::new(0), ServerId::new(1), Mbits(0.5))
-            .unwrap();
-        let t23 = rt
-            .transfer_time(&net, ServerId::new(2), ServerId::new(3), Mbits(0.5))
-            .unwrap();
-        assert_eq!(t01, t23);
-        assert!((t01.value() - 0.05).abs() < 1e-12);
     }
 
     #[test]
@@ -735,44 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn region_surcharge_applies_to_cross_region_transfers_only() {
-        use crate::ids::{RegionId, ZoneId};
-        use crate::server::Server;
-        let servers = vec![
-            Server::with_ghz("us0", 1.0),
-            Server::with_ghz("us1", 1.0),
-            Server::with_ghz("eu0", 1.0).in_region(RegionId::new(1), ZoneId::new(0)),
-        ];
-        let net = bus("geo", servers, MbitsPerSec(10.0))
-            .unwrap()
-            .with_region_latency(vec![
-                vec![Seconds::ZERO, Seconds(0.05)],
-                vec![Seconds(0.05), Seconds::ZERO],
-            ])
-            .unwrap();
-        let rt = RoutingTable::new(&net);
-        // Intra-region: pure link time (1 Mbit over 10 Mbps = 0.1 s).
-        let t = rt
-            .transfer_time(&net, ServerId::new(0), ServerId::new(1), Mbits(1.0))
-            .unwrap();
-        assert!((t.value() - 0.1).abs() < 1e-12);
-        // Cross-region: link time + 50 ms surcharge, both directions.
-        let t = rt
-            .transfer_time(&net, ServerId::new(0), ServerId::new(2), Mbits(1.0))
-            .unwrap();
-        assert!((t.value() - 0.15).abs() < 1e-12);
-        let back = rt
-            .transfer_time(&net, ServerId::new(2), ServerId::new(0), Mbits(1.0))
-            .unwrap();
-        assert_eq!(t, back);
-        // Same-server transfers stay free.
-        let t = rt
-            .transfer_time(&net, ServerId::new(2), ServerId::new(2), Mbits(1.0))
-            .unwrap();
-        assert_eq!(t, Seconds::ZERO);
-    }
-
-    #[test]
     fn disconnected_pairs_are_none() {
         let servers = homogeneous_servers(3, 1.0);
         let links = vec![crate::link::Link::new(
@@ -784,9 +683,6 @@ mod tests {
         let rt = RoutingTable::new(&net);
         assert!(rt.path(ServerId::new(0), ServerId::new(2)).is_none());
         assert!(!rt.fully_connected());
-        assert!(rt
-            .transfer_time(&net, ServerId::new(0), ServerId::new(2), Mbits(1.0))
-            .is_none());
     }
 
     #[test]
@@ -1000,94 +896,18 @@ mod tests {
         }
     }
 
-    /// What `CommMatrix` folds out of one route: `Σ 1/speed`,
-    /// `Σ propagation` plus the region surcharge, and the 1-Mbit
-    /// transfer time its mean is taken over.
-    fn comm_terms(
-        net: &Network,
-        from: ServerId,
-        to: ServerId,
-        links: &[LinkId],
-        unit: Seconds,
-    ) -> [u64; 3] {
-        let mut bw_term = 0.0;
-        let mut fixed_term = 0.0;
-        for &l in links {
-            bw_term += 1.0 / net.link(l).speed.value();
-            fixed_term += net.link(l).propagation.value();
-        }
-        if from != to && net.has_region_latency() {
-            fixed_term += net.server_region_latency(from, to).value();
-        }
-        [
-            bw_term.to_bits(),
-            fixed_term.to_bits(),
-            unit.value().to_bits(),
-        ]
-    }
-
-    /// The oracle's transfer time, with the arithmetic the table used
-    /// when every route was its own `Vec`.
-    fn oracle_transfer(
-        net: &Network,
-        from: ServerId,
-        to: ServerId,
-        links: &[LinkId],
-        size: Mbits,
-    ) -> Seconds {
-        let base: Seconds = links
-            .iter()
-            .map(|&l| size / net.link(l).speed + net.link(l).propagation)
-            .sum();
-        if net.has_region_latency() && from != to {
-            base + net.server_region_latency(from, to)
-        } else {
-            base
-        }
-    }
-
-    /// Assert the table equals the oracle on `net`: every route, every
-    /// transfer time, and every term `CommMatrix` derives, bit for bit.
+    /// Assert the table equals the oracle on `net`, route for route
+    /// and link for link.
     fn assert_matches_oracle(net: &Network, label: &str) {
         let rt = RoutingTable::new(net);
         let oracle = oracle_routes(net);
         let n = net.num_servers();
-        let (mut total, mut count) = ([0.0f64; 2], 0usize);
         for from in net.server_ids() {
             for to in net.server_ids() {
                 let want = oracle[from.index() * n + to.index()].as_deref();
                 let got = rt.path(from, to).map(|p| p.links());
                 assert_eq!(got, want, "{label}: route {from:?} → {to:?}");
-                let Some(links) = want else {
-                    assert!(rt.transfer_time(net, from, to, Mbits(1.0)).is_none());
-                    continue;
-                };
-                for size in [Mbits(1.0), Mbits(0.37)] {
-                    let got = rt.transfer_time(net, from, to, size).unwrap();
-                    let want = oracle_transfer(net, from, to, links, size);
-                    assert_eq!(got.value().to_bits(), want.value().to_bits(), "{label}");
-                }
-                let unit = rt.transfer_time(net, from, to, Mbits(1.0)).unwrap();
-                let oracle_unit = oracle_transfer(net, from, to, links, Mbits(1.0));
-                assert_eq!(
-                    comm_terms(net, from, to, rt.path(from, to).unwrap().links(), unit),
-                    comm_terms(net, from, to, links, oracle_unit),
-                    "{label}: comm terms {from:?} → {to:?}"
-                );
-                if from != to {
-                    total[0] += unit.value();
-                    total[1] += oracle_unit.value();
-                    count += 1;
-                }
             }
-        }
-        if count > 0 {
-            let mean = |t: f64| (t / count as f64).to_bits();
-            assert_eq!(
-                mean(total[0]),
-                mean(total[1]),
-                "{label}: mean unit transfer"
-            );
         }
         assert_eq!(rt.fully_connected(), oracle.iter().all(Option::is_some));
     }

@@ -567,10 +567,13 @@ pub(crate) fn run(
                                 bus_free + region.value()
                             }
                             _ => {
-                                // `RoutingTable::transfer_time` with each
-                                // link's transmission term stretched by
-                                // its current degradation factor (×1.0
-                                // when nominal — exact).
+                                // Table 1's per-link fold, `Σ (size /
+                                // speed + propagation)` along the route,
+                                // with each link's transmission term
+                                // stretched by its current degradation
+                                // factor (×1.0 when nominal — exact).
+                                // The `CommMatrix` cannot serve here:
+                                // it holds only per-pair sums.
                                 let path = problem
                                     .routing()
                                     .path(from, to)

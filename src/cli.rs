@@ -257,8 +257,9 @@ pub fn cmd_generate(args: &[String]) -> Result<String, CliError> {
                     .get(i + 1)
                     .ok_or_else(|| CliError::Usage("--ops needs a value".into()))?;
                 ops = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --ops value {v:?}")))?;
+                    .parse::<std::num::NonZeroUsize>()
+                    .map_err(|_| CliError::Usage(format!("bad --ops value {v:?} (need ≥ 1)")))?
+                    .get();
                 i += 2;
             }
             "--shape" => {
@@ -995,6 +996,15 @@ mod tests {
     fn generate_rejects_bad_shape() {
         let err = cmd_generate(&strs(&["--shape", "donut"])).unwrap_err();
         assert!(err.to_string().contains("unknown shape"));
+    }
+
+    #[test]
+    fn generate_rejects_zero_ops() {
+        for shape in ["line", "bushy"] {
+            let err = cmd_generate(&strs(&["--ops", "0", "--shape", shape])).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{shape}: {err}");
+            assert!(err.to_string().contains("--ops"), "{shape}: {err}");
+        }
     }
 
     #[test]
