@@ -52,7 +52,7 @@ use crate::fltr::FairLoadTieResolver;
 use crate::fltr2::FairLoadTieResolver2;
 use crate::holm::HeavyOpsLargeMsgs;
 use crate::line_line::LineLine;
-use crate::solve::{construction_steps, SolveCtx, SolveOutcome};
+use crate::solve::{construction_steps, SolveCtx, SolveOutcome, Termination};
 
 /// Per-source tallies from one blackboard solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,8 +79,6 @@ pub struct BlackboardStats {
     pub sources: Vec<SourceStats>,
 }
 
-/// Per-generation sweep cap for the improver sources.
-const IMPROVER_SWEEPS: usize = 50;
 /// Consecutive no-improvement generations before an improver is
 /// dominated (token cancelled, removed from the race).
 const DOMINATED_AFTER: u32 = 2;
@@ -110,18 +108,10 @@ impl Blackboard {
             Box::new(Constructive::new(FairLoadMergeMessages::new(self.seed))),
             Box::new(Constructive::new(HeavyOpsLargeMsgs)),
             Box::new(Constructive::new(LineLine::new())),
-            Box::new(Mover {
-                max_sweeps: IMPROVER_SWEEPS,
-            }),
-            Box::new(Swapper {
-                max_sweeps: IMPROVER_SWEEPS,
-            }),
-            Box::new(Repairer {
-                max_sweeps: IMPROVER_SWEEPS,
-            }),
-            Box::new(Router {
-                max_sweeps: IMPROVER_SWEEPS,
-            }),
+            Box::new(Mover),
+            Box::new(Swapper),
+            Box::new(Repairer),
+            Box::new(Router),
         ]
     }
 
@@ -396,14 +386,13 @@ pub fn race_sequential(
             all_ran = false;
             break;
         }
-        match Constructive::new(algo).propose_impl(problem, ctx) {
-            Ok(Some(p)) => {
-                all_converged &= p.completed;
-                if best.as_ref().map(|(_, c)| p.cost < *c).unwrap_or(true) {
-                    best = Some((p.mapping, p.cost));
+        match algo.solve(problem, ctx) {
+            Ok(out) => {
+                all_converged &= out.termination == Termination::Converged;
+                if best.as_ref().map(|(_, c)| out.cost < *c).unwrap_or(true) {
+                    best = Some((out.mapping, out.cost));
                 }
             }
-            Ok(None) => {}
             // A failing member is skipped — its error is only surfaced
             // if no member succeeds at all.
             Err(e) => last_err = Some(e),
@@ -418,7 +407,6 @@ pub fn race_sequential(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::Termination;
     use wsflow_cost::Evaluator;
     use wsflow_model::MbitsPerSec;
     use wsflow_net::ServerId;
@@ -544,7 +532,7 @@ mod tests {
         let roster: Vec<Box<dyn KnowledgeSource>> = vec![
             Box::new(Constructive::new(FairLoad)),
             Box::new(Stubborn),
-            Box::new(Mover { max_sweeps: 50 }),
+            Box::new(Mover),
         ];
         let (out, stats) = bb
             .solve_over(&p, &mut SolveCtx::unlimited(), roster)

@@ -12,8 +12,11 @@ use wsflow_model::OpId;
 use wsflow_net::ServerId;
 
 use crate::algorithm::{DeployError, DeploymentAlgorithm};
-use crate::refine::{hill_climb_ctx, repair_ops_ctx, swap_refine_ctx};
+use crate::refine::{hill_climb_ctx, swap_refine_ctx};
 use crate::solve::{SolveCtx, Termination};
+
+/// Per-generation sweep cap for the improver sources.
+const IMPROVER_SWEEPS: usize = 50;
 
 /// What role a source plays in the blackboard's two phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,22 +85,6 @@ impl<A: DeploymentAlgorithm> Constructive<A> {
     pub fn new(algo: A) -> Self {
         Self { algo }
     }
-
-    /// The wrapped algorithm's solve as a proposal. Inherent (not just
-    /// the trait method) so the sequential portfolio race can drive
-    /// non-`Sync` members through the same code path.
-    pub(crate) fn propose_impl(
-        &self,
-        problem: &Problem,
-        ctx: &mut SolveCtx<'_>,
-    ) -> Result<Option<Proposal>, DeployError> {
-        let out = self.algo.solve(problem, ctx)?;
-        Ok(Some(Proposal {
-            completed: out.termination == Termination::Converged,
-            mapping: out.mapping,
-            cost: out.cost,
-        }))
-    }
 }
 
 impl<A: DeploymentAlgorithm + Send + Sync> KnowledgeSource for Constructive<A> {
@@ -115,17 +102,20 @@ impl<A: DeploymentAlgorithm + Send + Sync> KnowledgeSource for Constructive<A> {
         _incumbent: Option<(&Mapping, f64)>,
         ctx: &mut SolveCtx<'_>,
     ) -> Result<Option<Proposal>, DeployError> {
-        self.propose_impl(problem, ctx)
+        let out = self.algo.solve(problem, ctx)?;
+        Ok(Some(Proposal {
+            completed: out.termination == Termination::Converged,
+            mapping: out.mapping,
+            cost: out.cost,
+        }))
     }
 }
 
-/// First-improvement single-operation mover over the incumbent
-/// (`refine::hill_climb_ctx`).
+/// First-improvement single-operation mover over the incumbent:
+/// `refine::hill_climb_ctx` over every op, up to `IMPROVER_SWEEPS`
+/// sweeps per generation.
 #[derive(Debug, Clone)]
-pub struct Mover {
-    /// Upper bound on full improvement sweeps per generation.
-    pub max_sweeps: usize,
-}
+pub struct Mover;
 
 impl KnowledgeSource for Mover {
     fn name(&self) -> &str {
@@ -145,8 +135,9 @@ impl KnowledgeSource for Mover {
         let Some((mapping, _)) = incumbent else {
             return Ok(None);
         };
+        let ops: Vec<OpId> = problem.workflow().op_ids().collect();
         let (mapping, cost, completed) =
-            hill_climb_ctx(problem, mapping.clone(), self.max_sweeps, ctx);
+            hill_climb_ctx(problem, mapping.clone(), &ops, IMPROVER_SWEEPS, ctx);
         Ok(Some(Proposal {
             mapping,
             cost,
@@ -156,13 +147,11 @@ impl KnowledgeSource for Mover {
 }
 
 /// First-improvement pair swapper over the incumbent
-/// (`refine::swap_refine_ctx`): explores fairness-preserving
-/// rearrangements single moves cannot reach.
+/// (`refine::swap_refine_ctx`, up to `IMPROVER_SWEEPS` sweeps per
+/// generation): explores fairness-preserving rearrangements single
+/// moves cannot reach.
 #[derive(Debug, Clone)]
-pub struct Swapper {
-    /// Upper bound on full improvement sweeps per generation.
-    pub max_sweeps: usize,
-}
+pub struct Swapper;
 
 impl KnowledgeSource for Swapper {
     fn name(&self) -> &str {
@@ -183,7 +172,7 @@ impl KnowledgeSource for Swapper {
             return Ok(None);
         };
         let (mapping, cost, completed) =
-            swap_refine_ctx(problem, mapping.clone(), self.max_sweeps, ctx);
+            swap_refine_ctx(problem, mapping.clone(), IMPROVER_SWEEPS, ctx);
         Ok(Some(Proposal {
             mapping,
             cost,
@@ -192,15 +181,32 @@ impl KnowledgeSource for Swapper {
     }
 }
 
-/// Hotspot repairer: the localized-fault kernel shared with
-/// `wsflow-dyn` (`refine::repair_ops_ctx`), aimed at the most loaded
-/// server of the incumbent. Keeping this source on the dynamic
-/// controller's exact sweep order is what lets the same machinery later
-/// drive migration-aware re-deployment.
+/// Hotspot repairer: `refine::hill_climb_ctx` restricted to the ops of
+/// the incumbent's most loaded server, up to `IMPROVER_SWEEPS` sweeps
+/// per generation — the kernel `wsflow-dyn`'s localized repair runs
+/// over the ops a fault touches.
 #[derive(Debug, Clone)]
-pub struct Repairer {
-    /// Upper bound on restricted sweeps per generation.
-    pub max_sweeps: usize,
+pub struct Repairer;
+
+impl Repairer {
+    /// The ops on `mapping`'s most loaded server (ties to the smallest
+    /// server id, so the choice is canonical), in ascending op order.
+    pub(crate) fn hot_ops(problem: &Problem, mapping: &Mapping) -> Vec<OpId> {
+        let delta = DeltaEvaluator::new(problem, mapping.clone());
+        let mut hot = ServerId::new(0);
+        let mut hot_load = f64::NEG_INFINITY;
+        for (s, load) in delta.loads().iter().enumerate() {
+            if load.value() > hot_load {
+                hot_load = load.value();
+                hot = ServerId::new(s as u32);
+            }
+        }
+        problem
+            .workflow()
+            .op_ids()
+            .filter(|&o| mapping.server_of(o) == hot)
+            .collect()
+    }
 }
 
 impl KnowledgeSource for Repairer {
@@ -221,22 +227,8 @@ impl KnowledgeSource for Repairer {
         let Some((mapping, cost)) = incumbent else {
             return Ok(None);
         };
-        // The hottest server (ties to the smallest id, so the choice is
-        // canonical) is the localized "fault" to repair around.
-        let delta = DeltaEvaluator::new(problem, mapping.clone());
-        let loads = delta.loads();
-        let mut hot = ServerId::new(0);
-        let mut hot_load = f64::NEG_INFINITY;
-        for (s, load) in loads.iter().enumerate() {
-            if load.value() > hot_load {
-                hot_load = load.value();
-                hot = ServerId::new(s as u32);
-            }
-        }
-        let ops: Vec<OpId> = (0..problem.num_ops())
-            .map(OpId::from)
-            .filter(|&o| mapping.server_of(o) == hot)
-            .collect();
+        // The hottest server is the localized "fault" to repair around.
+        let ops = Self::hot_ops(problem, mapping);
         if ops.is_empty() {
             return Ok(Some(Proposal {
                 mapping: mapping.clone(),
@@ -244,11 +236,11 @@ impl KnowledgeSource for Repairer {
                 completed: true,
             }));
         }
-        let (mapping, breakdown, completed) =
-            repair_ops_ctx(problem, mapping.clone(), &ops, self.max_sweeps, ctx);
+        let (mapping, cost, completed) =
+            hill_climb_ctx(problem, mapping.clone(), &ops, IMPROVER_SWEEPS, ctx);
         Ok(Some(Proposal {
             mapping,
-            cost: breakdown.combined.value(),
+            cost,
             completed,
         }))
     }
@@ -259,12 +251,10 @@ impl KnowledgeSource for Repairer {
 /// the problem's `CommMatrix` prices them) and tries to re-home the
 /// endpoints of the costliest ones — onto each other's server, or onto
 /// any intermediate server along the route.
-/// First-improvement throughout, one probe per logical step.
+/// First-improvement throughout, one probe per logical step, up to
+/// `IMPROVER_SWEEPS` ranking/re-homing sweeps per generation.
 #[derive(Debug, Clone)]
-pub struct Router {
-    /// Upper bound on full ranking/re-homing sweeps per generation.
-    pub max_sweeps: usize,
-}
+pub struct Router;
 
 impl KnowledgeSource for Router {
     fn name(&self) -> &str {
@@ -291,7 +281,7 @@ impl KnowledgeSource for Router {
         let mut delta = DeltaEvaluator::new(problem, start.clone());
         let mut cost = delta.cost().combined.value();
         let mut completed = true;
-        'sweeps: for _ in 0..self.max_sweeps {
+        'sweeps: for _ in 0..IMPROVER_SWEEPS {
             // Rank cross-server messages by routed transfer time,
             // descending; ties break on message index so the order is a
             // pure function of the current mapping.
@@ -332,10 +322,10 @@ impl KnowledgeSource for Router {
                         completed = false;
                         break 'sweeps;
                     }
-                    let p = delta.probe_move(op, server);
-                    if p.improves(cost) {
+                    let c = delta.probe(op, server).combined.value();
+                    if c < cost {
                         delta.apply(op, server);
-                        cost = p.cost.combined.value();
+                        cost = c;
                         improved = true;
                         continue 'msgs; // first improvement per message
                     }

@@ -74,7 +74,8 @@ impl<A: DeploymentAlgorithm> DeploymentAlgorithm for ElasticProvision<A> {
         'servers: for &(_, sid) in &candidates {
             let server = ServerId::new(sid);
             let residents: Vec<OpId> = delta.mapping().ops_on(server);
-            if residents.is_empty() {
+            // A lone server has no other server to evacuate to.
+            if residents.is_empty() || n < 2 {
                 continue;
             }
             // Tentatively relocate every resident to its best probe
@@ -100,7 +101,7 @@ impl<A: DeploymentAlgorithm> DeploymentAlgorithm for ElasticProvision<A> {
                         best = Some((c, target));
                     }
                 }
-                let (_, target) = best.expect("networks have at least two servers to evacuate to");
+                let (_, target) = best.expect("n ≥ 2 leaves a target besides `server`");
                 delta.apply(op, target);
                 moved.push((op, target));
             }
@@ -125,8 +126,14 @@ mod tests {
     use wsflow_cost::{CostWeights, Evaluator, Mapping};
     use wsflow_model::{DollarsPerHour, MCycles, Mbits, MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::{bus, homogeneous_servers};
+    use wsflow_net::{Network, TopologyKind};
 
     fn priced_problem(money_weight: f64) -> Problem {
+        priced_on(&[0.2, 0.4, 3.0, 9.0], money_weight)
+    }
+
+    /// The 6-op line on a bus of one server per price.
+    fn priced_on(prices: &[f64], money_weight: f64) -> Problem {
         let mut b = WorkflowBuilder::new("w");
         b.line(
             "o",
@@ -140,8 +147,14 @@ mod tests {
             ],
             Mbits(0.05),
         );
-        let mut net = bus("n", homogeneous_servers(4, 1.0), MbitsPerSec(100.0)).unwrap();
-        for (i, price) in [0.2, 0.4, 3.0, 9.0].into_iter().enumerate() {
+        let servers = homogeneous_servers(prices.len(), 1.0);
+        // `bus` needs two servers; a lone server has no link to list.
+        let mut net = if prices.len() == 1 {
+            Network::new("n", servers, Vec::new(), TopologyKind::Bus).unwrap()
+        } else {
+            bus("n", servers, MbitsPerSec(100.0)).unwrap()
+        };
+        for (i, &price) in prices.iter().enumerate() {
             net.set_server_price(ServerId::new(i as u32), DollarsPerHour(price))
                 .unwrap();
         }
@@ -184,6 +197,14 @@ mod tests {
         );
         // The $9/h machine in particular must be vacated.
         assert!(elastic.ops_on(ServerId::new(3)).is_empty());
+    }
+
+    #[test]
+    fn one_priced_server_keeps_every_op() {
+        let p = priced_on(&[2.0], 100.0);
+        let elastic = ElasticProvision::new(FairLoad).deploy(&p).unwrap();
+        assert_eq!(occupied(&elastic, 1), 1);
+        assert_eq!(elastic, FairLoad.deploy(&p).unwrap());
     }
 
     #[test]

@@ -67,8 +67,7 @@ pub use multi::{deploy_joint_fair, deploy_sequential, MultiCost, MultiProblem};
 pub use partition::{partition_ops, Partition};
 pub use portfolio::Portfolio;
 pub use refine::{
-    hill_climb_ctx, hill_climb_from, refine_moves_and_swaps, repair_ops_ctx, swap_refine_ctx,
-    swap_refine_from, HillClimb, SimulatedAnnealing,
+    hill_climb_ctx, moves_and_swaps_ctx, swap_refine_ctx, HillClimb, SimulatedAnnealing,
 };
 pub use solve::{CancelToken, SolveCtx, SolveOutcome, Termination, TrajectoryPoint};
 pub use view::{InstanceView, MsgView};

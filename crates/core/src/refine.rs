@@ -6,6 +6,22 @@
 //! question — how far from locally optimal are the greedy mappings? —
 //! and the harness uses them as an upper-bound reference in the quality
 //! study.
+//!
+//! Every first-improvement refinement in the workspace runs on one of
+//! three budgeted kernels over a [`DeltaEvaluator`]:
+//!
+//! * [`hill_climb_ctx`] — single-operation move sweeps over an op list.
+//!   [`HillClimb`] and the blackboard's Mover pass every op; the
+//!   blackboard's Repairer and `wsflow-dyn`'s localized repair pass the
+//!   ops around a fault.
+//! * [`swap_refine_ctx`] — pair-swap sweeps (the blackboard's Swapper).
+//! * [`moves_and_swaps_ctx`] — the two alternated to a combined local
+//!   optimum (`wsflow-dyn`'s whole-placement repair).
+//!
+//! Each charges one logical step per evaluator probe against a
+//! [`SolveCtx`], offers every improvement to it, and returns the final
+//! mapping, its combined cost, and whether it ran to convergence.
+//! Unbudgeted callers pass `&mut SolveCtx::unlimited()`.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -34,26 +50,19 @@ impl<A> HillClimb<A> {
     }
 }
 
-/// Run hill climbing from an explicit starting mapping; returns the
-/// refined mapping and its combined cost.
+/// Budgeted first-improvement move sweeps: each sweep tries, for every
+/// op of `ops` in order, every other server in id order, and keeps the
+/// first move that lowers the combined cost. Sweeps repeat until one
+/// finds nothing or `max_sweeps` have run.
 ///
-/// Unbudgeted convenience wrapper over [`hill_climb_ctx`].
-pub fn hill_climb_from(problem: &Problem, start: Mapping, max_sweeps: usize) -> (Mapping, f64) {
-    let (mapping, cost, _) = hill_climb_ctx(problem, start, max_sweeps, &mut SolveCtx::unlimited());
-    (mapping, cost)
-}
-
-/// Budgeted hill climbing: charges one logical step per evaluator probe
-/// against `ctx` and stops mid-sweep the moment the budget runs out (or
-/// the token fires), returning the refined-so-far state. The third
-/// return value is `false` iff the climb was cut short.
-///
-/// Under an unlimited context the trajectory is exactly the classic
-/// [`hill_climb_from`] — the budget check never fires and charging does
-/// not touch the search state.
+/// Each evaluator probe charges one logical step against `ctx`; the
+/// climb stops mid-sweep the moment the budget runs out (or the token
+/// fires) and returns the refined-so-far state with the third value
+/// `false`. The start and every improvement are offered to `ctx`.
 pub fn hill_climb_ctx(
     problem: &Problem,
     start: Mapping,
+    ops: &[OpId],
     max_sweeps: usize,
     ctx: &mut SolveCtx<'_>,
 ) -> (Mapping, f64, bool) {
@@ -67,8 +76,7 @@ pub fn hill_climb_ctx(
     let n = problem.num_servers() as u32;
     for _ in 0..max_sweeps {
         let mut improved = false;
-        for op_idx in 0..problem.num_ops() {
-            let op = OpId::from(op_idx);
+        for &op in ops {
             let original = delta.mapping().server_of(op);
             for s in 0..n {
                 let server = ServerId::new(s);
@@ -109,28 +117,19 @@ impl<A: DeploymentAlgorithm> DeploymentAlgorithm for HillClimb<A> {
         // The inner construction charges its own steps against the same
         // context; the climb then spends whatever budget remains.
         let start = self.inner.solve(problem, ctx)?.mapping;
-        let (mapping, cost, finished) = hill_climb_ctx(problem, start, HILL_CLIMB_SWEEPS, ctx);
+        let ops: Vec<OpId> = problem.workflow().op_ids().collect();
+        let (mapping, cost, finished) =
+            hill_climb_ctx(problem, start, &ops, HILL_CLIMB_SWEEPS, ctx);
         Ok(ctx.finish(mark, mapping, cost, finished))
     }
 }
 
-/// First-improvement hill climbing over the *swap* neighbourhood:
-/// exchange the servers of two operations. Swaps preserve each server's
-/// operation count, so they explore fairness-preserving rearrangements
-/// that single moves cannot reach without passing through imbalanced
-/// states. Returns the refined mapping and its combined cost.
-///
-/// Unbudgeted convenience wrapper over [`swap_refine_ctx`].
-pub fn swap_refine_from(problem: &Problem, start: Mapping, max_sweeps: usize) -> (Mapping, f64) {
-    let (mapping, cost, _) =
-        swap_refine_ctx(problem, start, max_sweeps, &mut SolveCtx::unlimited());
-    (mapping, cost)
-}
-
-/// Budgeted swap refinement: one logical step per candidate pair
-/// evaluated, stopping mid-sweep on exhaustion (third return value
-/// `false`). Identical to [`swap_refine_from`] under an unlimited
-/// context.
+/// Budgeted first-improvement hill climbing over the *swap*
+/// neighbourhood: exchange the servers of two operations. Swaps preserve
+/// each server's operation count, so they explore fairness-preserving
+/// rearrangements that single moves cannot reach without passing through
+/// imbalanced states. One logical step per candidate pair evaluated;
+/// stops mid-sweep on exhaustion (third return value `false`).
 pub fn swap_refine_ctx(
     problem: &Problem,
     start: Mapping,
@@ -174,76 +173,37 @@ pub fn swap_refine_ctx(
     (delta.mapping().clone(), cost, true)
 }
 
-/// Budgeted first-improvement move sweeps restricted to `ops`.
-///
-/// This is the localized-fault repair kernel shared with `wsflow-dyn`:
-/// only the listed operations are considered for relocation, each
-/// evaluator probe charges one logical step against `ctx`, and the
-/// sweep loop stops the moment a full pass finds nothing (or the budget
-/// runs out — third return value `false`). Unlike the full refiners it
-/// does *not* offer intermediate incumbents: callers decide whether the
-/// repaired mapping is worth publishing.
-pub fn repair_ops_ctx(
+/// Budgeted move/swap alternation: a full [`hill_climb_ctx`] then a
+/// [`swap_refine_ctx`], `max_sweeps` sweeps each, repeated until a round
+/// no longer lowers the cost or `max_sweeps` rounds have run (always at
+/// least one). Swaps escape the move-only local optima that drifted
+/// placements tend to sit in. Stops at the first kernel the budget cuts
+/// short (third return value `false`).
+pub fn moves_and_swaps_ctx(
     problem: &Problem,
     start: Mapping,
-    ops: &[OpId],
     max_sweeps: usize,
     ctx: &mut SolveCtx<'_>,
-) -> (Mapping, wsflow_cost::CostBreakdown, bool) {
-    let mut delta = DeltaEvaluator::new(problem, start);
-    let mut cost = delta.cost().combined.value();
-    let n = problem.num_servers() as u32;
-    let mut completed = true;
-    'sweeps: for _ in 0..max_sweeps {
-        let mut improved = false;
-        for &op in ops {
-            let original = delta.mapping().server_of(op);
-            for s in 0..n {
-                let server = ServerId::new(s);
-                if server == original {
-                    continue;
-                }
-                if !ctx.try_charge(1) {
-                    completed = false;
-                    break 'sweeps;
-                }
-                let c = delta.probe(op, server).combined.value();
-                if c < cost {
-                    delta.apply(op, server);
-                    cost = c;
-                    improved = true;
-                    break;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    (delta.mapping().clone(), delta.cost(), completed)
-}
-
-/// Moves + swaps: alternate the two neighbourhoods to a combined local
-/// optimum.
-pub fn refine_moves_and_swaps(
-    problem: &Problem,
-    start: Mapping,
-    max_rounds: usize,
-) -> (Mapping, f64) {
-    let mut current = start;
+) -> (Mapping, f64, bool) {
+    let ops: Vec<OpId> = problem.workflow().op_ids().collect();
+    let mut mapping = start;
     let mut cost = f64::INFINITY;
-    for _ in 0..max_rounds {
-        let (after_moves, c1) = hill_climb_from(problem, current, 50);
-        let (after_swaps, c2) = swap_refine_from(problem, after_moves, 50);
-        current = after_swaps;
-        if c2 >= cost - 1e-15 {
-            cost = c2.min(cost);
-            break;
+    let mut rounds = 0;
+    loop {
+        let (m1, _, f1) = hill_climb_ctx(problem, mapping, &ops, max_sweeps, ctx);
+        // Swaps start from the moves' cost and only accept
+        // improvements, so `c2` never exceeds it.
+        let (m2, c2, f2) = swap_refine_ctx(problem, m1, max_sweeps, ctx);
+        mapping = m2;
+        if !(f1 && f2) {
+            return (mapping, c2, false);
+        }
+        rounds += 1;
+        if c2 >= cost || rounds >= max_sweeps {
+            return (mapping, c2, true);
         }
         cost = c2;
-        let _ = c1;
     }
-    (current, cost)
 }
 
 /// Number of [`SimulatedAnnealing`] proposal steps.
@@ -338,6 +298,10 @@ mod tests {
     use wsflow_model::{MCycles, Mbits, MbitsPerSec, WorkflowBuilder};
     use wsflow_net::topology::{bus, homogeneous_servers};
 
+    fn all_ops(p: &Problem) -> Vec<OpId> {
+        p.workflow().op_ids().collect()
+    }
+
     fn problem() -> Problem {
         let mut b = WorkflowBuilder::new("w");
         b.line(
@@ -361,13 +325,15 @@ mod tests {
         let mut ev = Evaluator::new(&p);
         let start = RandomMapping::new(11).deploy(&p).unwrap();
         let start_cost = ev.combined(&start).value();
-        let (refined, cost) = hill_climb_from(&p, start, 50);
+        let (refined, cost, done) =
+            hill_climb_ctx(&p, start, &all_ops(&p), 50, &mut SolveCtx::unlimited());
+        assert!(done);
         assert!(cost <= start_cost + 1e-12);
         assert!((ev.combined(&refined).value() - cost).abs() < 1e-12);
     }
 
     #[test]
-    fn hill_climb_from_fair_load_reaches_local_optimum() {
+    fn hill_climb_of_fair_load_reaches_local_optimum() {
         let p = problem();
         let refined = HillClimb::new(FairLoad).deploy(&p).unwrap();
         // Verify no single move improves.
@@ -392,7 +358,7 @@ mod tests {
         let best = (0..10)
             .map(|seed| {
                 let start = RandomMapping::new(seed).deploy(&p).unwrap();
-                hill_climb_from(&p, start, 50).1
+                hill_climb_ctx(&p, start, &all_ops(&p), 50, &mut SolveCtx::unlimited()).1
             })
             .fold(f64::INFINITY, f64::min);
         assert!(
@@ -402,11 +368,12 @@ mod tests {
     }
 
     /// The pre-delta hill climber: the same first-improvement trajectory
-    /// as [`hill_climb_ctx`], but every probe pays a full-mapping
-    /// `Evaluator` pass.
+    /// as [`hill_climb_ctx`] over the same op list, but every probe pays
+    /// a full-mapping `Evaluator` pass.
     fn hill_climb_full_eval(
         problem: &Problem,
         start: Mapping,
+        ops: &[OpId],
         max_sweeps: usize,
     ) -> (Mapping, f64) {
         let mut ev = Evaluator::new(problem);
@@ -415,8 +382,7 @@ mod tests {
         let n = problem.num_servers() as u32;
         for _ in 0..max_sweeps {
             let mut improved = false;
-            for op_idx in 0..problem.num_ops() {
-                let op = OpId::from(op_idx);
+            for &op in ops {
                 let original = mapping.server_of(op);
                 for s in 0..n {
                     let server = ServerId::new(s);
@@ -442,7 +408,9 @@ mod tests {
 
     /// Delta-evaluated probes are bit-identical to full evaluation, so
     /// the delta climber follows the full-evaluation trajectory to the
-    /// same local optimum and the same cost bits.
+    /// same local optimum and the same cost bits — over every op, and
+    /// over the Repairer's hotspot ops in either order, so a kernel that
+    /// ignores or reorders its op list diverges from the oracle.
     #[test]
     fn delta_hill_climb_matches_full_evaluation_trajectory() {
         use wsflow_workload::{generate, Configuration, ExperimentClass, GraphClass};
@@ -455,10 +423,22 @@ mod tests {
         );
         let p = Problem::new(s.workflow, s.network).unwrap();
         let start = crate::baselines::RoundRobin.deploy(&p).unwrap();
-        let (m_delta, c_delta) = hill_climb_from(&p, start.clone(), 50);
-        let (m_full, c_full) = hill_climb_full_eval(&p, start, 50);
-        assert_eq!(m_delta, m_full);
-        assert_eq!(c_delta.to_bits(), c_full.to_bits());
+        let hot = crate::blackboard::Repairer::hot_ops(&p, &start);
+        let reversed: Vec<OpId> = hot.iter().rev().copied().collect();
+        let mut optima = Vec::new();
+        for ops in [all_ops(&p), hot, reversed] {
+            let (m_delta, c_delta, done) =
+                hill_climb_ctx(&p, start.clone(), &ops, 50, &mut SolveCtx::unlimited());
+            let (m_full, c_full) = hill_climb_full_eval(&p, start.clone(), &ops, 50);
+            assert!(done);
+            assert_eq!(m_delta, m_full, "{} ops", ops.len());
+            assert_eq!(c_delta.to_bits(), c_full.to_bits(), "{} ops", ops.len());
+            optima.push(m_delta);
+        }
+        // The three lists must lead to three different optima, or the
+        // test could not tell them apart.
+        assert_ne!(optima[0], optima[1]);
+        assert_ne!(optima[1], optima[2]);
     }
 
     #[test]
@@ -473,7 +453,7 @@ mod tests {
                 .collect()
         };
         let start_counts = counts_of(&start);
-        let (refined, cost) = swap_refine_from(&p, start, 50);
+        let (refined, cost, _) = swap_refine_ctx(&p, start, 50, &mut SolveCtx::unlimited());
         assert!(cost <= start_cost + 1e-12);
         assert_eq!(counts_of(&refined), start_counts, "swaps preserve counts");
     }
@@ -482,9 +462,15 @@ mod tests {
     fn combined_refinement_at_least_as_good_as_either() {
         let p = problem();
         let start = RandomMapping::new(5).deploy(&p).unwrap();
-        let (_, c_moves) = hill_climb_from(&p, start.clone(), 50);
-        let (_, c_swaps) = swap_refine_from(&p, start.clone(), 50);
-        let (_, c_both) = refine_moves_and_swaps(&p, start, 10);
+        let unlimited = &mut SolveCtx::unlimited();
+        let (_, c_moves, _) = hill_climb_ctx(&p, start.clone(), &all_ops(&p), 50, unlimited);
+        let (_, c_swaps, _) = swap_refine_ctx(&p, start.clone(), 50, unlimited);
+        let (m_both, c_both, done) = moves_and_swaps_ctx(&p, start, 10, unlimited);
+        assert!(done);
+        assert_eq!(
+            c_both.to_bits(),
+            Evaluator::new(&p).combined(&m_both).value().to_bits()
+        );
         assert!(c_both <= c_moves + 1e-12);
         assert!(c_both <= c_swaps + 1e-12);
     }

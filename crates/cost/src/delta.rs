@@ -54,26 +54,6 @@ struct DeltaStats {
     undo_depth: wsflow_obs::LocalHistogram,
 }
 
-/// A probed single-operation move: reassign `op` to `server` for a
-/// post-move cost of `cost`. Produced by [`DeltaEvaluator::probe_move`]
-/// and friends; committing it is `delta.apply(p.op, p.server)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MoveProposal {
-    /// The operation to reassign.
-    pub op: OpId,
-    /// The target server.
-    pub server: ServerId,
-    /// The full cost breakdown the mapping would have after the move.
-    pub cost: CostBreakdown,
-}
-
-impl MoveProposal {
-    /// Does this move strictly improve on a combined cost of `current`?
-    pub fn improves(&self, current: f64) -> bool {
-        self.cost.combined.value() < current
-    }
-}
-
 /// Incremental evaluator maintaining the cost of a mutable mapping.
 ///
 /// ```
@@ -197,27 +177,6 @@ impl<'p> DeltaEvaluator<'p> {
         &self.loads
     }
 
-    /// Number of neighbour costs computed via [`Self::probe`] so far.
-    ///
-    /// Probes are the logical-step currency of the anytime solver layer
-    /// (`wsflow-core`'s `SolveCtx`): budgeted local searches charge one
-    /// step per probe, and this accessor lets callers reconcile their
-    /// own step accounting against the evaluator's.
-    pub fn probes(&self) -> u64 {
-        self.stats.probes
-    }
-
-    /// Number of moves committed via [`Self::apply`] so far.
-    pub fn applies(&self) -> u64 {
-        self.stats.applies
-    }
-
-    /// Replace the mapping wholesale and re-evaluate from scratch.
-    pub fn reset(&mut self, mapping: Mapping) {
-        self.mapping = mapping;
-        self.recompute_all();
-    }
-
     /// Reassign `op` to `server` and return the updated cost.
     ///
     /// No-op (returns the cached cost) if `op` is already there.
@@ -318,19 +277,6 @@ impl<'p> DeltaEvaluator<'p> {
         self.undo = undo;
         self.mapping.assign(op, old);
         probed
-    }
-
-    /// Probe `op → server` and package the result as a [`MoveProposal`]
-    /// — the currency knowledge sources post on the blackboard.
-    ///
-    /// Exactly one [`Self::probe`] (one logical step in the anytime
-    /// layer's accounting); the state is untouched afterwards.
-    pub fn probe_move(&mut self, op: OpId, server: ServerId) -> MoveProposal {
-        MoveProposal {
-            op,
-            server,
-            cost: self.probe(op, server),
-        }
     }
 
     /// Full from-scratch recompute of finish times, loads, and cost.
@@ -713,34 +659,6 @@ mod tests {
                 "combined diverged at step {step}"
             );
         }
-    }
-
-    #[test]
-    fn reset_reevaluates_from_scratch() {
-        let p = branchy_problem(3);
-        let mut ev = Evaluator::new(&p);
-        let mut delta = DeltaEvaluator::new(&p, Mapping::all_on(p.num_ops(), ServerId::new(0)));
-        let m = Mapping::from_fn(p.num_ops(), |o| ServerId::new((o.0 + 1) % 3));
-        delta.reset(m.clone());
-        let want = ev.evaluate(&m);
-        assert_eq!(
-            delta.cost().combined.value().to_bits(),
-            want.combined.value().to_bits()
-        );
-    }
-
-    #[test]
-    fn probe_move_carries_the_probed_cost() {
-        let p = branchy_problem(3);
-        let mut delta = DeltaEvaluator::new(&p, Mapping::all_on(p.num_ops(), ServerId::new(0)));
-        let proposal = delta.probe_move(OpId(1), ServerId::new(2));
-        assert_eq!(proposal.op, OpId(1));
-        assert_eq!(proposal.server, ServerId::new(2));
-        let direct = delta.probe(OpId(1), ServerId::new(2));
-        assert_eq!(
-            proposal.cost.combined.value().to_bits(),
-            direct.combined.value().to_bits()
-        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod reference;
 pub use comm::{network_traffic, CommMatrix};
 pub use constraints::{ConstraintViolation, UserConstraints};
 pub use critical_path::{critical_path, CriticalPath, CriticalStep};
-pub use delta::{DeltaEvaluator, MoveProposal};
+pub use delta::DeltaEvaluator;
 pub use dot::deployment_dot;
 pub use evaluator::Evaluator;
 pub use load::{effective_cycles, ideal_cycles};

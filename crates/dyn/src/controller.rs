@@ -18,9 +18,7 @@
 //! `wsflow-obs` histograms, which never enter CSVs).
 
 use wsflow_core::{DeploymentAlgorithm, SolveCtx, Termination};
-use wsflow_cost::{
-    plan_migration, CostBreakdown, DeltaEvaluator, Evaluator, Mapping, MigrationModel, Problem,
-};
+use wsflow_cost::{plan_migration, CostBreakdown, Evaluator, Mapping, MigrationModel, Problem};
 use wsflow_model::units::{Mbits, Seconds};
 use wsflow_model::{OpId, Workflow};
 use wsflow_net::dynamics::{EnvEvent, EnvState, TimedEvent, Timeline};
@@ -28,7 +26,8 @@ use wsflow_net::Network;
 
 use crate::policy::Policy;
 
-/// Controller parameters.
+/// Controller parameters. Repairs run at most `REPAIR_SWEEPS` (10)
+/// sweeps per batch, within `resolve_budget`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynConfig {
     /// Seed forwarded to the portfolio's randomised members.
@@ -41,8 +40,6 @@ pub struct DynConfig {
     /// The deployment counts as recovered when its combined cost is
     /// within `recover_band ×` the nominal cost.
     pub recover_band: f64,
-    /// Upper bound on repair improvement sweeps per batch.
-    pub max_sweeps: usize,
     /// Per-batch logical-step budget for each re-solve / repair search
     /// (`None` = unlimited). Bounds the re-deployment latency per fault
     /// deterministically; exhausted searches still return their best
@@ -57,7 +54,6 @@ impl Default for DynConfig {
             migration: MigrationModel::default(),
             threshold: 1.25,
             recover_band: 1.05,
-            max_sweeps: 10,
             resolve_budget: None,
         }
     }
@@ -155,47 +151,30 @@ fn affected_ops(batch: &[TimedEvent], problem: &Problem, mapping: &Mapping) -> O
     Some(ops)
 }
 
-/// Repair the incumbent. With `Some(ops)` — a localized fault — run
-/// first-improvement `DeltaEvaluator` move sweeps restricted to those
-/// operations until a sweep finds nothing. With `None` — a restore
-/// re-opened the whole placement — alternate full move and swap sweeps
-/// (`wsflow_core::refine`) until neither improves: swaps escape the
-/// move-only local optima that drifted placements tend to sit in.
+/// Upper bound on repair sweeps (and on move/swap rounds) per batch.
+const REPAIR_SWEEPS: usize = 10;
+
+/// Repair the incumbent on `wsflow_core::refine`'s kernels. With
+/// `Some(ops)` — a localized fault — run first-improvement move sweeps
+/// restricted to those operations (`hill_climb_ctx`, the blackboard
+/// Repairer's kernel) until a sweep finds nothing. With `None` — a
+/// restore re-opened the whole placement — alternate full move and swap
+/// sweeps (`moves_and_swaps_ctx`) until neither improves.
 ///
 /// Every evaluator probe charges one logical step against `ctx`; when
 /// the budget runs out the repaired-so-far mapping is returned with the
-/// third element `false` (the repair did not run to convergence).
+/// third element `false` (the repair did not run to convergence). The
+/// second element is the returned mapping's combined cost.
 fn repair(
     problem: &Problem,
     start: Mapping,
     ops: Option<&[OpId]>,
-    max_sweeps: usize,
     ctx: &mut SolveCtx<'_>,
-) -> (Mapping, CostBreakdown, bool) {
-    let Some(ops) = ops else {
-        let mut mapping = start;
-        let mut cost = f64::INFINITY;
-        let mut completed = true;
-        for _ in 0..max_sweeps {
-            let (m1, c1, f1) = wsflow_core::hill_climb_ctx(problem, mapping, max_sweeps, ctx);
-            let (m2, c2, f2) = wsflow_core::swap_refine_ctx(problem, m1, max_sweeps, ctx);
-            mapping = m2;
-            if !(f1 && f2) {
-                completed = false;
-                break;
-            }
-            if c2 >= cost && c1 >= cost {
-                break;
-            }
-            cost = c2.min(c1);
-        }
-        let breakdown = DeltaEvaluator::new(problem, mapping.clone()).cost();
-        return (mapping, breakdown, completed);
-    };
-    // The restricted kernel lives in `wsflow_core::refine` so the
-    // blackboard's repairer source shares the exact sweep order (and
-    // thus the exact budget trajectory) with the dynamic controller.
-    wsflow_core::repair_ops_ctx(problem, start, ops, max_sweeps, ctx)
+) -> (Mapping, f64, bool) {
+    match ops {
+        Some(ops) => wsflow_core::hill_climb_ctx(problem, start, ops, REPAIR_SWEEPS, ctx),
+        None => wsflow_core::moves_and_swaps_ctx(problem, start, REPAIR_SWEEPS, ctx),
+    }
 }
 
 /// Run one policy over one timeline and report what happened.
@@ -299,16 +278,8 @@ pub fn run_policy(
             Policy::IncrementalRepair => {
                 let ops = affected_ops(batch, &eff, &current);
                 let reopened = ops.is_none();
-                let (m, c, completed) = repair(
-                    &eff,
-                    current.clone(),
-                    ops.as_deref(),
-                    cfg.max_sweeps,
-                    &mut ctx,
-                );
-                let m = if reopened
-                    && eval.evaluate(&nominal_best).combined.value() < c.combined.value()
-                {
+                let (m, c, completed) = repair(&eff, current.clone(), ops.as_deref(), &mut ctx);
+                let m = if reopened && eval.evaluate(&nominal_best).combined.value() < c {
                     nominal_best.clone()
                 } else {
                     m
@@ -319,9 +290,8 @@ pub fn run_policy(
                 if before.combined.value() > cfg.threshold * baseline {
                     // Drift may have accumulated over several tolerated
                     // batches, so the triggered repair opens every op.
-                    let (m, c, completed) =
-                        repair(&eff, current.clone(), None, cfg.max_sweeps, &mut ctx);
-                    let m = if eval.evaluate(&nominal_best).combined.value() < c.combined.value() {
+                    let (m, c, completed) = repair(&eff, current.clone(), None, &mut ctx);
+                    let m = if eval.evaluate(&nominal_best).combined.value() < c {
                         nominal_best.clone()
                     } else {
                         m

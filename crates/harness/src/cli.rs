@@ -46,7 +46,10 @@ pub fn parse(mut args: impl Iterator<Item = String>) -> Result<CliOptions, Strin
             "--quick" => quick = true,
             "--seeds" => {
                 let v = args.next().ok_or("--seeds needs a value")?;
-                seeds = Some(v.parse().map_err(|_| format!("bad --seeds value {v:?}"))?);
+                let n: std::num::NonZeroUsize = v
+                    .parse()
+                    .map_err(|_| format!("bad --seeds value {v:?} (need ≥ 1)"))?;
+                seeds = Some(n.get());
             }
             "--ops" => {
                 let v = args.next().ok_or("--ops needs a value")?;
@@ -205,6 +208,8 @@ mod tests {
         assert!(parse_vec(&["--workers", "3"]).is_err());
         assert!(parse_vec(&["--seeds"]).is_err());
         assert!(parse_vec(&["--seeds", "x"]).is_err());
+        // Zero seeds would write header-only CSVs and exit 0.
+        assert!(parse_vec(&["--seeds", "0"]).is_err());
         // A workflow needs at least one operation.
         assert!(parse_vec(&["--ops", "0"]).is_err());
         assert!(parse_vec(&["--quick", "--ops", "0"]).is_err());

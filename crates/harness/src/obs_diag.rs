@@ -14,7 +14,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use wsflow_core::{BranchAndBound, DeploymentAlgorithm, Exhaustive};
+use wsflow_core::{BranchAndBound, DeploymentAlgorithm, Exhaustive, SolveCtx};
 use wsflow_cost::{Mapping, Problem};
 use wsflow_model::{BlockSpec, MCycles, Mbits, MbitsPerSec};
 use wsflow_net::topology::{bus, homogeneous_servers};
@@ -65,7 +65,8 @@ pub fn spot_check(params: &Params) {
 
     // Refinement: delta-evaluated hill climb from the worst start.
     let start = Mapping::all_on(m, ServerId::new(0));
-    let _ = wsflow_core::refine::hill_climb_from(&problem, start, 4);
+    let ops: Vec<_> = problem.workflow().op_ids().collect();
+    let _ = wsflow_core::hill_climb_ctx(&problem, start, &ops, 4, &mut SolveCtx::unlimited());
 
     // Simulator under full contention: a collocated mapping exercises
     // the FIFO queue, a spread one the serialised bus.

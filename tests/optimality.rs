@@ -4,7 +4,7 @@
 //! baselines.
 
 use wsflow::core::registry::paper_bus_algorithms;
-use wsflow::core::{optimum, AllOnFastest, RandomMapping};
+use wsflow::core::{optimum, AllOnFastest, RandomMapping, SolveCtx};
 use wsflow::cost::reference::time_penalty;
 use wsflow::prelude::*;
 use wsflow::workload::{generate, Configuration, ExperimentClass, GraphClass};
@@ -114,7 +114,9 @@ fn hill_climb_dominates_its_seed_mapping() {
     for seed in 0..5 {
         let start = RandomMapping::new(seed).deploy(&problem).expect("ok");
         let start_cost = ev.combined(&start).value();
-        let (refined, refined_cost) = wsflow::core::hill_climb_from(&problem, start, 50);
+        let ops: Vec<_> = problem.workflow().op_ids().collect();
+        let (refined, refined_cost, _) =
+            wsflow::core::hill_climb_ctx(&problem, start, &ops, 50, &mut SolveCtx::unlimited());
         assert!(refined_cost <= start_cost + 1e-12);
         assert!((ev.combined(&refined).value() - refined_cost).abs() < 1e-12);
     }
