@@ -3,11 +3,19 @@
 //!
 //! The classic blackboard architecture (and its application to
 //! web-service workflow optimisation by Vorhemus & Schikuta,
-//! arXiv:1801.00322) runs independent *knowledge sources* — here the
-//! paper's constructive greedies, the delta-evaluator movers/swappers,
-//! the dynamic controller's hotspot repairer, and a Dijkstra-guided
-//! route improver — against one shared incumbent store. Any source may
-//! improve the board; none may regress it.
+//! arXiv:1801.00322) runs independent *knowledge sources* against one
+//! shared incumbent store. Any source may improve the board; none may
+//! regress it. The set is closed, ten sources in canonical order:
+//!
+//! * six *constructives* — the paper's five bus greedies plus
+//!   Line–Line, which fails (and is skipped) off a line network — each
+//!   run once through [`DeploymentAlgorithm::solve`] to seed the board;
+//! * four *improvers* — the delta-evaluator Mover and Swapper, the
+//!   dynamic controller's hotspot Repairer, and a Dijkstra-guided
+//!   Router — run every generation from the incumbent.
+//!
+//! A leave-one-out ablation (EXPERIMENTS.md) finds cells that get
+//! worse without each of the ten.
 //!
 //! ## Execution model: deterministic synchronous generations
 //!
@@ -15,13 +23,13 @@
 //! finish) is non-deterministic: the winner depends on thread timing.
 //! This engine instead runs in *generations*:
 //!
-//! 1. **Seeding race** — the constructive sources run in canonical
-//!    order, batched to fit the remaining budget (`wsflow-par` fans a
-//!    batch out across workers, each on its own budget share from
+//! 1. **Seeding race** — the constructives run in canonical order,
+//!    batched to fit the remaining budget (`wsflow-par` fans a batch out
+//!    across workers, each on its own budget share from
 //!    [`wsflow_par::split_budget`]). Results merge back in canonical
-//!    source order; the cheapest mapping seeds the board. The first
+//!    order; the cheapest mapping seeds the board. The first
 //!    constructive always runs — even at budget 0 or with a fired
-//!    token — so an incumbent exists (the PR 5 guarantee).
+//!    token — so an incumbent exists.
 //! 2. **Improvement generations** — every live improver proposes from
 //!    the *same* board snapshot, in parallel, each on its own budget
 //!    share and its own child [`CancelToken`](crate::CancelToken). Proposals merge in
@@ -37,11 +45,7 @@
 //! budget) — bit-identical for every `WSFLOW_THREADS`, like every other
 //! solver in this repo.
 
-mod sources;
-
-pub use sources::{
-    Constructive, KnowledgeSource, Mover, Proposal, Repairer, Router, SourceKind, Swapper,
-};
+pub(crate) mod improver;
 
 use wsflow_cost::{Mapping, Problem};
 
@@ -52,15 +56,15 @@ use crate::fltr::FairLoadTieResolver;
 use crate::fltr2::FairLoadTieResolver2;
 use crate::holm::HeavyOpsLargeMsgs;
 use crate::line_line::LineLine;
+use crate::registry::BoxedAlgorithm;
 use crate::solve::{construction_steps, SolveCtx, SolveOutcome, Termination};
+use improver::Improver;
 
 /// Per-source tallies from one blackboard solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceStats {
     /// The source's name (e.g. `"FairLoad"`, `"Router"`).
     pub name: String,
-    /// Constructive or improver.
-    pub kind: SourceKind,
     /// Proposals the source wrote to the board.
     pub proposals: u64,
     /// Proposals that strictly improved the incumbent.
@@ -75,7 +79,8 @@ pub struct SourceStats {
 pub struct BlackboardStats {
     /// Improvement generations run (the seeding race is generation 0).
     pub generations: u64,
-    /// Per-source tallies, in canonical source order.
+    /// Per-source tallies, in canonical source order: the six
+    /// constructives, then the four improvers.
     pub sources: Vec<SourceStats>,
 }
 
@@ -88,30 +93,26 @@ const MAX_GENERATIONS: usize = 64;
 /// The cooperative blackboard solver.
 #[derive(Debug, Clone)]
 pub struct Blackboard {
-    /// Seed forwarded to the randomised constructive members.
+    /// Seed forwarded to the randomised constructives.
     pub seed: u64,
 }
 
 impl Blackboard {
-    /// Blackboard with the default source roster and generation limits.
+    /// Blackboard with the fixed source set and generation limits.
     pub fn new(seed: u64) -> Self {
         Self { seed }
     }
 
-    /// The default roster, in canonical order: the paper's bus greedies
-    /// plus Line–Line (skipped off-topology), then the four improvers.
-    pub fn default_sources(&self) -> Vec<Box<dyn KnowledgeSource>> {
-        vec![
-            Box::new(Constructive::new(FairLoad)),
-            Box::new(Constructive::new(FairLoadTieResolver::new(self.seed))),
-            Box::new(Constructive::new(FairLoadTieResolver2::new(self.seed))),
-            Box::new(Constructive::new(FairLoadMergeMessages::new(self.seed))),
-            Box::new(Constructive::new(HeavyOpsLargeMsgs)),
-            Box::new(Constructive::new(LineLine::new())),
-            Box::new(Mover),
-            Box::new(Swapper),
-            Box::new(Repairer),
-            Box::new(Router),
+    /// The constructives, in canonical order: the paper's bus greedies,
+    /// then Line–Line (which fails off a line network).
+    fn constructives(&self) -> [BoxedAlgorithm; 6] {
+        [
+            Box::new(FairLoad),
+            Box::new(FairLoadTieResolver::new(self.seed)),
+            Box::new(FairLoadTieResolver2::new(self.seed)),
+            Box::new(FairLoadMergeMessages::new(self.seed)),
+            Box::new(HeavyOpsLargeMsgs),
+            Box::new(LineLine::new()),
         ]
     }
 
@@ -121,41 +122,20 @@ impl Blackboard {
         problem: &Problem,
         ctx: &mut SolveCtx<'_>,
     ) -> Result<(SolveOutcome, BlackboardStats), DeployError> {
-        self.solve_over(problem, ctx, self.default_sources())
-    }
-
-    /// [`solve_stats`](Self::solve_stats) over an explicit source
-    /// roster (tests inject stub sources to exercise domination).
-    /// Sources are partitioned by [`KnowledgeSource::kind`]; canonical
-    /// order is roster order within each kind.
-    pub fn solve_over(
-        &self,
-        problem: &Problem,
-        ctx: &mut SolveCtx<'_>,
-        roster: Vec<Box<dyn KnowledgeSource>>,
-    ) -> Result<(SolveOutcome, BlackboardStats), DeployError> {
-        assert!(!roster.is_empty(), "the source roster must be non-empty");
         let mark = ctx.mark();
-        let mut stats: Vec<SourceStats> = roster
+        let constructives = self.constructives();
+        let names = constructives
             .iter()
-            .map(|s| SourceStats {
-                name: s.name().to_string(),
-                kind: s.kind(),
+            .map(|a| a.name())
+            .chain(Improver::ALL.iter().map(|i| i.name()));
+        let mut stats: Vec<SourceStats> = names
+            .map(|name| SourceStats {
+                name: name.to_string(),
                 proposals: 0,
                 accepts: 0,
                 cancelled: false,
             })
             .collect();
-        let constructives: Vec<usize> = (0..roster.len())
-            .filter(|&i| roster[i].kind() == SourceKind::Constructive)
-            .collect();
-        let improvers: Vec<usize> = (0..roster.len())
-            .filter(|&i| roster[i].kind() == SourceKind::Improver)
-            .collect();
-        assert!(
-            !constructives.is_empty(),
-            "the roster needs at least one constructive source to seed the board"
-        );
 
         // The board: best (mapping, cost) merged so far. Local state is
         // the source of truth; `ctx.offer` mirrors it so callbacks and
@@ -191,29 +171,27 @@ impl Blackboard {
                 all_constructives_ran = false;
                 break;
             }
-            let batch = &constructives[next..next + k];
             let shares = wsflow_par::split_budget(ctx.remaining(), k);
             let token = ctx.token();
             let results = wsflow_par::parallel_map(k, |i| {
                 let _span = wsflow_obs::span_with("bb.source", span_base + i as u64);
                 let mut child = SolveCtx::with_budget_opt(shares[i]).cancel_token(token.clone());
-                let r = roster[batch[i]].propose(problem, None, &mut child);
+                let r = constructives[next + i].solve(problem, &mut child);
                 (r, child.consumed())
             });
             span_base += k as u64;
             for (i, (result, consumed)) in results.into_iter().enumerate() {
                 ctx.charge(consumed);
                 match result {
-                    Ok(Some(p)) => {
-                        let idx = batch[i];
-                        stats[idx].proposals += 1;
-                        if board.as_ref().map(|(_, c)| p.cost < *c).unwrap_or(true) {
-                            ctx.offer(&p.mapping, p.cost);
-                            board = Some((p.mapping, p.cost));
-                            stats[idx].accepts += 1;
+                    Ok(out) => {
+                        let s = &mut stats[next + i];
+                        s.proposals += 1;
+                        if board.as_ref().map(|(_, c)| out.cost < *c).unwrap_or(true) {
+                            ctx.offer(&out.mapping, out.cost);
+                            board = Some((out.mapping, out.cost));
+                            s.accepts += 1;
                         }
                     }
-                    Ok(None) => {}
                     // Off-topology members (e.g. Line–Line on a bus)
                     // are skipped, surfaced only if nobody succeeds.
                     Err(e) => last_err = Some(e),
@@ -231,13 +209,16 @@ impl Blackboard {
         // acceptance decisions are thread-count independent.
         struct Live {
             idx: usize,
+            improver: Improver,
             strikes: u32,
             token: crate::solve::CancelToken,
         }
-        let mut live: Vec<Live> = improvers
+        let mut live: Vec<Live> = Improver::ALL
             .iter()
-            .map(|&idx| Live {
-                idx,
+            .enumerate()
+            .map(|(i, &improver)| Live {
+                idx: constructives.len() + i,
+                improver,
                 strikes: 0,
                 token: ctx.token().child(),
             })
@@ -250,52 +231,40 @@ impl Blackboard {
             }
             generations += 1;
             let shares = wsflow_par::split_budget(ctx.remaining(), live.len());
-            let snapshot_mapping = best_mapping.clone();
-            let snapshot_cost = best_cost;
             let results = wsflow_par::parallel_map(live.len(), |i| {
                 let _span = wsflow_obs::span_with("bb.source", span_base + i as u64);
                 let mut child =
                     SolveCtx::with_budget_opt(shares[i]).cancel_token(live[i].token.clone());
-                let r = roster[live[i].idx].propose(
-                    problem,
-                    Some((&snapshot_mapping, snapshot_cost)),
-                    &mut child,
-                );
+                let r = live[i]
+                    .improver
+                    .improve(problem, &best_mapping, best_cost, &mut child);
                 (r, child.consumed())
             });
             span_base += live.len() as u64;
             let mut any_accept = false;
             let mut all_completed = true;
-            for (i, (result, consumed)) in results.into_iter().enumerate() {
+            for (entry, ((mapping, cost, completed), consumed)) in live.iter_mut().zip(results) {
                 ctx.charge(consumed);
-                let entry = &mut live[i];
-                match result {
-                    Ok(Some(p)) => {
-                        stats[entry.idx].proposals += 1;
-                        if p.cost < best_cost {
-                            ctx.offer(&p.mapping, p.cost);
-                            best_mapping = p.mapping;
-                            best_cost = p.cost;
-                            stats[entry.idx].accepts += 1;
-                            entry.strikes = 0;
-                            any_accept = true;
-                        } else if p.completed {
-                            entry.strikes += 1;
-                        } else {
-                            // Budget-cut without improvement: no strike —
-                            // the source never got a full look.
-                            all_completed = false;
-                        }
-                    }
-                    Ok(None) | Err(_) => {
-                        // Nothing to propose (or an off-topology
-                        // improver): strike it toward domination.
-                        entry.strikes += 1;
-                    }
+                let s = &mut stats[entry.idx];
+                s.proposals += 1;
+                if cost < best_cost {
+                    ctx.offer(&mapping, cost);
+                    best_mapping = mapping;
+                    best_cost = cost;
+                    s.accepts += 1;
+                    entry.strikes = 0;
+                    any_accept = true;
+                } else if completed {
+                    entry.strikes += 1;
+                } else {
+                    // Budget-cut without improvement: no strike — the
+                    // improver never got a full look.
+                    all_completed = false;
                 }
             }
-            // Dominated sources leave the race; their child tokens fire
-            // so any (hypothetical) in-flight work stops cooperatively.
+            // Dominated improvers leave the race; their child tokens
+            // fire so any (hypothetical) in-flight work stops
+            // cooperatively.
             live.retain(|entry| {
                 if entry.strikes >= DOMINATED_AFTER {
                     entry.token.cancel();
@@ -324,7 +293,7 @@ impl Blackboard {
         if wsflow_obs::enabled() {
             wsflow_obs::counter_add("bb.generations", generations);
             for s in &bb_stats.sources {
-                let slug = sources::slug(&s.name);
+                let slug = slug(&s.name);
                 wsflow_obs::counter_add(&format!("bb.proposals.{slug}"), s.proposals);
                 wsflow_obs::counter_add(&format!("bb.accepts.{slug}"), s.accepts);
                 if s.cancelled {
@@ -335,6 +304,15 @@ impl Blackboard {
         let outcome = ctx.finish(mark, best_mapping, best_cost, converged);
         Ok((outcome, bb_stats))
     }
+}
+
+/// Lowercase alphanumeric slug for metric names (`FairLoad` →
+/// `fairload`, `FLTR²`-style names collapse to their letters/digits).
+fn slug(name: &str) -> String {
+    name.chars()
+        .filter(|c| c.is_ascii_alphanumeric())
+        .collect::<String>()
+        .to_ascii_lowercase()
 }
 
 impl Default for Blackboard {
@@ -484,14 +462,29 @@ mod tests {
             .expect("ok");
         assert_eq!(out.termination, Termination::Converged);
         assert!(stats.generations >= 1, "improvers must get a generation");
-        // All five bus constructives propose; LineLine fails on a bus.
-        let constructive_proposals: u64 = stats
-            .sources
-            .iter()
-            .filter(|s| s.kind == SourceKind::Constructive)
-            .map(|s| s.proposals)
-            .sum();
-        assert_eq!(constructive_proposals, 5);
+        let names: Vec<&str> = stats.sources.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "FairLoad",
+                "FL-TieResolver",
+                "FL-TieResolver2",
+                "FL-MergeMsgEnds",
+                "HeavyOps-LargeMsgs",
+                "LineLine+Bridges",
+                "Mover",
+                "Swapper",
+                "Repairer",
+                "Router"
+            ]
+        );
+        // All five bus constructives propose once; LineLine fails on a
+        // bus.
+        let (constructives, improvers) = stats.sources.split_at(6);
+        assert!(constructives[..5].iter().all(|s| s.proposals == 1));
+        assert_eq!(constructives[5].proposals, 0);
+        // Every improver proposes in the first generation.
+        assert!(improvers.iter().all(|s| s.proposals >= 1));
         let accepts: u64 = stats.sources.iter().map(|s| s.accepts).sum();
         assert!(accepts >= 1, "someone must have seeded the board");
         // Totals are consistent: accepts never exceed proposals.
@@ -500,58 +493,33 @@ mod tests {
         }
     }
 
-    /// A stub improver that never improves: it must be dominated (and
-    /// its token cancelled) after `dominated_after` generations.
-    struct Stubborn;
-    impl KnowledgeSource for Stubborn {
-        fn name(&self) -> &str {
-            "Stubborn"
-        }
-        fn kind(&self) -> SourceKind {
-            SourceKind::Improver
-        }
-        fn propose(
-            &self,
-            _problem: &Problem,
-            incumbent: Option<(&Mapping, f64)>,
-            _ctx: &mut SolveCtx<'_>,
-        ) -> Result<Option<Proposal>, DeployError> {
-            let (m, c) = incumbent.expect("improvers run with an incumbent");
-            Ok(Some(Proposal {
-                mapping: m.clone(),
-                cost: c,
-                completed: true,
-            }))
-        }
-    }
-
+    /// An improver is dominated (and its token cancelled) only after
+    /// `DOMINATED_AFTER` consecutive completed generations without an
+    /// accept. The 9-op, 3-server, 1 Mbps Line–Bus instances of the
+    /// quick `quality_vs_budget` grid cancel real improvers mid-solve.
     #[test]
     fn non_improving_sources_are_dominated_and_cancelled() {
-        let p = problem(10.0, 1);
-        let bb = Blackboard::new(1);
-        let roster: Vec<Box<dyn KnowledgeSource>> = vec![
-            Box::new(Constructive::new(FairLoad)),
-            Box::new(Stubborn),
-            Box::new(Mover),
-        ];
-        let (out, stats) = bb
-            .solve_over(&p, &mut SolveCtx::unlimited(), roster)
-            .expect("ok");
-        assert_eq!(out.termination, Termination::Converged);
-        let stubborn = stats
-            .sources
-            .iter()
-            .find(|s| s.name == "Stubborn")
-            .expect("present");
-        assert!(
-            stubborn.cancelled,
-            "a never-improving source must be dominated"
-        );
-        assert_eq!(stubborn.accepts, 0);
-        assert!(
-            stubborn.proposals >= DOMINATED_AFTER as u64,
-            "it got its {DOMINATED_AFTER} chances first"
-        );
+        let class = ExperimentClass::class_c();
+        let mut cancelled = 0;
+        for seed in 2007..2011 {
+            let s = generate(Configuration::LineBus(MbitsPerSec(1.0)), 9, 3, &class, seed);
+            let p = Problem::new(s.workflow, s.network).expect("valid");
+            let (out, stats) = Blackboard::new(seed)
+                .solve_stats(&p, &mut SolveCtx::unlimited())
+                .expect("ok");
+            assert_eq!(out.termination, Termination::Converged);
+            for s in stats.sources.iter().filter(|s| s.cancelled) {
+                cancelled += 1;
+                // Unlimited, every generation completes: the source
+                // struck out on its last `DOMINATED_AFTER` proposals.
+                assert!(
+                    s.proposals >= s.accepts + DOMINATED_AFTER as u64,
+                    "seed {seed}: {s:?} was cancelled before its {DOMINATED_AFTER} chances"
+                );
+                assert!(s.proposals <= stats.generations, "seed {seed}: {s:?}");
+            }
+        }
+        assert!(cancelled >= 1, "the grid must cancel an improver");
     }
 
     #[test]

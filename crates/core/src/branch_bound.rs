@@ -514,7 +514,10 @@ mod tests {
     fn no_solver_reports_a_cost_below_the_root_bound() {
         use crate::registry;
         use crate::solve::SolveCtx;
-        use crate::{Blackboard, Exhaustive, Portfolio};
+        use crate::{
+            AllOnFastest, BestOfRandom, Blackboard, Exhaustive, Portfolio, RandomMapping,
+            RoundRobin,
+        };
         let mut problems = bound_instances();
         let class = wsflow_workload::ExperimentClass::class_c();
         for seed in 0..4u64 {
@@ -533,8 +536,11 @@ mod tests {
             let floor = Search::new(p).lower_bound();
             let mut solvers = registry::paper_bus_algorithms(5);
             solvers.extend(registry::line_line_variants());
-            solvers.extend(registry::baselines(5, 16));
-            solvers.push(registry::default_random_graph_solver(5));
+            solvers.push(Box::new(RandomMapping::new(5)));
+            solvers.push(Box::new(BestOfRandom::new(16, 5)));
+            solvers.push(Box::new(RoundRobin));
+            solvers.push(Box::new(AllOnFastest));
+            solvers.push(Box::new(Blackboard::new(5)));
             solvers.push(Box::new(Blackboard::new(9)));
             solvers.push(Box::new(Portfolio::new(5)));
             solvers.push(Box::new(Exhaustive::new()));

@@ -48,9 +48,7 @@ pub mod view;
 
 pub use algorithm::{DeployError, DeploymentAlgorithm};
 pub use baselines::{AllOnFastest, BestOfRandom, RandomMapping, RoundRobin};
-pub use blackboard::{
-    Blackboard, BlackboardStats, KnowledgeSource, Proposal, SourceKind, SourceStats,
-};
+pub use blackboard::{Blackboard, BlackboardStats, SourceStats};
 pub use branch_bound::{BnbOutcome, BranchAndBound};
 pub use constrained::{violation, ConstrainedDeploy, ConstrainedError};
 pub use elastic::ElasticProvision;

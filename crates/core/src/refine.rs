@@ -423,7 +423,7 @@ mod tests {
         );
         let p = Problem::new(s.workflow, s.network).unwrap();
         let start = crate::baselines::RoundRobin.deploy(&p).unwrap();
-        let hot = crate::blackboard::Repairer::hot_ops(&p, &start);
+        let hot = crate::blackboard::improver::hot_ops(&p, &start);
         let reversed: Vec<OpId> = hot.iter().rev().copied().collect();
         let mut optima = Vec::new();
         for ops in [all_ops(&p), hot, reversed] {

@@ -3,7 +3,6 @@
 //! compares.
 
 use crate::algorithm::DeploymentAlgorithm;
-use crate::baselines::{AllOnFastest, BestOfRandom, RandomMapping, RoundRobin};
 use crate::blackboard::Blackboard;
 use crate::exhaustive::Exhaustive;
 use crate::fair_load::FairLoad;
@@ -65,30 +64,12 @@ pub fn paper_bus_algorithms(seed: u64) -> Vec<Box<dyn DeploymentAlgorithm>> {
     ]
 }
 
-/// The default solver for random-graph workloads: the cooperative
-/// blackboard (ROADMAP item 4 — `quality_vs_budget` shows it matches or
-/// beats the sequential portfolio on a majority of (budget, seed)
-/// cells; see EXPERIMENTS.md).
-pub fn default_random_graph_solver(seed: u64) -> Box<dyn DeploymentAlgorithm> {
-    Box::new(Blackboard::new(seed))
-}
-
 /// The four Line–Line variants (§3.2).
 pub fn line_line_variants() -> Vec<Box<dyn DeploymentAlgorithm>> {
     LineLine::variants()
         .into_iter()
         .map(|v| Box::new(v) as Box<dyn DeploymentAlgorithm>)
         .collect()
-}
-
-/// Baseline strategies for context in plots and tables.
-pub fn baselines(seed: u64, samples: usize) -> Vec<Box<dyn DeploymentAlgorithm>> {
-    vec![
-        Box::new(RandomMapping::new(seed)),
-        Box::new(BestOfRandom::new(samples, seed)),
-        Box::new(RoundRobin),
-        Box::new(AllOnFastest),
-    ]
 }
 
 #[cfg(test)]
@@ -120,7 +101,5 @@ mod tests {
             algos.iter().map(|a| a.name().to_string()).collect();
         assert_eq!(names.len(), 5);
         assert_eq!(line_line_variants().len(), 4);
-        assert_eq!(baselines(0, 10).len(), 4);
-        assert_eq!(default_random_graph_solver(0).name(), "Blackboard");
     }
 }

@@ -176,8 +176,6 @@ pub struct SolveCtx<'cb> {
     cancel: CancelToken,
     /// Best (mapping, cost) seen by any solver sharing this context.
     incumbent: Option<(Mapping, f64)>,
-    /// `consumed` at the moment the current incumbent was found.
-    incumbent_at: u64,
     /// `consumed` at the moment the *first* incumbent was offered —
     /// the logical time-to-first-answer. Recorded unconditionally (one
     /// branch, no allocation), unlike the obs-gated trajectory, because
@@ -225,7 +223,6 @@ impl<'cb> SolveCtx<'cb> {
             started: Instant::now(),
             cancel: CancelToken::new(),
             incumbent: None,
-            incumbent_at: 0,
             first_incumbent_at: None,
             improvements: 0,
             on_incumbent: None,
@@ -348,7 +345,6 @@ impl<'cb> SolveCtx<'cb> {
             return;
         }
         self.incumbent = Some((mapping.clone(), cost));
-        self.incumbent_at = self.consumed;
         if self.first_incumbent_at.is_none() {
             self.first_incumbent_at = Some(self.consumed);
         }

@@ -171,6 +171,9 @@ mod tests {
         let v = InstanceView::new(&p);
         let l = p.workflow().op_by_name("l").unwrap();
         assert!((v.cycles[l.index()].value() - 50.0).abs() < 1e-9);
+        // The budgets split the expected cycles, not the raw ones.
+        let sum: MCycles = v.cycles.iter().copied().sum();
+        assert!((v.ideal_cycles[0].value() - sum.value() / 2.0).abs() < 1e-9);
         // Branch messages are half-weighted.
         let branch_msg = v
             .msgs
@@ -178,6 +181,17 @@ mod tests {
             .find(|m| m.to == l)
             .expect("message into l exists");
         assert!((branch_msg.size.value() - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ideal_cycles_proportional_to_power() {
+        let mut b = WorkflowBuilder::new("w");
+        b.line("o", &[MCycles(30.0), MCycles(30.0)], Mbits(0.05));
+        let net = wsflow_net::topology::ghz_bus("b", &[1.0, 2.0], MbitsPerSec(100.0)).unwrap();
+        let p = Problem::new(b.build().unwrap(), net).unwrap();
+        let v = InstanceView::new(&p);
+        assert!((v.ideal_cycles[0].value() - 20.0).abs() < 1e-9);
+        assert!((v.ideal_cycles[1].value() - 40.0).abs() < 1e-9);
     }
 
     #[test]

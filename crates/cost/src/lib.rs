@@ -44,7 +44,6 @@ pub use critical_path::{critical_path, CriticalPath, CriticalStep};
 pub use delta::DeltaEvaluator;
 pub use dot::deployment_dot;
 pub use evaluator::Evaluator;
-pub use load::{effective_cycles, ideal_cycles};
 pub use mapping::{Mapping, PartialMapping};
 pub use migration::{plan_migration, MigrationModel, MigrationMove, MigrationPlan};
 pub use money::{billed, deployment_cost, PriceTable};

@@ -7,7 +7,8 @@
 
 use wsflow::core::registry;
 use wsflow::core::{
-    optimum, DeploymentAlgorithm, FairLoad, HillClimb, Portfolio, SimulatedAnnealing,
+    optimum, AllOnFastest, BestOfRandom, DeploymentAlgorithm, FairLoad, HillClimb, Portfolio,
+    RandomMapping, RoundRobin, SimulatedAnnealing,
 };
 use wsflow::prelude::*;
 use wsflow::workload::{generate, Configuration, ExperimentClass};
@@ -22,7 +23,10 @@ fn main() {
     println!("global optimum combined cost: {:.3} ms\n", opt * 1e3);
 
     let mut suite: Vec<Box<dyn DeploymentAlgorithm>> = registry::paper_bus_algorithms(1);
-    suite.extend(registry::baselines(1, 1000));
+    suite.push(Box::new(RandomMapping::new(1)));
+    suite.push(Box::new(BestOfRandom::new(1000, 1)));
+    suite.push(Box::new(RoundRobin));
+    suite.push(Box::new(AllOnFastest));
     suite.push(Box::new(Portfolio::new(1)));
     suite.push(Box::new(HillClimb::new(FairLoad)));
     suite.push(Box::new(SimulatedAnnealing::new(1)));

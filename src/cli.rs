@@ -5,6 +5,7 @@
 //! returns the output it would print.
 
 use std::fmt;
+use std::num::NonZeroUsize;
 
 use wsflow_core::registry::{self, paper_bus_algorithms};
 use wsflow_core::DeploymentAlgorithm;
@@ -144,12 +145,23 @@ impl PoolSpec {
     }
 }
 
-/// Parse `--servers 1.0,2.0 --bus 100 --algo holm --trials K --contended`
-/// style flags from `args`; returns (pool, algo name, trials, contended).
-fn parse_flags(args: &[String]) -> Result<(PoolSpec, String, usize, bool, bool), CliError> {
+/// The flags `deploy`, `simulate` and `explain` take.
+#[derive(Debug)]
+struct DeployFlags {
+    pool: PoolSpec,
+    algo: String,
+    trials: NonZeroUsize,
+    contended: bool,
+    dot: bool,
+}
+
+/// Parse `--servers 1.0,2.0 --bus 100 --algo holm` plus whichever of
+/// `--trials K`, `--contended` and `--dot` are in `extra` — the flags
+/// `cmd` uses; any other flag is a usage error.
+fn parse_flags(cmd: &str, args: &[String], extra: &[&str]) -> Result<DeployFlags, CliError> {
     let mut pool = PoolFlags::default();
     let mut algo = "holm".to_string();
-    let mut trials = 1000usize;
+    let mut trials = NonZeroUsize::new(1000).expect("non-zero");
     let mut contended = false;
     let mut dot = false;
     let mut i = 0;
@@ -158,7 +170,11 @@ fn parse_flags(args: &[String]) -> Result<(PoolSpec, String, usize, bool, bool),
             i += 2;
             continue;
         }
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        if matches!(flag, "--trials" | "--contended" | "--dot") && !extra.contains(&flag) {
+            return Err(CliError::Usage(format!("{cmd} does not take {flag}")));
+        }
+        match flag {
             "--algo" => {
                 algo = args
                     .get(i + 1)
@@ -172,7 +188,7 @@ fn parse_flags(args: &[String]) -> Result<(PoolSpec, String, usize, bool, bool),
                     .ok_or_else(|| CliError::Usage("--trials needs a value".into()))?;
                 trials = v
                     .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --trials value {v:?}")))?;
+                    .map_err(|_| CliError::Usage(format!("bad --trials value {v:?} (need ≥ 1)")))?;
                 i += 2;
             }
             "--contended" => {
@@ -188,7 +204,13 @@ fn parse_flags(args: &[String]) -> Result<(PoolSpec, String, usize, bool, bool),
             }
         }
     }
-    Ok((pool.finish()?, algo, trials, contended, dot))
+    Ok(DeployFlags {
+        pool: pool.finish()?,
+        algo,
+        trials,
+        contended,
+        dot,
+    })
 }
 
 fn load_workflow(path: &str) -> Result<Workflow, CliError> {
@@ -257,7 +279,7 @@ pub fn cmd_generate(args: &[String]) -> Result<String, CliError> {
                     .get(i + 1)
                     .ok_or_else(|| CliError::Usage("--ops needs a value".into()))?;
                 ops = v
-                    .parse::<std::num::NonZeroUsize>()
+                    .parse::<NonZeroUsize>()
                     .map_err(|_| CliError::Usage(format!("bad --ops value {v:?} (need ≥ 1)")))?
                     .get();
                 i += 2;
@@ -299,7 +321,12 @@ pub fn cmd_generate(args: &[String]) -> Result<String, CliError> {
 /// `wsflow deploy <file> --servers … [--bus …] [--algo …]`.
 pub fn cmd_deploy(path: &str, flags: &[String]) -> Result<String, CliError> {
     let w = load_workflow(path)?;
-    let (pool, algo_name, _, _, dot) = parse_flags(flags)?;
+    let DeployFlags {
+        pool,
+        algo: algo_name,
+        dot,
+        ..
+    } = parse_flags("deploy", flags, &["--dot"])?;
     let problem = Problem::new(w, pool.network()?)
         .map_err(|e| CliError::Invalid(format!("cannot assemble problem: {e}")))?;
     if dot {
@@ -351,7 +378,13 @@ pub fn cmd_deploy(path: &str, flags: &[String]) -> Result<String, CliError> {
 /// `wsflow simulate <file> --servers … [--trials K] [--contended]`.
 pub fn cmd_simulate(path: &str, flags: &[String]) -> Result<String, CliError> {
     let w = load_workflow(path)?;
-    let (pool, algo_name, trials, contended, _) = parse_flags(flags)?;
+    let DeployFlags {
+        pool,
+        algo: algo_name,
+        trials,
+        contended,
+        ..
+    } = parse_flags("simulate", flags, &["--trials", "--contended"])?;
     let problem = Problem::new(w, pool.network()?)
         .map_err(|e| CliError::Invalid(format!("cannot assemble problem: {e}")))?;
     let algo = algorithm_by_name(if algo_name == "all" {
@@ -368,7 +401,7 @@ pub fn cmd_simulate(path: &str, flags: &[String]) -> Result<String, CliError> {
         SimConfig::ideal()
     };
     let analytic = Evaluator::new(&problem).execution_time(&mapping);
-    let mc = monte_carlo(&problem, &mapping, config, trials, 0);
+    let mc = monte_carlo(&problem, &mapping, config, trials.get(), 0);
     Ok(format!(
         "{} under {} ({} trials{}):\n  analytic expected {:>10.3} ms\n  simulated mean    {:>10.3} ms ± {:.3} (95% CI)\n  min / max         {:>10.3} / {:.3} ms\n  mean bus messages {:>10.1}\n",
         problem.workflow().name(),
@@ -389,7 +422,11 @@ pub fn cmd_simulate(path: &str, flags: &[String]) -> Result<String, CliError> {
 /// landed.
 pub fn cmd_explain(path: &str, flags: &[String]) -> Result<String, CliError> {
     let w = load_workflow(path)?;
-    let (pool, algo_name, _, _, _) = parse_flags(flags)?;
+    let DeployFlags {
+        pool,
+        algo: algo_name,
+        ..
+    } = parse_flags("explain", flags, &[])?;
     let problem = Problem::new(w, pool.network()?)
         .map_err(|e| CliError::Invalid(format!("cannot assemble problem: {e}")))?;
     let algo = algorithm_by_name(if algo_name == "all" {
@@ -1102,32 +1139,77 @@ mod tests {
 
     #[test]
     fn flag_parsing_errors() {
-        assert!(parse_flags(&strs(&["--servers", "abc"])).is_err());
-        assert!(parse_flags(&strs(&["--servers", "1.0", "--bus", "x"])).is_err());
+        let all = ["--trials", "--contended", "--dot"];
+        assert!(parse_flags("t", &strs(&["--servers", "abc"]), &all).is_err());
+        assert!(parse_flags("t", &strs(&["--servers", "1.0", "--bus", "x"]), &all).is_err());
         // Flag values only have to parse: 0 GHz is the pool validator's
         // to reject, as an invalid pool rather than a usage error.
-        let (pool, ..) = parse_flags(&strs(&["--servers", "0.0"])).unwrap();
-        assert!(matches!(pool.network(), Err(CliError::Invalid(_))));
-        assert!(parse_flags(&strs(&["--wat"])).is_err());
-        let (pool, algo, trials, contended, dot) = parse_flags(&strs(&[
-            "--servers",
-            "1.0,2.5",
-            "--bus",
-            "10",
-            "--algo",
-            "fltr",
-            "--trials",
-            "7",
-            "--contended",
-            "--dot",
-        ]))
+        let flags = parse_flags("t", &strs(&["--servers", "0.0"]), &all).unwrap();
+        assert!(matches!(flags.pool.network(), Err(CliError::Invalid(_))));
+        assert!(parse_flags("t", &strs(&["--wat"]), &all).is_err());
+        let flags = parse_flags(
+            "t",
+            &strs(&[
+                "--servers",
+                "1.0,2.5",
+                "--bus",
+                "10",
+                "--algo",
+                "fltr",
+                "--trials",
+                "7",
+                "--contended",
+                "--dot",
+            ]),
+            &all,
+        )
         .unwrap();
-        assert_eq!(pool.ghz, vec![1.0, 2.5]);
-        assert_eq!(pool.bus_mbps, 10.0);
-        assert_eq!(algo, "fltr");
-        assert_eq!(trials, 7);
-        assert!(contended);
-        assert!(dot);
+        assert_eq!(flags.pool.ghz, vec![1.0, 2.5]);
+        assert_eq!(flags.pool.bus_mbps, 10.0);
+        assert_eq!(flags.algo, "fltr");
+        assert_eq!(flags.trials.get(), 7);
+        assert!(flags.contended);
+        assert!(flags.dot);
+        // Zero trials is a usage error, not a panic in the simulator.
+        let path = temp_workflow(DEMO);
+        let err = cmd_simulate(
+            path.to_str().unwrap(),
+            &strs(&["--servers", "1.0,1.0", "--trials", "0"]),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CliError::Usage(_)) && err.to_string().contains("--trials"),
+            "{err}"
+        );
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn commands_refuse_flags_they_do_not_use() {
+        let path = temp_workflow(DEMO);
+        let path = path.to_str().unwrap();
+        type Cmd = fn(&str, &[String]) -> Result<String, CliError>;
+        let cases: [(&str, Cmd, &[&str]); 6] = [
+            ("deploy", cmd_deploy, &["--trials", "7"]),
+            ("deploy", cmd_deploy, &["--contended"]),
+            ("simulate", cmd_simulate, &["--dot"]),
+            ("explain", cmd_explain, &["--trials", "7"]),
+            ("explain", cmd_explain, &["--contended"]),
+            ("explain", cmd_explain, &["--dot"]),
+        ];
+        for (name, cmd, extra) in cases {
+            let mut args = strs(&["--servers", "1,2"]);
+            args.extend(strs(extra));
+            let err = cmd(path, &args).unwrap_err();
+            assert!(
+                matches!(err, CliError::Usage(_))
+                    && err
+                        .to_string()
+                        .contains(&format!("{name} does not take {}", extra[0])),
+                "{name} {extra:?}: {err}"
+            );
+        }
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
