@@ -307,8 +307,10 @@ impl Blackboard {
 }
 
 /// Lowercase alphanumeric slug for metric names (`FairLoad` →
-/// `fairload`, `FLTR²`-style names collapse to their letters/digits).
-fn slug(name: &str) -> String {
+/// `fairload`, `FLTR²`-style names collapse to their letters/digits):
+/// the suffix of the `bb.*` counters, and of the `win_share` rows that
+/// `quality_vs_budget` writes from [`SourceStats::name`].
+pub fn slug(name: &str) -> String {
     name.chars()
         .filter(|c| c.is_ascii_alphanumeric())
         .collect::<String>()

@@ -73,11 +73,6 @@ impl MultiProblem {
         &self.problems
     }
 
-    /// Number of workflows.
-    pub fn num_workflows(&self) -> usize {
-        self.problems.len()
-    }
-
     /// Number of shared servers.
     pub fn num_servers(&self) -> usize {
         self.problems[0].num_servers()

@@ -10,7 +10,7 @@ use wsflow_workload::{generate_batch, Configuration, ExperimentClass, GraphClass
 
 use crate::output::ExperimentOutput;
 use crate::params::Params;
-use crate::runner::{run_batch, Record};
+use crate::runner::run_batch;
 use crate::summary::{aggregate, aggregates_table};
 
 /// Generate the graph–bus scenario pool for one bus speed: the seed
@@ -30,20 +30,6 @@ pub fn graph_scenarios(params: &Params, n: usize, bus: MbitsPerSec) -> Vec<Scena
         ));
     }
     scenarios
-}
-
-/// Run the Figure-7 experiment, returning the raw records for reuse by
-/// Figure 8.
-pub fn run_records(params: &Params) -> Vec<Record> {
-    let n = *params.server_counts.last().expect("at least one N");
-    let mut records = Vec::new();
-    for &bus in &params.bus_speeds {
-        let scenarios = graph_scenarios(params, n, bus);
-        records.extend(run_batch(&scenarios, || {
-            paper_bus_algorithms(params.base_seed)
-        }));
-    }
-    records
 }
 
 /// Run the Figure-7 experiment.

@@ -13,6 +13,7 @@
 //! for any `WSFLOW_THREADS` setting and with observability on or off —
 //! `tests/golden.rs` checks exactly that. No wall-clock value appears in any column.
 
+use wsflow_core::blackboard::slug;
 use wsflow_core::{
     Blackboard, BlackboardStats, BranchAndBound, DeploymentAlgorithm, FairLoad, HillClimb,
     Portfolio, SimulatedAnnealing, SolveCtx, Termination,
@@ -49,14 +50,6 @@ fn suite(seed: u64) -> Vec<Box<dyn DeploymentAlgorithm>> {
         Box::new(SimulatedAnnealing::new(seed)),
         Box::new(BranchAndBound::new()),
     ]
-}
-
-/// Lowercase alphanumeric slug matching the `bb.*` metric suffixes.
-fn slug(name: &str) -> String {
-    name.chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .collect::<String>()
-        .to_ascii_lowercase()
 }
 
 /// Per-source tallies accumulated over every blackboard cell:

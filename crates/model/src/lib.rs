@@ -21,7 +21,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod builder;
-pub mod compose;
 pub mod dot;
 pub mod dsl;
 pub mod error;
@@ -36,7 +35,6 @@ pub mod units;
 pub mod workflow;
 
 pub use builder::{BlockSpec, WorkflowBuilder};
-pub use compose::{chain, concat, renamed};
 pub use dot::workflow_dot;
 pub use error::{ModelError, ValidationError};
 pub use ids::{MsgId, OpId};

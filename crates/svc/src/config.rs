@@ -10,6 +10,8 @@ use std::collections::BTreeMap;
 
 /// Default per-tenant queue bound.
 pub const DEFAULT_QUEUE_CAP: usize = 64;
+/// The service-wide queue bound is this many times the per-tenant one.
+pub const TOTAL_QUEUE_FACTOR: usize = 8;
 /// Default daemon port ("7407" ≈ "ws07").
 pub const DEFAULT_PORT: u16 = 7407;
 
@@ -40,7 +42,7 @@ impl Default for SvcConfig {
         Self {
             workers: cores.min(4),
             queue_cap: DEFAULT_QUEUE_CAP,
-            total_cap: DEFAULT_QUEUE_CAP * 8,
+            total_cap: DEFAULT_QUEUE_CAP * TOTAL_QUEUE_FACTOR,
             weights: BTreeMap::new(),
             default_weight: 1,
         }

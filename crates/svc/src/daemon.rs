@@ -80,6 +80,16 @@ const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
 /// previous request is back. More idle threads would only hold memory.
 const MAX_WAITING: usize = 2;
 
+/// Most solver workers a daemon starts: each is an OS thread started
+/// with the daemon, and CPU-bound solves gain nothing past the cores.
+/// The bound keeps a mistyped `--workers` from starting thousands.
+pub const MAX_WORKERS: usize = 256;
+
+/// Largest per-tenant queue bound. A queued request holds its
+/// connection thread, so the service-wide bound (8× this) caps those
+/// threads at 8 192, and the product cannot overflow.
+pub const MAX_QUEUE: usize = 1024;
+
 /// How the daemon binds and schedules.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -370,55 +380,6 @@ fn handle_connection(
                 cancel.cancel();
             }
         }
-    }
-}
-
-/// Entry point for the `wsflowd` binary.
-///
-/// Flags: `--port N` (default `WSFLOW_SVC_PORT` or 7407), `--port-file
-/// PATH` (write the bound port for scripts; essential with `--port 0`),
-/// `--workers N`, `--queue N`. Blocks until killed.
-pub fn run_from_args(args: &[String]) -> Result<(), String> {
-    let mut cfg = DaemonConfig::default();
-    let mut port_file: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--port" => {
-                cfg.port = value("--port")?
-                    .parse()
-                    .map_err(|e| format!("--port: {e}"))?;
-            }
-            "--port-file" => port_file = Some(value("--port-file")?),
-            "--workers" => {
-                let n: usize = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                cfg.svc = cfg.svc.with_workers(n);
-            }
-            "--queue" => {
-                let n: usize = value("--queue")?
-                    .parse()
-                    .map_err(|e| format!("--queue: {e}"))?;
-                let cap = n.max(1);
-                cfg.svc = cfg.svc.with_queue_caps(cap, cap * 8);
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    let handle = spawn(cfg).map_err(|e| format!("bind failed: {e}"))?;
-    eprintln!("wsflowd listening on {}", handle.addr());
-    if let Some(path) = port_file {
-        std::fs::write(&path, format!("{}\n", handle.addr().port()))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    loop {
-        std::thread::park();
     }
 }
 

@@ -5,16 +5,19 @@
 //! returns the output it would print.
 
 use std::fmt;
-use std::num::NonZeroUsize;
 
 use wsflow_core::registry::{self, paper_bus_algorithms};
 use wsflow_core::DeploymentAlgorithm;
 use wsflow_cost::load::time_penalty_of_loads;
-use wsflow_cost::{deployment_dot, network_traffic, Evaluator, Problem};
+use wsflow_cost::{deployment_dot, network_traffic, Evaluator, Mapping, Problem};
+use wsflow_harness::cli::CliOptions;
+use wsflow_harness::Params;
 use wsflow_model::{dsl, workflow_dot, MbitsPerSec, Workflow, WorkflowStats};
 use wsflow_net::topology;
 use wsflow_sim::{monte_carlo, SimConfig};
 use wsflow_workload::{random_graph_workflow, ExperimentClass, GraphClass};
+
+use crate::flags::{self, Command, Parsed};
 
 /// CLI failures, each mapping to a non-zero exit.
 #[derive(Debug)]
@@ -36,7 +39,11 @@ pub enum CliError {
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CliError::Usage(msg) => write!(f, "usage error: {msg}\n\n{USAGE}"),
+            CliError::Usage(msg) => write!(
+                f,
+                "usage error: {msg}\n\n{}`wsflow help` describes every flag.",
+                flags::wsflow_synopses()
+            ),
             CliError::Io(e) => write!(f, "cannot read workflow file: {e}"),
             CliError::Parse(e) => write!(f, "parse error: {e}"),
             CliError::Invalid(msg) => write!(f, "{msg}"),
@@ -47,41 +54,6 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// The tool's usage text.
-pub const USAGE: &str = "\
-wsflow — deploy web service workflows onto servers
-
-USAGE:
-  wsflow validate <workflow.wsf>
-  wsflow stats    <workflow.wsf>
-  wsflow dot      <workflow.wsf>
-  wsflow generate --ops N [--shape line|bushy|lengthy|hybrid] [--seed S]
-  wsflow deploy   <workflow.wsf> --servers GHZ[,GHZ…] [--bus MBPS] [--algo NAME]
-                  [--dot]
-  wsflow simulate <workflow.wsf> --servers GHZ[,GHZ…] [--bus MBPS] [--algo NAME]
-                  [--trials K] [--contended]
-  wsflow explain  <workflow.wsf> --servers GHZ[,GHZ…] [--bus MBPS] [--algo NAME]
-  wsflow submit   <workflow.wsf> --servers GHZ[,GHZ…] [--bus MBPS] [--algo NAME]
-                  [--budget N] [--deadline-ms N] [--tenant T] [--addr HOST:PORT]
-  wsflow run      <experiment> | all | --list [--quick] [--seeds N] [--ops M]
-                  [--out DIR]
-  wsflow report   <manifest.json | results-dir>
-  wsflow trace    <spans.ndjson | results-dir> [--wall] [--out FILE]
-  wsflow bench    [--quick] [--out FILE] [--compare BASELINE] [--tolerance T]
-
-Workflow files use the line-oriented text format (see `wsflow::model::dsl`).
-Algorithms: fairload, fltr, fltr2, flmme, holm (default), portfolio,
-blackboard, hillclimb, sa, exhaustive; `deploy` also takes all (the paper's
-five greedies). `submit` sends the request to a running `wsflowd` (default
-127.0.0.1:7407, or WSFLOW_SVC_PORT).
-`run` runs one experiment of the evaluation, or all of them, writing
-CSVs and a manifest to --out (default results/); `run --list` names them.
---servers 1.0,2.0,3.0 declares three servers with those GHz ratings;
---bus sets the shared bus speed in Mbps (default 100).
---obs (global) collects metrics during the command and appends them as
-NDJSON to the output; WSFLOW_OBS=1 collects them without appending
-(experiment manifests and span exports carry them).";
-
 /// A parsed server pool + bus speed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolSpec {
@@ -91,131 +63,60 @@ pub struct PoolSpec {
     pub bus_mbps: f64,
 }
 
-/// The `--servers` / `--bus` flags every pool-taking command shares.
-///
-/// Values only have to parse as numbers here; [`PoolSpec::network`] —
-/// that is, `Network::new` — is the one validator of the pool itself.
-#[derive(Debug, Default)]
-struct PoolFlags {
-    ghz: Option<Vec<f64>>,
-    bus_mbps: Option<f64>,
-}
-
-impl PoolFlags {
-    /// If `flag` is a pool flag, parse its `value` and return `true`;
-    /// any other flag is left to the caller (`false`).
-    fn take(&mut self, flag: &str, value: Option<&String>) -> Result<bool, CliError> {
-        let value = || value.ok_or_else(|| CliError::Usage(format!("{flag} needs a value")));
-        match flag {
-            "--servers" => {
-                let v = value()?;
-                let parsed: Result<Vec<f64>, _> = v.split(',').map(str::parse).collect();
-                self.ghz = Some(parsed.map_err(|_| {
-                    CliError::Usage(format!("bad --servers value {v:?}; expected GHZ[,GHZ…]"))
-                })?);
-            }
-            "--bus" => {
-                let v = value()?;
-                self.bus_mbps = Some(
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad --bus value {v:?}")))?,
-                );
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// The parsed pool: `--servers` is required, `--bus` defaults to
-    /// 100 Mbps.
-    fn finish(self) -> Result<PoolSpec, CliError> {
-        Ok(PoolSpec {
-            ghz: self
-                .ghz
-                .ok_or_else(|| CliError::Usage("--servers is required".into()))?,
-            bus_mbps: self.bus_mbps.unwrap_or(100.0),
-        })
-    }
-}
-
 impl PoolSpec {
+    /// The pool's network; [`Network::new`](wsflow_net::Network::new)
+    /// is its one validator.
     fn network(&self) -> Result<wsflow_net::Network, CliError> {
         topology::ghz_bus("pool", &self.ghz, MbitsPerSec(self.bus_mbps))
             .map_err(|e| CliError::Invalid(format!("invalid server pool: {e}")))
     }
 }
 
-/// The flags `deploy`, `simulate` and `explain` take.
-#[derive(Debug)]
-struct DeployFlags {
-    pool: PoolSpec,
-    algo: String,
-    trials: NonZeroUsize,
-    contended: bool,
-    dot: bool,
+/// Why a required or defaulted flag always has a value.
+const GIVEN: &str = "required or defaulted in its table";
+
+/// Read `args` against `cmd`'s table.
+fn parse(cmd: &Command, args: &[String]) -> Result<Parsed, CliError> {
+    flags::parse(cmd, args).map_err(CliError::Usage)
 }
 
-/// Parse `--servers 1.0,2.0 --bus 100 --algo holm` plus whichever of
-/// `--trials K`, `--contended` and `--dot` are in `extra` — the flags
-/// `cmd` uses; any other flag is a usage error.
-fn parse_flags(cmd: &str, args: &[String], extra: &[&str]) -> Result<DeployFlags, CliError> {
-    let mut pool = PoolFlags::default();
-    let mut algo = "holm".to_string();
-    let mut trials = NonZeroUsize::new(1000).expect("non-zero");
-    let mut contended = false;
-    let mut dot = false;
-    let mut i = 0;
-    while i < args.len() {
-        if pool.take(&args[i], args.get(i + 1))? {
-            i += 2;
-            continue;
-        }
-        let flag = args[i].as_str();
-        if matches!(flag, "--trials" | "--contended" | "--dot") && !extra.contains(&flag) {
-            return Err(CliError::Usage(format!("{cmd} does not take {flag}")));
-        }
-        match flag {
-            "--algo" => {
-                algo = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage("--algo needs a value".into()))?
-                    .clone();
-                i += 2;
-            }
-            "--trials" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage("--trials needs a value".into()))?;
-                trials = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --trials value {v:?} (need ≥ 1)")))?;
-                i += 2;
-            }
-            "--contended" => {
-                contended = true;
-                i += 1;
-            }
-            "--dot" => {
-                dot = true;
-                i += 1;
-            }
-            other => {
-                return Err(CliError::Usage(format!("unknown flag {other:?}")));
-            }
-        }
-    }
-    Ok(DeployFlags {
-        pool: pool.finish()?,
-        algo,
-        trials,
-        contended,
-        dot,
-    })
+/// Read a pool-taking command's flags: its `--servers` and `--bus`
+/// pool, and the rest.
+fn pool_flags(cmd: &Command, args: &[String]) -> Result<(PoolSpec, Parsed), CliError> {
+    let f = parse(cmd, args)?;
+    let pool = PoolSpec {
+        ghz: f.nums("--servers").expect(GIVEN),
+        bus_mbps: f.num("--bus").expect(GIVEN),
+    };
+    Ok((pool, f))
 }
 
 fn load_workflow(path: &str) -> Result<Workflow, CliError> {
     let text = std::fs::read_to_string(path).map_err(CliError::Io)?;
     dsl::parse(&text).map_err(CliError::Parse)
+}
+
+/// Load the workflow at `path`, read a pool-taking command's flags, and
+/// assemble the problem they describe.
+fn problem_for(cmd: &Command, path: &str, args: &[String]) -> Result<(Problem, Parsed), CliError> {
+    let w = load_workflow(path)?;
+    let (pool, f) = pool_flags(cmd, args)?;
+    let problem = Problem::new(w, pool.network()?)
+        .map_err(|e| CliError::Invalid(format!("cannot assemble problem: {e}")))?;
+    Ok((problem, f))
+}
+
+/// Deploy `problem` with `algo`; a failure names the algorithm.
+fn deploy_with(algo: &dyn DeploymentAlgorithm, problem: &Problem) -> Result<Mapping, CliError> {
+    (algo.deploy(problem)).map_err(|e| CliError::Invalid(format!("{}: {e}", algo.name())))
+}
+
+/// The algorithm `--algo` names, with `all` meaning HOLM.
+fn one_algorithm(f: &Parsed) -> Result<Box<dyn DeploymentAlgorithm>, CliError> {
+    match f.text("--algo").expect(GIVEN) {
+        "all" => algorithm_by_name("holm"),
+        name => algorithm_by_name(name),
+    }
 }
 
 fn algorithm_by_name(name: &str) -> Result<Box<dyn DeploymentAlgorithm>, CliError> {
@@ -268,43 +169,11 @@ pub fn cmd_dot(path: &str) -> Result<String, CliError> {
 /// `wsflow generate --ops N [--shape …] [--seed S]`: emit a random
 /// class-C workflow in the text format.
 pub fn cmd_generate(args: &[String]) -> Result<String, CliError> {
-    let mut ops = 19usize;
-    let mut shape = "line".to_string();
-    let mut seed = 0u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ops" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage("--ops needs a value".into()))?;
-                ops = v
-                    .parse::<NonZeroUsize>()
-                    .map_err(|_| CliError::Usage(format!("bad --ops value {v:?} (need ≥ 1)")))?
-                    .get();
-                i += 2;
-            }
-            "--shape" => {
-                shape = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage("--shape needs a value".into()))?
-                    .clone();
-                i += 2;
-            }
-            "--seed" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage("--seed needs a value".into()))?;
-                seed = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --seed value {v:?}")))?;
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
-        }
-    }
+    let f = parse(&flags::GENERATE, args)?;
+    let ops = f.int("--ops").expect(GIVEN) as usize;
+    let seed = f.int("--seed").expect(GIVEN);
     let class = ExperimentClass::class_c();
-    let w = match shape.as_str() {
+    let w = match f.text("--shape").expect(GIVEN) {
         "line" => wsflow_workload::linear_workflow("generated", ops, &class, seed),
         "bushy" => random_graph_workflow("generated", ops, GraphClass::Bushy, &class, seed),
         "lengthy" => random_graph_workflow("generated", ops, GraphClass::Lengthy, &class, seed),
@@ -320,37 +189,20 @@ pub fn cmd_generate(args: &[String]) -> Result<String, CliError> {
 
 /// `wsflow deploy <file> --servers … [--bus …] [--algo …]`.
 pub fn cmd_deploy(path: &str, flags: &[String]) -> Result<String, CliError> {
-    let w = load_workflow(path)?;
-    let DeployFlags {
-        pool,
-        algo: algo_name,
-        dot,
-        ..
-    } = parse_flags("deploy", flags, &["--dot"])?;
-    let problem = Problem::new(w, pool.network()?)
-        .map_err(|e| CliError::Invalid(format!("cannot assemble problem: {e}")))?;
-    if dot {
-        let algo = algorithm_by_name(if algo_name == "all" {
-            "holm"
-        } else {
-            &algo_name
-        })?;
-        let mapping = algo
-            .deploy(&problem)
-            .map_err(|e| CliError::Invalid(format!("{}: {e}", algo.name())))?;
+    let (problem, f) = problem_for(&flags::DEPLOY, path, flags)?;
+    if f.on("--dot") {
+        let algo = one_algorithm(&f)?;
+        let mapping = deploy_with(algo.as_ref(), &problem)?;
         return Ok(deployment_dot(&problem, &mapping));
     }
-    let algos: Vec<Box<dyn DeploymentAlgorithm>> = if algo_name == "all" {
-        paper_bus_algorithms(0)
-    } else {
-        vec![algorithm_by_name(&algo_name)?]
+    let algos: Vec<Box<dyn DeploymentAlgorithm>> = match f.text("--algo").expect(GIVEN) {
+        "all" => paper_bus_algorithms(0),
+        name => vec![algorithm_by_name(name)?],
     };
     let mut ev = Evaluator::new(&problem);
     let mut out = String::new();
     for algo in &algos {
-        let mapping = algo
-            .deploy(&problem)
-            .map_err(|e| CliError::Invalid(format!("{}: {e}", algo.name())))?;
+        let mapping = deploy_with(algo.as_ref(), &problem)?;
         let cost = ev.evaluate(&mapping);
         out.push_str(&format!(
             "{:<20} exec {:>10.3} ms  penalty {:>10.3} ms  traffic {:>8.4} Mbit\n",
@@ -377,31 +229,18 @@ pub fn cmd_deploy(path: &str, flags: &[String]) -> Result<String, CliError> {
 
 /// `wsflow simulate <file> --servers … [--trials K] [--contended]`.
 pub fn cmd_simulate(path: &str, flags: &[String]) -> Result<String, CliError> {
-    let w = load_workflow(path)?;
-    let DeployFlags {
-        pool,
-        algo: algo_name,
-        trials,
-        contended,
-        ..
-    } = parse_flags("simulate", flags, &["--trials", "--contended"])?;
-    let problem = Problem::new(w, pool.network()?)
-        .map_err(|e| CliError::Invalid(format!("cannot assemble problem: {e}")))?;
-    let algo = algorithm_by_name(if algo_name == "all" {
-        "holm"
-    } else {
-        &algo_name
-    })?;
-    let mapping = algo
-        .deploy(&problem)
-        .map_err(|e| CliError::Invalid(format!("{}: {e}", algo.name())))?;
+    let (problem, f) = problem_for(&flags::SIMULATE, path, flags)?;
+    let trials = f.int("--trials").expect(GIVEN) as usize;
+    let contended = f.on("--contended");
+    let algo = one_algorithm(&f)?;
+    let mapping = deploy_with(algo.as_ref(), &problem)?;
     let config = if contended {
         SimConfig::contended()
     } else {
         SimConfig::ideal()
     };
     let analytic = Evaluator::new(&problem).execution_time(&mapping);
-    let mc = monte_carlo(&problem, &mapping, config, trials.get(), 0);
+    let mc = monte_carlo(&problem, &mapping, config, trials, 0);
     Ok(format!(
         "{} under {} ({} trials{}):\n  analytic expected {:>10.3} ms\n  simulated mean    {:>10.3} ms ± {:.3} (95% CI)\n  min / max         {:>10.3} / {:.3} ms\n  mean bus messages {:>10.1}\n",
         problem.workflow().name(),
@@ -421,22 +260,9 @@ pub fn cmd_simulate(path: &str, flags: &[String]) -> Result<String, CliError> {
 /// path plus per-server loads — what to optimise and where the work
 /// landed.
 pub fn cmd_explain(path: &str, flags: &[String]) -> Result<String, CliError> {
-    let w = load_workflow(path)?;
-    let DeployFlags {
-        pool,
-        algo: algo_name,
-        ..
-    } = parse_flags("explain", flags, &[])?;
-    let problem = Problem::new(w, pool.network()?)
-        .map_err(|e| CliError::Invalid(format!("cannot assemble problem: {e}")))?;
-    let algo = algorithm_by_name(if algo_name == "all" {
-        "holm"
-    } else {
-        &algo_name
-    })?;
-    let mapping = algo
-        .deploy(&problem)
-        .map_err(|e| CliError::Invalid(format!("{}: {e}", algo.name())))?;
+    let (problem, f) = problem_for(&flags::EXPLAIN, path, flags)?;
+    let algo = one_algorithm(&f)?;
+    let mapping = deploy_with(algo.as_ref(), &problem)?;
     let cp = wsflow_cost::critical_path(&problem, &mapping);
     let mut out = format!("deployment by {}\n\n", algo.name());
     out.push_str(&wsflow_cost::critical_path::render(&problem, &mapping, &cp));
@@ -466,61 +292,13 @@ pub fn cmd_explain(path: &str, flags: &[String]) -> Result<String, CliError> {
 /// `wsflow-proto/1` problem spec); incumbents print as they arrive,
 /// followed by the final outcome and the op→server assignment.
 pub fn cmd_submit(path: &str, flags: &[String]) -> Result<String, CliError> {
-    let mut pool = PoolFlags::default();
-    let mut algo = "portfolio".to_string();
-    let mut budget: Option<u64> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut tenant = "cli".to_string();
-    let mut addr: Option<String> = None;
-    let mut i = 0;
-    while i < flags.len() {
-        if pool.take(&flags[i], flags.get(i + 1))? {
-            i += 2;
-            continue;
-        }
-        let value = |name: &str| {
-            flags
-                .get(i + 1)
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{name} needs a value")))
-        };
-        match flags[i].as_str() {
-            "--algo" => {
-                algo = value("--algo")?;
-                i += 2;
-            }
-            "--budget" => {
-                let v = value("--budget")?;
-                budget = Some(
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad --budget value {v:?}")))?,
-                );
-                i += 2;
-            }
-            "--deadline-ms" => {
-                let v = value("--deadline-ms")?;
-                deadline_ms = Some(
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad --deadline-ms value {v:?}")))?,
-                );
-                i += 2;
-            }
-            "--tenant" => {
-                tenant = value("--tenant")?;
-                i += 2;
-            }
-            "--addr" => {
-                addr = Some(value("--addr")?);
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
-        }
+    let (pool, f) = pool_flags(&flags::SUBMIT, flags)?;
+    let addr: std::net::SocketAddr = match f.text("--addr") {
+        Some(addr) => addr.to_string(),
+        None => format!("127.0.0.1:{}", wsflow_svc::port_from_env()),
     }
-    let pool = pool.finish()?;
-    let addr: std::net::SocketAddr = addr
-        .unwrap_or_else(|| format!("127.0.0.1:{}", wsflow_svc::port_from_env()))
-        .parse()
-        .map_err(|e| CliError::Usage(format!("bad --addr: {e}")))?;
+    .parse()
+    .map_err(|e| CliError::Usage(format!("bad --addr: {e}")))?;
     // Build the pool locally: a bad pool is the same error here as in
     // `deploy`, not a round-trip to the daemon.
     pool.network()?;
@@ -531,10 +309,10 @@ pub fn cmd_submit(path: &str, flags: &[String]) -> Result<String, CliError> {
     let text = std::fs::read_to_string(path).map_err(CliError::Io)?;
     let workflow = dsl::parse(&text).map_err(CliError::Parse)?;
     let request = wsflow_svc::Request {
-        tenant,
-        algo,
-        budget,
-        deadline_ms,
+        tenant: f.text("--tenant").expect(GIVEN).to_string(),
+        algo: f.text("--algo").expect(GIVEN).to_string(),
+        budget: f.int("--budget"),
+        deadline_ms: f.int("--deadline-ms"),
         spec: wsflow_svc::ProblemSpec::Inline {
             workflow: text,
             server_ghz: pool.ghz.clone(),
@@ -616,7 +394,7 @@ pub fn cmd_run(args: &[String]) -> Result<String, CliError> {
             })?;
         std::slice::from_ref(experiment)
     };
-    let opts = wsflow_harness::cli::parse(flags.iter().cloned()).map_err(CliError::Usage)?;
+    let opts = run_options(flags)?;
     let mut out = String::new();
     for experiment in selected {
         if target == "all" {
@@ -625,6 +403,21 @@ pub fn cmd_run(args: &[String]) -> Result<String, CliError> {
         out.push_str(&wsflow_harness::cli::run_one(&opts, experiment.run).render());
     }
     Ok(out)
+}
+
+/// `wsflow run`'s flags as the harness's options: `--seeds` and
+/// `--ops` override the sizes `--quick` picks, wherever they come.
+fn run_options(args: &[String]) -> Result<CliOptions, CliError> {
+    let f = parse(&flags::RUN, args)?;
+    let mut params = if f.on("--quick") {
+        Params::quick()
+    } else {
+        Params::paper()
+    };
+    params.seeds = f.int("--seeds").map_or(params.seeds, |n| n as usize);
+    params.ops = f.int("--ops").map_or(params.ops, |m| m as usize);
+    let out_dir = f.text("--out").expect(GIVEN).to_string();
+    Ok(CliOptions { params, out_dir })
 }
 
 /// `wsflow report <manifest.json | results-dir>`: pretty-print run
@@ -689,52 +482,9 @@ pub fn cmd_report(path: &str) -> Result<String, CliError> {
 /// missing — fails the gate with a non-zero exit. Results are
 /// wall-clock; nothing here feeds the deterministic experiment CSVs.
 pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
-    let mut quick = false;
-    let mut out_file: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut tolerance = 1.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--out" => {
-                out_file = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--out needs a value".into()))?
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--compare" => {
-                baseline_path = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--compare needs a value".into()))?
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--tolerance" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage("--tolerance needs a value".into()))?;
-                tolerance = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad --tolerance value {v:?}")))?;
-                if !tolerance.is_finite() || tolerance < 0.0 {
-                    return Err(CliError::Usage(
-                        "--tolerance needs a non-negative fraction".into(),
-                    ));
-                }
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
-        }
-    }
-
-    let doc = wsflow_harness::perf::run(quick);
+    let f = parse(&flags::BENCH, args)?;
+    let tolerance = f.num("--tolerance").expect(GIVEN);
+    let doc = wsflow_harness::perf::run(f.on("--quick"));
     let mut out = String::new();
     for b in &doc.benches {
         out.push_str(&format!(
@@ -743,7 +493,7 @@ pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
         ));
     }
 
-    if let Some(path) = &baseline_path {
+    if let Some(path) = f.text("--compare") {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::Input(format!("{path}: cannot read baseline ({e})")))?;
         let baseline = wsflow_harness::perf::BenchDoc::parse(&text)
@@ -762,8 +512,8 @@ pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
             tolerance * 100.0
         ));
     }
-    if let Some(path) = out_file {
-        std::fs::write(&path, doc.to_json())
+    if let Some(path) = f.text("--out") {
+        std::fs::write(path, doc.to_json())
             .map_err(|e| CliError::Invalid(format!("cannot write {path}: {e}")))?;
         out.push_str(&format!("wrote {path}\n"));
     }
@@ -782,28 +532,8 @@ pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
 /// densely renumbered by first appearance in canonical order), with
 /// flow arrows linking cross-thread parent→child edges.
 pub fn cmd_trace(path: &str, flags: &[String]) -> Result<String, CliError> {
-    let mut wall = false;
-    let mut out_file: Option<String> = None;
-    let mut i = 0;
-    while i < flags.len() {
-        match flags[i].as_str() {
-            "--wall" => {
-                wall = true;
-                i += 1;
-            }
-            "--out" => {
-                out_file = Some(
-                    flags
-                        .get(i + 1)
-                        .ok_or_else(|| CliError::Usage("--out needs a value".into()))?
-                        .clone(),
-                );
-                i += 2;
-            }
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
-        }
-    }
-
+    let f = parse(&flags::TRACE, flags)?;
+    let wall = f.on("--wall");
     let p = std::path::Path::new(path);
     let spans_path = if p.is_dir() {
         p.join("spans.ndjson")
@@ -835,8 +565,8 @@ pub fn cmd_trace(path: &str, flags: &[String]) -> Result<String, CliError> {
             spans_path.display()
         ))
     })?;
-    let out_path = match out_file {
-        Some(f) => std::path::PathBuf::from(f),
+    let out_path = match f.text("--out") {
+        Some(out) => std::path::PathBuf::from(out),
         None => spans_path.with_file_name("trace.json"),
     };
     std::fs::write(&out_path, &json)
@@ -899,68 +629,31 @@ fn parse_obs(raw: &str) -> Result<bool, String> {
 }
 
 fn dispatch_command(args: &[String]) -> Result<String, CliError> {
-    let (cmd, rest) = args
+    let (name, rest) = args
         .split_first()
         .ok_or_else(|| CliError::Usage("no command given".into()))?;
-    match cmd.as_str() {
-        "validate" => {
-            let path = rest
-                .first()
-                .ok_or_else(|| CliError::Usage("validate needs a workflow file".into()))?;
-            cmd_validate(path)
-        }
-        "stats" => {
-            let path = rest
-                .first()
-                .ok_or_else(|| CliError::Usage("stats needs a workflow file".into()))?;
-            cmd_stats(path)
-        }
-        "dot" => {
-            let path = rest
-                .first()
-                .ok_or_else(|| CliError::Usage("dot needs a workflow file".into()))?;
-            cmd_dot(path)
-        }
+    // A command with an operand takes it first, and its flags after it.
+    let path = || {
+        let cmd = flags::WSFLOW.iter().find(|c| c.name == name.as_str());
+        let operands = cmd.map_or("an operand", |c| c.operands);
+        (rest.first().map(String::as_str))
+            .ok_or_else(|| CliError::Usage(format!("{name} needs {operands}")))
+    };
+    let tail = rest.get(1..).unwrap_or_default();
+    match name.as_str() {
+        "validate" => cmd_validate(path()?),
+        "stats" => cmd_stats(path()?),
+        "dot" => cmd_dot(path()?),
         "generate" => cmd_generate(rest),
-        "deploy" => {
-            let path = rest
-                .first()
-                .ok_or_else(|| CliError::Usage("deploy needs a workflow file".into()))?;
-            cmd_deploy(path, &rest[1..])
-        }
-        "simulate" => {
-            let path = rest
-                .first()
-                .ok_or_else(|| CliError::Usage("simulate needs a workflow file".into()))?;
-            cmd_simulate(path, &rest[1..])
-        }
-        "explain" => {
-            let path = rest
-                .first()
-                .ok_or_else(|| CliError::Usage("explain needs a workflow file".into()))?;
-            cmd_explain(path, &rest[1..])
-        }
-        "submit" => {
-            let path = rest
-                .first()
-                .ok_or_else(|| CliError::Usage("submit needs a workflow file".into()))?;
-            cmd_submit(path, &rest[1..])
-        }
+        "deploy" => cmd_deploy(path()?, tail),
+        "simulate" => cmd_simulate(path()?, tail),
+        "explain" => cmd_explain(path()?, tail),
+        "submit" => cmd_submit(path()?, tail),
         "run" => cmd_run(rest),
-        "report" => {
-            let path = rest.first().ok_or_else(|| {
-                CliError::Usage("report needs a manifest.json or results directory".into())
-            })?;
-            cmd_report(path)
-        }
-        "trace" => {
-            let path = rest.first().ok_or_else(|| {
-                CliError::Usage("trace needs a spans.ndjson or results directory".into())
-            })?;
-            cmd_trace(path, &rest[1..])
-        }
+        "report" => cmd_report(path()?),
+        "trace" => cmd_trace(path()?, tail),
         "bench" => cmd_bench(rest),
-        "help" | "--help" | "-h" => Ok(format!("{USAGE}\n")),
+        "help" | "--help" | "-h" => Ok(format!("{}\n", flags::wsflow_usage())),
         other => Err(CliError::Usage(format!("unknown command {other:?}"))),
     }
 }
@@ -1139,37 +832,33 @@ mod tests {
 
     #[test]
     fn flag_parsing_errors() {
-        let all = ["--trials", "--contended", "--dot"];
-        assert!(parse_flags("t", &strs(&["--servers", "abc"]), &all).is_err());
-        assert!(parse_flags("t", &strs(&["--servers", "1.0", "--bus", "x"]), &all).is_err());
+        let deploy = |args: &[&str]| pool_flags(&flags::DEPLOY, &strs(args));
+        assert!(deploy(&["--servers", "abc"]).is_err());
+        assert!(deploy(&["--servers", "1.0", "--bus", "x"]).is_err());
         // Flag values only have to parse: 0 GHz is the pool validator's
         // to reject, as an invalid pool rather than a usage error.
-        let flags = parse_flags("t", &strs(&["--servers", "0.0"]), &all).unwrap();
-        assert!(matches!(flags.pool.network(), Err(CliError::Invalid(_))));
-        assert!(parse_flags("t", &strs(&["--wat"]), &all).is_err());
-        let flags = parse_flags(
-            "t",
-            &strs(&[
-                "--servers",
-                "1.0,2.5",
-                "--bus",
-                "10",
-                "--algo",
-                "fltr",
-                "--trials",
-                "7",
-                "--contended",
-                "--dot",
-            ]),
-            &all,
-        )
-        .unwrap();
-        assert_eq!(flags.pool.ghz, vec![1.0, 2.5]);
-        assert_eq!(flags.pool.bus_mbps, 10.0);
-        assert_eq!(flags.algo, "fltr");
-        assert_eq!(flags.trials.get(), 7);
-        assert!(flags.contended);
-        assert!(flags.dot);
+        let (pool, _) = deploy(&["--servers", "0.0"]).unwrap();
+        assert!(matches!(pool.network(), Err(CliError::Invalid(_))));
+        assert!(deploy(&["--wat"]).is_err());
+        // No one command takes all of these, so two read them.
+        let args = [
+            "--servers",
+            "1.0,2.5",
+            "--bus",
+            "10",
+            "--algo",
+            "fltr",
+            "--dot",
+        ];
+        let (pool, f) = deploy(&args).unwrap();
+        assert_eq!(pool.ghz, vec![1.0, 2.5]);
+        assert_eq!(pool.bus_mbps, 10.0);
+        assert_eq!(f.text("--algo"), Some("fltr"));
+        assert!(f.on("--dot"));
+        let args = strs(&["--servers", "1", "--trials", "7", "--contended"]);
+        let (_, f) = pool_flags(&flags::SIMULATE, &args).unwrap();
+        assert_eq!(f.int("--trials"), Some(7));
+        assert!(f.on("--contended"));
         // Zero trials is a usage error, not a panic in the simulator.
         let path = temp_workflow(DEMO);
         let err = cmd_simulate(
@@ -1624,6 +1313,58 @@ mod tests {
         assert!(csv.starts_with(wsflow_harness::loadgen::CSV_HEADER));
         assert!(dir.join("loadgen_manifest.json").is_file());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn defaults() {
+        let opts = run_options(&[]).unwrap();
+        assert_eq!(opts.params, Params::paper());
+        assert_eq!(opts.out_dir, "results");
+    }
+
+    #[test]
+    fn quick_and_overrides() {
+        // `--seeds` and `--ops` hold on whichever side of `--quick`
+        // they come.
+        let quick = Params::quick();
+        for (args, ops) in [
+            (
+                &["--quick", "--seeds", "7", "--ops", "11", "--out", "tmp"][..],
+                11,
+            ),
+            (&["--seeds", "7", "--quick"], quick.ops),
+            (
+                &["--ops", "11", "--quick", "--seeds", "7", "--out", "tmp"],
+                11,
+            ),
+        ] {
+            let opts = run_options(&strs(args)).unwrap();
+            assert_eq!(opts.params.seeds, 7, "{args:?}");
+            assert_eq!(opts.params.ops, ops, "{args:?}");
+            assert_eq!(opts.params.server_counts, quick.server_counts, "{args:?}");
+        }
+        assert_eq!(
+            run_options(&strs(&["--out", "tmp"])).unwrap().out_dir,
+            "tmp"
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_and_missing() {
+        let parse_vec = |args: &[&str]| run_options(&strs(args));
+        assert!(parse_vec(&["--bogus"]).is_err());
+        // `WSFLOW_THREADS` is the one worker count.
+        assert!(parse_vec(&["--workers", "3"]).is_err());
+        assert!(parse_vec(&["--seeds"]).is_err());
+        assert!(parse_vec(&["--seeds", "x"]).is_err());
+        // Zero seeds would write header-only CSVs and exit 0.
+        assert!(parse_vec(&["--seeds", "0"]).is_err());
+        // A workflow needs at least one operation.
+        assert!(parse_vec(&["--ops", "0"]).is_err());
+        assert!(parse_vec(&["--quick", "--ops", "0"]).is_err());
+        assert!(parse_vec(&["--help"]).is_err());
+        // `wsflow --obs` turns observability on before these flags parse.
+        assert!(parse_vec(&["--obs"]).is_err());
     }
 
     #[test]

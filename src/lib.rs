@@ -55,6 +55,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cli;
+pub mod flags;
 
 pub use wsflow_core as core;
 pub use wsflow_cost as cost;

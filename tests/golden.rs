@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
-use wsflow::harness::{Experiment, ExperimentOutput, Params, EXPERIMENTS};
+use wsflow::harness::{trajectory, Experiment, ExperimentOutput, Params, EXPERIMENTS};
 use wsflow_obs::Recorder;
 
 /// File name → contents with `runtime_us` cut.
@@ -125,10 +125,21 @@ fn first_difference(expected: &Files, actual: &Files) -> Option<String> {
 }
 
 /// Run B's recorder for experiment `name` must hold a well-formed span
-/// tree. What the anytime experiments record beyond that is checked by
+/// tree, and an experiment that writes side-channel CSVs must write a
+/// `trajectory.csv` with its header and at least one incumbent row.
+/// What `quality_vs_budget` records beyond that is checked by
 /// `tests/obs_superset.rs`.
-fn check_recorded(name: &str, rec: &Recorder) {
+fn check_recorded(name: &str, rec: &Recorder, out: &ExperimentOutput) {
     wsflow_obs::validate_spans(&rec.spans()).unwrap_or_else(|e| panic!("{name}: span tree: {e}"));
+    if out.obs_csvs.is_empty() {
+        return;
+    }
+    let (_, csv) = (out.obs_csvs.iter())
+        .find(|(file, _)| file == "trajectory.csv")
+        .unwrap_or_else(|| panic!("{name}: side channel without trajectory.csv"));
+    let mut lines = csv.lines();
+    assert_eq!(lines.next(), Some(trajectory::CSV_HEADER), "{name}");
+    assert!(lines.next().is_some(), "{name}: no incumbent row");
 }
 
 #[test]
@@ -164,7 +175,7 @@ fn quick_suite_matches_the_committed_outputs() {
                         let _obs = rec.install();
                         (e.run)(&params)
                     };
-                    check_recorded(e.name, &rec);
+                    check_recorded(e.name, &rec, &out);
                     out
                 })
             })

@@ -1,11 +1,11 @@
 //! Observability is a strict side channel: with span trees, incumbent
-//! instants, and trajectory recording all on, the anytime experiments
-//! must write exactly the committed, unrecorded bytes under
-//! `tests/golden/` (neither writes a wall-clock column). The extra
-//! signal rides in the recorder and in `obs_csvs` (`trajectory.csv`),
-//! which holds wall-clock values and is never compared.
-//! `tests/golden.rs` checks the same for every experiment at once;
-//! these tests check what each anytime run records.
+//! instants, and trajectory recording all on, `quality_vs_budget` must
+//! write exactly the committed, unrecorded bytes under `tests/golden/`
+//! (it writes no wall-clock column). The extra signal rides in the
+//! recorder and in `obs_csvs` (`trajectory.csv`), which holds
+//! wall-clock values and is never compared. `tests/golden.rs` checks
+//! the same, `trajectory.csv` included, for every experiment at once;
+//! the test here checks what a `quality_vs_budget` run records.
 //!
 //! `WSFLOW_OBS=1` records a `wsflow` command like `--obs` does, without
 //! appending the metrics snapshot to its output.
@@ -85,11 +85,6 @@ fn quality_vs_budget_csvs_are_identical_with_tracing_on() {
             "missing trajectory histogram {h}"
         );
     }
-}
-
-#[test]
-fn scale_sweep_csvs_are_identical_with_tracing_on() {
-    recorded_matches_golden("scale_sweep", wsflow::harness::scale_sweep::run);
 }
 
 #[test]
